@@ -8,7 +8,8 @@ Usage, from the root of a checkout:
 Every operation is one in-process call of ``leonardpairs.cli.run(argv)``
 with standard output captured, and every output is checked.  With
 ``--trace 0`` the run times whole passes over the workload's inputs for
-about S seconds and reports the end-to-end metrics.  With ``--trace 1``
+about S seconds and reports the end-to-end metrics, scaled to the nominal
+host speed measured by ``hostspeed.py``.  With ``--trace 1``
 each operation is also replayed stage by stage through the package's
 public functions under a tracer (see ``tracing.py``), and the run reports
 the per-module metrics; the spans are written to
@@ -38,12 +39,19 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 
+import hostspeed  # noqa: E402
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 WORK = os.path.join(HERE, "work")
 EXPECTED_SHA256 = os.path.join(HERE, "expected_sha256.json")
 WORKLOADS = ("ladder", "corpus", "build")
+# The reference kernels (hostspeed.py) that do each workload's kind of
+# arithmetic.  The corpus spends about half its time in the exhaustive
+# root search over GF(999983), whose small-integer arithmetic sped up by
+# a quarter less than rational arithmetic when the host got faster.
+KERNELS = {"ladder": ("rational",), "corpus": ("rational", "modular"), "build": ("rational",)}
 SETUP_PROBES = 2  # fresh processes set up besides this one; setup_s is the median
 TAIL_BEYOND = 10  # samples that must lie beyond the tail percentile
 
@@ -147,6 +155,7 @@ class Run:
         self.failures: list[str] = []
         self.directory = os.path.join(WORK, f"{args.workload}-s{args.seed}-p{os.getpid()}")
         self.tracer = None
+        self.speed = hostspeed.HostSpeed(KERNELS[args.workload])
 
     def execute(self, op):
         """Run one operation untraced and check it; returns its seconds.
@@ -221,40 +230,57 @@ class Run:
 
     def measure(self):
         latencies, digests = [], []
+        marks = []  # per pass: sample count before and after its first catch-up
 
         def one_pass(k):
             lat = []
             digest = hashlib.sha256()
-            for op in self.ops:
+            for i, op in enumerate(self.ops):
+                before = len(self.speed.samples)
+                self.speed.catch_up()
+                if i == 0:
+                    marks.append((before, len(self.speed.samples)))
                 lat.append(self.execute(op))
                 digest.update(self.last_output)
             latencies.append(lat)
             digests.append(digest.hexdigest())
 
         self.passes(one_pass)
+        self.speed.catch_up()
+        marks.append((None, len(self.speed.samples)))
         self.latencies = latencies
+        # Each pass at the host speed of the samples taken just before it,
+        # during it and just after it.
+        self.pass_scales = [
+            self.speed.scale(marks[k][0], marks[k + 1][1]) for k in range(len(latencies))
+        ]
         if len(set(digests)) != 1:
             self.failures.append("output bytes differ between passes of one process")
         self.digest = digests[0]
         self.check_recorded_digest()
 
-        # On a shared 2-vCPU host the speed changes by about 40% within
-        # seconds, so each invocation is taken at its fastest pass; the slow
-        # passes measure the neighbours, not the program.
-        best = [min(column) for column in zip(*latencies)]
-        n = len(best)
+        n = len(self.ops)
         self.pass_count = len(latencies)
         self.tail_note = (
             f"p{100.0 * (n - TAIL_BEYOND) / n:.1f} of the {n} invocations of a pass, "
             f"{TAIL_BEYOND} beyond it"
             if n > TAIL_BEYOND
             else f"maximum of the {n} invocation(s) of a pass (fewer than {TAIL_BEYOND + 1})"
-        ) + f", each at its fastest of {self.pass_count} passes"
+        ) + f", each at its median over {self.pass_count} passes"
+        self.measured = self.timed_metrics(latencies)
+        return self.timed_metrics(
+            [[t * scale for t in lat] for lat, scale in zip(latencies, self.pass_scales)]
+        )
+
+    def timed_metrics(self, latencies):
+        """ops_per_s over all passes; op_p50_s and op_tail_s over the
+        invocations of a pass, each at its median over the passes."""
+        typical = [statistics.median(column) for column in zip(*latencies)]
         verifications = sum(op.verifications for op in self.ops)
         return {
-            "ops_per_s": verifications / sum(best),
-            "op_p50_s": statistics.median(best),
-            "op_tail_s": _tail(best),
+            "ops_per_s": verifications * len(latencies) / sum(map(sum, latencies)),
+            "op_p50_s": statistics.median(typical),
+            "op_tail_s": _tail(typical),
         }
 
     def check_recorded_digest(self):
@@ -374,8 +400,10 @@ class Run:
                     probe = self.setup_probe()
                     if probe is not None:
                         samples.append(probe)
-                metrics = {"setup_s": statistics.median(samples)}
-                metrics.update(self.measure())
+                metrics = self.measure()
+                self.measured["setup_s"] = statistics.median(samples)
+                # Set-up at the host speed of the whole run.
+                metrics["setup_s"] = self.measured["setup_s"] * self.speed.scale()
                 metrics["peak_rss_mb"] = (
                     resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
                 )
@@ -410,6 +438,10 @@ class Run:
         else:
             print(f"setup_s median of {len(self.setup_samples)} fresh-process set-ups")
             print(f"op_tail_s is the {self.tail_note}")
+            print(self.speed.describe())
+            print("pass scale factors " + " ".join(f"{x:.4f}" for x in self.pass_scales))
+            print("measured, unscaled: " + "  ".join(
+                f"{name} {value:.6g}" for name, value in self.measured.items()))
             print("pass seconds " + " ".join(f"{sum(lat):.4f}" for lat in self.latencies))
             print(f"output sha256 {self.digest} ({self.digest_status})")
             print(f"failed_ratio {failed / max(self.attempted, 1):.6f} "

@@ -11,6 +11,7 @@ import io
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 
@@ -162,10 +163,32 @@ def test_the_unchanged_program_matches_its_recorded_digests():
         assert code == 0 and bench.digest == _recorded(workload)
 
 
+def test_timed_metrics_are_the_measured_ones_scaled_to_the_nominal_host():
+    code, result, bench = _in_process("ladder", seconds=2.0)
+    assert code == 0
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    nominal, samples = run.hostspeed.NOMINAL_S, bench.speed.samples
+    # At least one kernel sample per SAMPLE_EVERY_S of timed invocations.
+    assert len(samples) >= sum(map(sum, bench.latencies)) / run.hostspeed.SAMPLE_EVERY_S - 1
+    assert len(bench.pass_scales) == len(bench.latencies) >= 2
+    for scale in bench.pass_scales:
+        assert nominal / max(samples) <= scale <= nominal / min(samples)
+    scaled = [[t * s for t in lat] for lat, s in zip(bench.latencies, bench.pass_scales)]
+    per_pass = sum(op.verifications for op in bench.ops)
+    assert metrics["ops_per_s"] == pytest.approx(per_pass * len(scaled) / sum(map(sum, scaled)))
+    typical = sorted(statistics.median(column) for column in zip(*scaled))
+    assert metrics["op_p50_s"] == pytest.approx(statistics.median(typical))
+    assert metrics["op_tail_s"] == pytest.approx(typical[-1])
+    assert metrics["setup_s"] == pytest.approx(
+        statistics.median(bench.setup_samples) * nominal * len(samples) / sum(samples))
+
+
 def test_no_operation_drifts_within_one_process():
-    code, result, bench = _in_process("build", seconds=4.0)
+    code, result, bench = _in_process("build", seconds=8.0)
     assert code == 0 and result["correct"] is True
-    passes = bench.latencies
+    # At the nominal host speed, so that a slow spell of a shared host
+    # does not read as drift.
+    passes = [[t * s for t in lat] for lat, s in zip(bench.latencies, bench.pass_scales)]
     assert len(passes) >= 6
     third = len(passes) // 3
     # The fastest of each third, because a slow spell of a shared host can

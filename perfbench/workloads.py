@@ -64,9 +64,8 @@ CORPUS_PAIRS = (
 # (field, matrix size) for each of the four non-example kinds.
 CORPUS_NONEXAMPLES = (("Q", 3), ("GF(101)", 5))
 # The corpus is split round-robin into this many directories, one
-# verify --batch each, so that no single timed invocation is much longer
-# than a second: a shared 2-vCPU host changes speed every few seconds,
-# and each invocation is taken at its fastest pass.
+# verify --batch each, so that each pass has several invocations of about
+# a second, with host-speed samples between them (see hostspeed.py).
 CORPUS_SHARDS = 6
 
 BUILD_ARRAYS = (
@@ -76,7 +75,7 @@ BUILD_ARRAYS = (
 )
 ARRAY_COMMANDS = ("construct", "tdconstruct", "gmatrix", "polys", "roundtrip", "classify")
 # The (5, 2) lattice is left out: one 3.5 s invocation was most of a pass,
-# and its fastest-of-passes time alone moved ops_per_s by 25% between runs.
+# and its time alone moved ops_per_s by 25% between runs.
 BUILD_LATTICES = ((4, 2), (3, 3))
 BUILD_NONEXAMPLE = ("GF(101)", 6)
 
@@ -520,18 +519,30 @@ def ladder_pairs(rng, tiny: bool):
     return out
 
 
-def _largest_at_minus_one(pa):
-    """Shift both eigenvalue sequences of an array over GF(p) so that the
-    largest residue in each is p - 1.
+def _whole_field_scan_array(field, d, rng):
+    """A seeded array over GF(p) on which every exhaustive root search of
+    its verification scans the whole field, whatever the seed.
 
-    The exhaustive root search over GF(p) stops once it has found every
-    root, so its cost depends on where the largest root lies.  After the
-    shift it always scans the whole field, whatever the seed.
+    The search stops once it has found every root, so its cost depends on
+    where the largest root lies.  Both eigenvalue sequences are shifted so
+    that the largest residue in each is p - 1.  At d >= 3 the fingerprint
+    also searches for the roots of x^2 - beta x + 1 unless beta = +-2;
+    arrays with beta = +-2 or whose quadratic has two distinct roots in
+    GF(p), about half of the draws, are drawn again, so that search scans
+    the whole field too.  Affine shifts keep beta.
     """
-    top = pa.field.p - 1
-    return lp_parray.affine_transform(
-        pa, 1, top - max(pa.theta), 1, top - max(pa.theta_star)
-    )
+    p = field.p
+    while True:
+        pa = lp_generators.random_parameter_array(field, d, rng)
+        if d >= 3:
+            t = pa.theta
+            beta = ((t[0] - t[3]) * pow(t[1] - t[2], -1, p) - 1) % p
+            if beta in (2, p - 2) or pow(beta * beta - 4, (p - 1) // 2, p) == 1:
+                continue
+        top = p - 1
+        return lp_parray.affine_transform(
+            pa, 1, top - max(pa.theta), 1, top - max(pa.theta_star)
+        )
 
 
 def corpus_pairs(rng, tiny: bool):
@@ -545,9 +556,10 @@ def corpus_pairs(rng, tiny: bool):
             order = (_serialize(field, _diag(a)), _serialize(field, _diag(a_star)))
             out.append((f"uq-sqrt5-d{d}", a, a_star, True, order))
             continue
-        pa = lp_generators.random_parameter_array(field, d, rng)
         if flag == "GF(999983)":
-            pa = _largest_at_minus_one(pa)
+            pa = _whole_field_scan_array(field, d, rng)
+        else:
+            pa = lp_generators.random_parameter_array(field, d, rng)
         a, a_star = lp_parray.construct_tridiagonal(pa)
         if conjugated:
             g = _random_unimodular(field, d + 1, rng)
