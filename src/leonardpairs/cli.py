@@ -138,23 +138,35 @@ def _matrix_from_obj(obj, override: "Field | None", label: str) -> ExactMatrix:
         raise _InputError(f"{label}: {exc}") from exc
 
 
+def _checked_pair(a: ExactMatrix, a_star: ExactMatrix, label: str):
+    if a.field != a_star.field:
+        raise _InputError(f"{label}: the two matrices live in different fields")
+    if a.n != a_star.n:
+        raise _InputError(
+            f"{label}: size mismatch: A is {a.n}x{a.n}, A* is {a_star.n}x{a_star.n}"
+        )
+    return a, a_star
+
+
+def _pair_from_file(path: str, override: "Field | None"):
+    obj = _read_json(path)
+    if not isinstance(obj, dict) or "a" not in obj or "astar" not in obj:
+        raise _InputError(f"{path}: expected an object with 'a' and 'astar'")
+    a = _matrix_from_obj(obj["a"], override, f"{path}#a")
+    a_star = _matrix_from_obj(obj["astar"], override, f"{path}#astar")
+    return _checked_pair(a, a_star, path)
+
+
 def _pair_from_args(args) -> tuple[ExactMatrix, ExactMatrix]:
     if args.pair is not None:
         if args.a is not None or args.astar is not None:
             raise _InputError("give either --pair or --a/--astar, not both")
-        obj = _read_json(args.pair)
-        if not isinstance(obj, dict) or "a" not in obj or "astar" not in obj:
-            raise _InputError(f"{args.pair}: expected an object with 'a' and 'astar'")
-        a = _matrix_from_obj(obj["a"], args.field_obj, f"{args.pair}#a")
-        a_star = _matrix_from_obj(obj["astar"], args.field_obj, f"{args.pair}#astar")
-    else:
-        if args.a is None or args.astar is None:
-            raise _InputError("need --a and --astar (or a combined --pair file)")
-        a = _matrix_from_obj(_read_json(args.a), args.field_obj, args.a)
-        a_star = _matrix_from_obj(_read_json(args.astar), args.field_obj, args.astar)
-    if a.field != a_star.field:
-        raise _InputError("the two matrices live in different fields")
-    return a, a_star
+        return _pair_from_file(args.pair, args.field_obj)
+    if args.a is None or args.astar is None:
+        raise _InputError("need --a and --astar (or a combined --pair file)")
+    a = _matrix_from_obj(_read_json(args.a), args.field_obj, args.a)
+    a_star = _matrix_from_obj(_read_json(args.astar), args.field_obj, args.astar)
+    return _checked_pair(a, a_star, f"{args.a}, {args.astar}")
 
 
 def _parray_from_args(args) -> ParameterArray:
@@ -210,12 +222,7 @@ def _cmd_verify_batch(args):
     )
 
     def one(name: str):
-        path = os.path.join(directory, name)
-        obj = _read_json(path)
-        if not isinstance(obj, dict) or "a" not in obj or "astar" not in obj:
-            raise _InputError(f"{path}: expected an object with 'a' and 'astar'")
-        a = _matrix_from_obj(obj["a"], args.field_obj, f"{path}#a")
-        a_star = _matrix_from_obj(obj["astar"], args.field_obj, f"{path}#astar")
+        a, a_star = _pair_from_file(os.path.join(directory, name), args.field_obj)
         report = verification_report(a, a_star)
         report_name = name[: -len(".json")] + ".report.json"
         _atomic_write(os.path.join(directory, report_name), report)

@@ -5,13 +5,14 @@ matrix is multiplicity-free and acts irreducibly tridiagonally on the
 eigenspace chain of the other for some ordering of those eigenspaces.  A
 Leonard system fixes both orderings.  Recognition finds every admissible
 ordering (at most two per side, so at most four systems) by reading the
-support pattern of E_i X E_j products; the pattern must be a Hamiltonian
-path with both directions present on every edge.
+nonzero pattern of P^-1 X P, where P holds the eigenvectors of the other
+matrix: E_i X E_j is nonzero exactly when entry (i, j) is.  The pattern
+must be a Hamiltonian path with both directions present on every edge.
 
 Extraction walks a system down to its parameter array through the split
-basis u_i = (A - theta_{i-1} I) ... (A - theta_0 I) xi with xi spanning
-the E*_0 image; the second split sequence comes from the same walk with
-theta reversed.
+basis u_i = (A - theta_{i-1} I) ... (A - theta_0 I) xi with xi the
+theta*_0 eigenvector of A*, which spans the E*_0 image; the second split
+sequence comes from the same walk with theta reversed.
 """
 
 from __future__ import annotations
@@ -51,30 +52,40 @@ from .parray import (
 class LeonardSystem:
     """A Leonard pair with fixed eigenvalue orderings on both sides.
 
-    theta and theta_star are payload tuples; idempotents and
-    dual_idempotents are index-aligned with them.
+    eigen and dual_eigen are the eigen-data of A and A* in the system's
+    orderings; theta and theta_star are their eigenvalue payload tuples,
+    and the read-only idempotents and dual_idempotents are index-aligned
+    with them.
     """
 
     __slots__ = (
         "field",
         "a",
         "a_star",
+        "eigen",
+        "dual_eigen",
         "theta",
         "theta_star",
-        "idempotents",
-        "dual_idempotents",
         "_pa_cache",
     )
 
-    def __init__(self, field, a, a_star, theta, theta_star, idempotents, dual_idempotents):
-        self.field = field
+    def __init__(self, a, a_star, eigen: EigenData, dual_eigen: EigenData):
+        self.field = a.field
         self.a = a
         self.a_star = a_star
-        self.theta = tuple(theta)
-        self.theta_star = tuple(theta_star)
-        self.idempotents = tuple(idempotents)
-        self.dual_idempotents = tuple(dual_idempotents)
+        self.eigen = eigen
+        self.dual_eigen = dual_eigen
+        self.theta = tuple(v.payload for v in eigen.eigenvalues)
+        self.theta_star = tuple(v.payload for v in dual_eigen.eigenvalues)
         self._pa_cache = None
+
+    @property
+    def idempotents(self) -> tuple[ExactMatrix, ...]:
+        return self.eigen.idempotents
+
+    @property
+    def dual_idempotents(self) -> tuple[ExactMatrix, ...]:
+        return self.dual_eigen.idempotents
 
     @property
     def d(self) -> int:
@@ -93,15 +104,13 @@ class LeonardSystem:
 
     def relative(self, reverse_e: bool = False, reverse_e_star: bool = False) -> "LeonardSystem":
         """The system with one or both eigenvalue orderings reversed."""
-        theta = tuple(reversed(self.theta)) if reverse_e else self.theta
-        ts = tuple(reversed(self.theta_star)) if reverse_e_star else self.theta_star
-        es = tuple(reversed(self.idempotents)) if reverse_e else self.idempotents
-        ds = (
-            tuple(reversed(self.dual_idempotents))
-            if reverse_e_star
-            else self.dual_idempotents
-        )
-        return LeonardSystem(self.field, self.a, self.a_star, theta, ts, es, ds)
+        backwards = range(self.d, -1, -1)
+        eigen, dual = self.eigen, self.dual_eigen
+        if reverse_e:
+            eigen = eigen.reordered(backwards)
+        if reverse_e_star:
+            dual = dual.reordered(backwards)
+        return LeonardSystem(self.a, self.a_star, eigen, dual)
 
     def __eq__(self, other) -> bool:
         return (
@@ -151,13 +160,16 @@ def _structural_check(a: ExactMatrix, a_star: ExactMatrix) -> Field:
     return a.field
 
 
-def _support_matrix(x: ExactMatrix, idempotents) -> list[list[bool]]:
-    """support[i][j] says whether E_i X E_j is nonzero."""
-    left = [e @ x for e in idempotents]
-    return [
-        [not (left[i] @ idempotents[j]).is_zero for j in range(len(idempotents))]
-        for i in range(len(idempotents))
-    ]
+def _support_matrix(x: ExactMatrix, eigen: EigenData) -> list[list[bool]]:
+    """support[i][j] says whether E_i X E_j is nonzero.
+
+    E_i X E_j = v_i (w_i X v_j) w_j^T with v_i column i of P and w_i row i
+    of P^-1, both nonzero, so it vanishes exactly when (P^-1 X P)[i][j]
+    does.
+    """
+    f = x.field
+    moved = eigen.inverse_eigenvectors @ x @ eigen.eigenvectors
+    return [[not f.is_zero(v) for v in row] for row in moved.rows]
 
 
 def _path_orderings(support, labels):
@@ -223,7 +235,7 @@ def is_leonard_pair(
     certified before use and cannot change the verdict.  On failure the
     reason strings name the first obstruction on each side.
     """
-    field = _structural_check(a, a_star)
+    _structural_check(a, a_star)
 
     mf_a = is_multiplicity_free(a, eigenvalue_hints=eigenvalue_hints)
     mf_star = is_multiplicity_free(a_star, eigenvalue_hints=dual_eigenvalue_hints)
@@ -243,7 +255,7 @@ def is_leonard_pair(
     eigen_star: EigenData = mf_star.eigen
 
     star_labels = [str(v) for v in eigen_star.eigenvalues]
-    support_iv = _support_matrix(a, eigen_star.idempotents)
+    support_iv = _support_matrix(a, eigen_star)
     star_orders, obstruction = _path_orderings(support_iv, star_labels)
     if obstruction:
         return RecognitionResult(
@@ -255,7 +267,7 @@ def is_leonard_pair(
         )
 
     a_labels = [str(v) for v in eigen_a.eigenvalues]
-    support_v = _support_matrix(a_star, eigen_a.idempotents)
+    support_v = _support_matrix(a_star, eigen_a)
     e_orders, obstruction = _path_orderings(support_v, a_labels)
     if obstruction:
         return RecognitionResult(
@@ -266,22 +278,11 @@ def is_leonard_pair(
             None,
         )
 
-    systems = []
-    for e_order in e_orders:
-        ea = eigen_a.reordered(e_order)
-        for star_order in star_orders:
-            es = eigen_star.reordered(star_order)
-            systems.append(
-                LeonardSystem(
-                    field,
-                    a,
-                    a_star,
-                    tuple(v.payload for v in ea.eigenvalues),
-                    tuple(v.payload for v in es.eigenvalues),
-                    ea.idempotents,
-                    es.idempotents,
-                )
-            )
+    systems = [
+        LeonardSystem(a, a_star, eigen_a.reordered(e), eigen_star.reordered(s))
+        for e in e_orders
+        for s in star_orders
+    ]
     canonical = min(systems, key=_system_sort_key)
     return RecognitionResult(True, a.n - 1, None, tuple(systems), canonical)
 
@@ -319,16 +320,11 @@ def system_from_pair_with_orderings(
     if not mf_star:
         raise ValueError(f"A* is not multiplicity-free: {mf_star.reason}")
 
-    ea = _reorder_to(mf_a.eigen, theta, "theta")
-    es = _reorder_to(mf_star.eigen, theta_star, "theta_star")
     system = LeonardSystem(
-        field,
         a,
         a_star,
-        tuple(theta),
-        tuple(theta_star),
-        ea.idempotents,
-        es.idempotents,
+        _reorder_to(mf_a.eigen, theta, "theta"),
+        _reorder_to(mf_star.eigen, theta_star, "theta_star"),
     )
     if verify:
         _verify_system_supports(system)
@@ -336,7 +332,7 @@ def system_from_pair_with_orderings(
 
 
 def _reorder_to(eigen: EigenData, wanted, label: str) -> EigenData:
-    field = eigen.idempotents[0].field if eigen.idempotents else None
+    field = eigen.eigenvectors.field
     have = {str(v): i for i, v in enumerate(eigen.eigenvalues)}
     order = []
     for v in wanted:
@@ -350,9 +346,9 @@ def _reorder_to(eigen: EigenData, wanted, label: str) -> EigenData:
 
 
 def _verify_system_supports(system: LeonardSystem) -> None:
-    support = _support_matrix(system.a, system.dual_idempotents)
+    support = _support_matrix(system.a, system.dual_eigen)
     _assert_tridiagonal_support(support, "A", "A*")
-    support = _support_matrix(system.a_star, system.idempotents)
+    support = _support_matrix(system.a_star, system.eigen)
     _assert_tridiagonal_support(support, "A*", "A")
 
 
@@ -405,29 +401,16 @@ def system_from_parameter_array(pa: ParameterArray) -> LeonardSystem:
 def split_basis(system: LeonardSystem, *, reverse_theta: bool = False) -> ExactMatrix:
     """Columns u_i = (A - theta_{i-1} I) ... (A - theta_0 I) xi.
 
-    xi spans the image of E*_0; it is normalized to leading coordinate 1,
-    which makes the basis deterministic.  In this basis A is lower
-    bidiagonal with subdiagonal 1 and A* is upper bidiagonal; passing
-    reverse_theta walks the thetas backwards, which swaps the two split
-    sequences.
+    xi is the theta*_0 eigenvector of A*, which spans the image of E*_0;
+    its leading coordinate is 1, which makes the basis deterministic.  In
+    this basis A is lower bidiagonal with subdiagonal 1 and A* is upper
+    bidiagonal; passing reverse_theta walks the thetas backwards, which
+    swaps the two split sequences.
     """
     field = system.field
     n = system.d + 1
-    e0 = system.dual_idempotents[0]
-    xi = None
-    for k in range(n):
-        col = e0.column(k)
-        if any(not field.is_zero(v) for v in col):
-            xi = list(col)
-            break
-    if xi is None:
-        raise DegenerateSplitError("E*_0 is the zero matrix")
-    lead = next(v for v in xi if not field.is_zero(v))
-    inv_lead = field.inv(lead)
-    xi = [field.mul(v, inv_lead) for v in xi]
-
     theta = tuple(reversed(system.theta)) if reverse_theta else system.theta
-    cols = [xi]
+    cols = [list(system.dual_eigen.eigenvectors.column(0))]
     for i in range(n - 1):
         step = system.a.add_scalar_diagonal(field.neg(theta[i]))
         nxt = step.apply(cols[-1])
@@ -736,19 +719,6 @@ def askey_wilson_to_dict(fit: AskeyWilsonFit) -> dict:
     return out
 
 
-def converse_report_to_dict(report: ConverseReport) -> dict:
-    return {
-        "relations_hold": report.relations_hold,
-        "unique_fit": report.unique_fit,
-        "multiplicity_free_a": report.multiplicity_free_a,
-        "multiplicity_free_a_star": report.multiplicity_free_a_star,
-        "q_not_root_of_unity": report.q_not_root_of_unity,
-        "conclusive": report.conclusive,
-        "notes": list(report.notes),
-        "askey_wilson": None if report.fit is None else askey_wilson_to_dict(report.fit),
-    }
-
-
 def verification_report(
     a: ExactMatrix,
     a_star: ExactMatrix,
@@ -833,7 +803,6 @@ __all__ = [
     "askey_wilson_residuals",
     "askey_wilson_to_dict",
     "check_converse_preconditions",
-    "converse_report_to_dict",
     "extract_parameter_array",
     "fit_askey_wilson",
     "is_leonard_pair",

@@ -4,13 +4,15 @@ Matrices are immutable: a field plus a tuple-of-tuples payload grid.  All
 eliminations use first-nonzero pivoting, so identical inputs always produce
 identical outputs.  Eigenvectors are normalized to leading coordinate 1 and
 eigenvalues are listed in the canonical shortlex order of their serialized
-form; primitive idempotents come from Lagrange interpolation products.
+form; the primitive idempotent E_i is the outer product of eigenvector i
+with row i of the inverse eigenvector matrix, built only when asked for.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     FieldMismatchError,
@@ -91,9 +93,6 @@ class ExactMatrix:
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
 
-    def to_elements(self) -> list[list[FieldElement]]:
-        return [[FieldElement(self.field, v) for v in row] for row in self.rows]
-
     def _check_field(self, other: "ExactMatrix") -> Field:
         if self.field != other.field:
             raise FieldMismatchError("matrices over different fields")
@@ -164,9 +163,6 @@ class ExactMatrix:
                         acc[j] = add(acc[j], mul(a, b))
             out.append(acc)
         return ExactMatrix._raw(f, out)
-
-    def multiply(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self @ other
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._raw(self.field, zip(*self.rows))
@@ -408,33 +404,42 @@ def is_irreducible_tridiagonal(matrix: ExactMatrix) -> bool:
 
 @dataclass(frozen=True)
 class EigenData:
-    """Eigenvalues, normalized eigenvectors, and primitive idempotents.
+    """Eigenvalues, the eigenvector matrix P, and its inverse.
 
-    The three tuples are index-aligned.  Eigenvector i is column i of
-    ``eigenvectors`` with leading coordinate 1; idempotent i is the Lagrange
-    product prod_{j != i} (M - theta_j I)/(theta_i - theta_j).
+    Eigenvalue i, column i of ``eigenvectors`` (leading coordinate 1) and
+    row i of ``inverse_eigenvectors`` are index-aligned.  The primitive
+    idempotent E_i is column i of P times row i of P^-1; ``idempotents``
+    builds all of them on first access and caches the tuple.
     """
 
     eigenvalues: tuple[FieldElement, ...]
     eigenvectors: ExactMatrix
-    idempotents: tuple[ExactMatrix, ...]
+    inverse_eigenvectors: ExactMatrix
 
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def idempotents(self) -> tuple[ExactMatrix, ...]:
+        f = self.eigenvectors.field
+        p_rows = self.eigenvectors.rows
+        return tuple(
+            ExactMatrix._raw(f, [[f.mul(row[i], w) for w in dual] for row in p_rows])
+            for i, dual in enumerate(self.inverse_eigenvectors.rows)
+        )
 
     def reordered(self, order) -> "EigenData":
         """Same data with positions permuted: item i becomes old item order[i]."""
         order = list(order)
         if sorted(order) != list(range(self.n)):
             raise ValueError(f"not a permutation of 0..{self.n - 1}: {order}")
-        vec_field = self.eigenvectors.field
-        cols = [self.eigenvectors.column(j) for j in order]
-        vectors = ExactMatrix._raw(vec_field, zip(*cols))
+        f = self.eigenvectors.field
+        p_rows, inv_rows = self.eigenvectors.rows, self.inverse_eigenvectors.rows
         return EigenData(
             tuple(self.eigenvalues[i] for i in order),
-            vectors,
-            tuple(self.idempotents[i] for i in order),
+            ExactMatrix._raw(f, [[row[j] for j in order] for row in p_rows]),
+            ExactMatrix._raw(f, [inv_rows[i] for i in order]),
         )
 
 
@@ -466,8 +471,8 @@ def is_multiplicity_free(
 ) -> MultiplicityFreeResult:
     """Decide whether matrix has n distinct eigenvalues in its own field.
 
-    On success the witness carries eigenvalues in shortlex order, leading-1
-    eigenvectors, and the Lagrange idempotents.  Hints are candidate
+    On success the witness carries eigenvalues in shortlex order, the
+    leading-1 eigenvectors, and their inverse matrix.  Hints are candidate
     eigenvalues; they are certified by exact deflation of the
     characteristic polynomial before use, so wrong hints cost time but
     cannot change the verdict.
@@ -511,34 +516,17 @@ def is_multiplicity_free(
             )
         columns.append(kernel[0])
     vectors = ExactMatrix._raw(field, zip(*columns))
-
-    prefix = [ExactMatrix.identity(field, n)]
-    for theta in eigenvalues[:-1]:
-        prefix.append(prefix[-1] @ matrix.add_scalar_diagonal(field.neg(theta)))
-    suffix = [ExactMatrix.identity(field, n)]
-    for theta in reversed(eigenvalues[1:]):
-        suffix.append(suffix[-1] @ matrix.add_scalar_diagonal(field.neg(theta)))
-    suffix.reverse()
-
-    idempotents = []
-    for i, theta in enumerate(eigenvalues):
-        denom = field.one
-        for j, other in enumerate(eigenvalues):
-            if j != i:
-                denom = field.mul(denom, field.sub(theta, other))
-        idempotents.append((prefix[i] @ suffix[i]).scale(field.inv(denom)))
-
-    total_e = idempotents[0]
-    for e in idempotents[1:]:
-        total_e = total_e + e
-    if total_e != ExactMatrix.identity(field, n):
+    try:
+        inv = inverse(vectors)
+    except SingularMatrixError as exc:
+        raise InternalCheckError(
+            "eigenvectors of distinct eigenvalues must be independent"
+        ) from exc
+    # sum_i E_i = P P^-1, so this certifies that the idempotents sum to I
+    if vectors @ inv != ExactMatrix.identity(field, n):
         raise InternalCheckError("primitive idempotents must sum to the identity")
 
-    eigen = EigenData(
-        tuple(FieldElement(field, v) for v in eigenvalues),
-        vectors,
-        tuple(idempotents),
-    )
+    eigen = EigenData(tuple(FieldElement(field, v) for v in eigenvalues), vectors, inv)
     return MultiplicityFreeResult(True, eigen, None)
 
 

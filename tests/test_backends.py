@@ -3,13 +3,21 @@
 The backend is chosen at import time from LEONARDPAIRS_BACKEND, so the
 pure-Python path runs in a subprocess.  The probe exercises the layers
 that actually stress rational arithmetic: recognition, extraction,
-validation, the Askey-Wilson fit, and a lattice decomposition.
+validation, the Askey-Wilson fit, and a lattice decomposition.  The
+fractions output is also pinned byte for byte to a golden file, so it
+stays checked where gmpy2 is not installed.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN_PROBE = Path(__file__).parent / "data" / "fractions_probe.json"
 
 PROBE = r"""
 import json
@@ -64,6 +72,10 @@ def _probe(backend: str) -> tuple[str, str]:
     return proc.stdout, proc.stderr
 
 
+@pytest.mark.skipif(
+    importlib.util.find_spec("gmpy2") is None,
+    reason="gmpy2 is not installed, so the gmp backend cannot be loaded",
+)
 def test_fractions_backend_matches_gmp():
     gmp_out, _ = _probe("gmp")
     frac_out, _ = _probe("fractions")
@@ -72,6 +84,11 @@ def test_fractions_backend_matches_gmp():
     assert gmp.pop("backend") == "gmp"
     assert frac.pop("backend") == "fractions"
     assert gmp == frac
+
+
+def test_fractions_probe_matches_golden():
+    out, _ = _probe("fractions")
+    assert out == GOLDEN_PROBE.read_text(encoding="utf-8")
 
 
 def test_unknown_backend_is_an_import_error():

@@ -93,6 +93,22 @@ def test_verify_negative_under_strict(tmp_path):
     assert code == 1
 
 
+MISMATCHED_PAIR = {
+    "a": {"field": {"kind": "rationals"}, "rows": [["1", "1"], ["1", "0"]]},
+    "astar": {"field": {"kind": "rationals"}, "rows": [["1"]]},
+}
+
+
+def test_size_mismatched_pair_is_an_input_error(tmp_path):
+    path = write_json(tmp_path, "mismatch.json", MISMATCHED_PAIR)
+    for command in ("verify", "extract", "awfit"):
+        code, out, err = run_cli(command, "--pair", path)
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "mismatch.json" in err and "size mismatch" in err
+
+
 def test_verify_rejects_pair_plus_matrices(tmp_path):
     pair = gen_file(tmp_path, "p.json", "--source", "example2")
     code, _, err = run_cli("verify", "--pair", pair, "--a", pair, "--astar", pair)
@@ -465,6 +481,20 @@ def test_batch_bad_file_exits_two_but_processes_rest(tmp_path):
     assert summary["errors"] == 1
     assert summary["results"]["good.json"]["is_leonard_pair"] is True
     assert (tmp_path / "good.report.json").exists()
+
+
+def test_batch_size_mismatch_is_recorded_and_rest_reported(tmp_path):
+    gen_file(tmp_path, "good.json", "--source", "sl2", "--d", "2")
+    write_json(tmp_path, "mismatch.json", MISMATCHED_PAIR)
+    code, out, err = run_cli("verify", "--batch", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "mismatch.json" in err and "size mismatch" in err
+    summary = json.loads(out)
+    assert summary["checked"] == 2 and summary["errors"] == 1
+    assert list(summary["results"]) == ["good.json"]
+    assert (tmp_path / "good.report.json").exists()
+    assert not (tmp_path / "mismatch.report.json").exists()
 
 
 def test_batch_on_missing_directory(tmp_path):

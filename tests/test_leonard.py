@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leonardpairs.errors import DegenerateSplitError, FieldMismatchError
-from leonardpairs.field import PrimeField, Rationals
+from leonardpairs.field import PrimeField, QuadraticExtension, Rationals
+from leonardpairs.generators import random_nonexample, sl2_pair, uq_pair
 from leonardpairs.matrix import ExactMatrix, conjugate, is_multiplicity_free
 from leonardpairs.leonard import (
     AskeyWilsonFit,
+    _support_matrix,
     askey_wilson_residuals,
     check_converse_preconditions,
     extract_parameter_array,
@@ -61,13 +63,19 @@ def fixture_array(field=Q):
 # --- definition-level oracle ---
 
 
-def _admissible_orders(x, idempotents):
-    """All orderings under which x acts irreducibly tridiagonally."""
+def _product_support(x, idempotents):
+    """nonzero[i][j] says whether the product E_i X E_j is nonzero."""
     n = len(idempotents)
-    nonzero = [
+    return [
         [not (idempotents[i] @ x @ idempotents[j]).is_zero for j in range(n)]
         for i in range(n)
     ]
+
+
+def _admissible_orders(x, idempotents):
+    """All orderings under which x acts irreducibly tridiagonally."""
+    n = len(idempotents)
+    nonzero = _product_support(x, idempotents)
     good = []
     for perm in itertools.permutations(range(n)):
         ok = True
@@ -104,6 +112,31 @@ def brute_recognize(a, a_star):
         for p in star_orders
     ]
     return True, theta, theta_star
+
+
+SUPPORT_FIELDS = (Rationals(), PrimeField(101), PrimeField(999983))
+
+
+def _support_cases(field):
+    yield "sl2", sl2_pair(field, 4)
+    yield "uq", uq_pair(field, 4, 2)[:2]
+    rng = random.Random(field.characteristic())
+    for kind in ("reducible", "one-sided"):
+        yield kind, random_nonexample(field, 5, rng, kind)[:2]
+
+
+@pytest.mark.parametrize("field", SUPPORT_FIELDS, ids=lambda f: f.name)
+def test_support_matrix_matches_idempotent_products(field):
+    for label, (a, a_star) in _support_cases(field):
+        checked = 0
+        for x, other in ((a_star, a), (a, a_star)):
+            eigen = is_multiplicity_free(other).eigen
+            if eigen is None:  # a reducible A need not split over the field
+                continue
+            want = _product_support(x, eigen.idempotents)
+            assert _support_matrix(x, eigen) == want, label
+            checked += 1
+        assert checked == 2 or (label == "reducible" and checked == 1), label
 
 
 def assert_matches_oracle(a, a_star):
@@ -267,6 +300,21 @@ def test_split_basis_frozen():
     assert s == ExactMatrix(Q, FIXTURE_S)
     b = conjugate(a, s)
     assert b == construct_bidiagonal(fixture_array())[0]
+
+
+def test_split_basis_starts_at_the_image_of_dual_e0():
+    """u_0 is the first nonzero column of E*_0, scaled to leading 1."""
+    for a, a_star in (fixture_pair(), sl2_pair(PrimeField(101), 5)):
+        for system in is_leonard_pair(a, a_star).systems:
+            f = system.field
+            e0 = system.dual_idempotents[0]
+            col = next(
+                e0.column(k)
+                for k in range(e0.n)
+                if any(not f.is_zero(v) for v in e0.column(k))
+            )
+            lead = f.inv(next(v for v in col if not f.is_zero(v)))
+            assert split_basis(system).column(0) == tuple(f.mul(v, lead) for v in col)
 
 
 def test_extraction_frozen():

@@ -18,6 +18,7 @@ from leonardpairs.field import (
     Rationals,
     roots_in_field,
 )
+from leonardpairs.generators import sl2_pair, uq_pair
 from leonardpairs.matrix import (
     ExactMatrix,
     SHAPE_DIAGONAL,
@@ -261,6 +262,39 @@ def test_idempotent_identities():
         recon = recon + e.scale(eigen.eigenvalues[i])
     assert total == eye
     assert recon == A4
+
+
+def _lagrange_idempotents(matrix, eigenvalues):
+    """Reference: E_i = prod_{j != i} (M - theta_j I) / (theta_i - theta_j)."""
+    f = matrix.field
+    out = []
+    for theta in eigenvalues:
+        e = ExactMatrix.identity(f, matrix.n)
+        for other in eigenvalues:
+            if other != theta:
+                step = matrix.add_scalar_diagonal(f.neg(other.payload))
+                e = (e @ step).scale(f.inv(f.sub(theta.payload, other.payload)))
+        out.append(e)
+    return out
+
+
+@pytest.mark.parametrize(
+    "field, q",
+    [(Q, 2), (PrimeField(101), 2), (QuadraticExtension(5), "1/2+1/2*s")],
+    ids=["Q", "GF(101)", "Q(sqrt 5)"],
+)
+def test_idempotents_match_lagrange_products(field, q):
+    a4 = ExactMatrix(field, A4.rows)
+    matrices = [a4, *sl2_pair(field, 4), *uq_pair(field, 4, q)[:2]]
+    for m in matrices:
+        eigen = is_multiplicity_free(m).eigen
+        eye = ExactMatrix.identity(field, m.n)
+        assert eigen.inverse_eigenvectors @ eigen.eigenvectors == eye
+        want = _lagrange_idempotents(m, eigen.eigenvalues)
+        assert list(eigen.idempotents) == want
+        assert eigen.idempotents is eigen.idempotents  # built once, then cached
+        perm = list(reversed(range(m.n)))
+        assert list(eigen.reordered(perm).idempotents) == want[::-1]
 
 
 def test_multiplicity_free_failures():
