@@ -72,6 +72,12 @@ GEN_SOURCES = (
     "random-nonexample",
 )
 
+# Largest --d and --size that gen accepts.  Generation confirms its
+# matrices multiplicity-free, and the cost grows faster than cubically:
+# sl2 at d = 30 takes about 6 s and a size-50 random non-example about 5 s
+# on a 2-vCPU host, a size-100 one about 50 s.
+MAX_GEN_SIZE = 32
+
 _FIELD_FLAG = re.compile(
     r"^\s*(?:Q|QQ)\s*$|^\s*GF\(\s*(\d+)\s*\)\s*$|^\s*Q\(\s*sqrt\s*(-?\d+)\s*\)\s*$"
 )
@@ -238,6 +244,9 @@ def _cmd_verify_batch(args):
             except _InputError as exc:
                 errors.append(str(exc))
                 continue
+            except LeonardPairsError as exc:
+                errors.append(f"{os.path.join(directory, name)}: {exc}")
+                continue
             results[name] = {
                 "diameter": report["diameter"],
                 "is_leonard_pair": report["is_leonard_pair"],
@@ -394,6 +403,9 @@ def _coerce_flag(field: Field, text: str, flag: str):
 
 
 def _cmd_gen(args):
+    for flag, value in (("--d", args.d), ("--size", args.size)):
+        if value > MAX_GEN_SIZE:
+            raise _InputError(f"{flag} {value} exceeds the limit of {MAX_GEN_SIZE}")
     field = args.field_obj if args.field_obj is not None else Rationals()
     source = args.source
     if source == "example2":
@@ -602,7 +614,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit a generated pair or array as JSON")
     common(p)
     p.add_argument("--source", required=True, choices=GEN_SOURCES)
-    p.add_argument("--d", type=int, default=3, help="diameter (sl2, uq, random-array)")
+    p.add_argument(
+        "--d",
+        type=int,
+        default=3,
+        help=f"diameter (sl2, uq, random-array), at most {MAX_GEN_SIZE}",
+    )
     p.add_argument("--n", type=int, default=3, help="lattice rank")
     p.add_argument(
         "--q",
@@ -614,7 +631,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default="1", help="uq sign")
     p.add_argument("--combo", default="0,0,1", help="sl2: x,y,z for x e + y f + z h")
     p.add_argument("--combo-star", default="1,1,0", help="sl2: the second combination")
-    p.add_argument("--size", type=int, default=4, help="random-nonexample matrix size")
+    p.add_argument(
+        "--size",
+        type=int,
+        default=4,
+        help=f"random-nonexample matrix size, at most {MAX_GEN_SIZE}",
+    )
     p.add_argument(
         "--kind",
         default=None,
@@ -663,4 +685,11 @@ def main() -> None:
     sys.exit(run(sys.argv[1:]))
 
 
-__all__ = ["GEN_SOURCES", "build_parser", "main", "parse_field_flag", "run"]
+__all__ = [
+    "GEN_SOURCES",
+    "MAX_GEN_SIZE",
+    "build_parser",
+    "main",
+    "parse_field_flag",
+    "run",
+]

@@ -11,7 +11,10 @@ must be a Hamiltonian path with both directions present on every edge.
 
 Extraction walks a system down to its parameter array through the split
 basis u_i = (A - theta_{i-1} I) ... (A - theta_0 I) xi with xi the
-theta*_0 eigenvector of A*, which spans the E*_0 image; the second split
+theta*_0 eigenvector of A*, which spans the E*_0 image.  In that basis A
+is lower bidiagonal by construction, and the split sequence is read
+straight off A* u_i - theta*_i u_i = phi_i u_{i-1}, each equation checked
+exactly, with no inverse or change of basis formed; the second split
 sequence comes from the same walk with theta reversed.
 """
 
@@ -29,8 +32,8 @@ from ._backend import BACKEND
 from .matrix import (
     ExactMatrix,
     EigenData,
-    _rref,
-    inverse,
+    _is_invertible,
+    _solve_grid,
     is_irreducible_tridiagonal,
     is_multiplicity_free,
     is_tridiagonal,
@@ -412,13 +415,17 @@ def split_basis(system: LeonardSystem, *, reverse_theta: bool = False) -> ExactM
     theta = tuple(reversed(system.theta)) if reverse_theta else system.theta
     cols = [list(system.dual_eigen.eigenvectors.column(0))]
     for i in range(n - 1):
-        step = system.a.add_scalar_diagonal(field.neg(theta[i]))
-        nxt = step.apply(cols[-1])
+        nxt = _shifted_apply(system.a, theta[i], cols[-1])
         if all(field.is_zero(v) for v in nxt):
             raise DegenerateSplitError(f"split vector u_{i + 1} vanishes")
         cols.append(nxt)
-    s = ExactMatrix._raw(field, [[cols[j][i] for j in range(n)] for i in range(n)])
-    return s
+    return ExactMatrix._raw(field, zip(*cols))
+
+
+def _shifted_apply(x: ExactMatrix, shift, vector) -> list:
+    """(X - shift I) vector."""
+    f = x.field
+    return [f.sub(v, f.mul(shift, w)) for v, w in zip(x.apply(vector), vector)]
 
 
 def extract_parameter_array(system: LeonardSystem) -> ParameterArray:
@@ -442,42 +449,41 @@ def extract_parameter_array(system: LeonardSystem) -> ParameterArray:
 
 
 def _split_superdiagonal(system: LeonardSystem, *, reverse_theta: bool) -> list:
+    """The superdiagonal phi of A* in the split basis u_0, ..., u_d.
+
+    A u_i = theta_i u_i + u_{i+1} holds for i < d by construction, so the
+    split form is certified by three exact checks: the u_i are independent
+    (full rank on forward elimination), (A - theta_d I) u_d = 0, and
+    A* u_i - theta*_i u_i = phi_i u_{i-1} for each i (0 for i = 0), which
+    is also where phi_i is read.  No inverse or change of basis is formed.
+    """
     field = system.field
     n = system.d + 1
     theta = tuple(reversed(system.theta)) if reverse_theta else system.theta
     s = split_basis(system, reverse_theta=reverse_theta)
-    try:
-        s_inv = inverse(s)
-    except Exception as exc:
-        raise DegenerateSplitError(f"split basis is singular: {exc}") from exc
-    b = s_inv @ system.a @ s
-    c = s_inv @ system.a_star @ s
+    if not _is_invertible(s):
+        raise DegenerateSplitError("split basis is singular")
+    cols = [s.column(i) for i in range(n)]
+    if any(not field.is_zero(v) for v in _shifted_apply(system.a, theta[-1], cols[-1])):
+        raise DegenerateSplitError(
+            f"split form of A: A u_{n - 1} != theta_{n - 1} u_{n - 1}"
+        )
+    phi = []
     for i in range(n):
-        for j in range(n):
-            bij = b.entry(i, j)
-            if i == j:
-                if bij != theta[i]:
-                    raise DegenerateSplitError(
-                        f"split form of A has diagonal entry "
-                        f"{field.serialize(bij)} != theta_{i}"
-                    )
-            elif i == j + 1:
-                if bij != field.one:
-                    raise DegenerateSplitError(
-                        "split form of A has a subdiagonal entry != 1"
-                    )
-            elif not field.is_zero(bij):
-                raise DegenerateSplitError("split form of A is not lower bidiagonal")
-            cij = c.entry(i, j)
-            if i == j:
-                if cij != system.theta_star[i]:
-                    raise DegenerateSplitError(
-                        f"split form of A* has diagonal entry "
-                        f"{field.serialize(cij)} != theta*_{i}"
-                    )
-            elif j != i + 1 and not field.is_zero(cij):
-                raise DegenerateSplitError("split form of A* is not upper bidiagonal")
-    return [c.entry(i, i + 1) for i in range(n - 1)]
+        rest = _shifted_apply(system.a_star, system.theta_star[i], cols[i])
+        if i == 0:
+            want = [field.zero] * n
+        else:
+            prev = cols[i - 1]
+            lead = next(k for k, v in enumerate(prev) if not field.is_zero(v))
+            phi.append(field.div(rest[lead], prev[lead]))
+            want = [field.mul(phi[-1], v) for v in prev]
+        if rest != want:
+            raise DegenerateSplitError(
+                f"split form of A* is not upper bidiagonal with diagonal theta* "
+                f"(column {i})"
+            )
+    return phi
 
 
 AW_COEFFICIENT_NAMES = (
@@ -548,7 +554,7 @@ def fit_askey_wilson(a: ExactMatrix, a_star: ExactMatrix) -> AskeyWilsonFit:
                 rows.append([field.neg(m.entry(i, j)) for m in mats])
                 rhs.append(target.entry(i, j))
 
-    solution = _solve_rectangular(field, rows, rhs)
+    solution = _solve_grid(field, rows, rhs)
     if solution is None:
         return AskeyWilsonFit(False, False, 0, None)
     values, nullity = solution
@@ -560,22 +566,6 @@ def fit_askey_wilson(a: ExactMatrix, a_star: ExactMatrix) -> AskeyWilsonFit:
     if not (res1.is_zero and res2.is_zero):
         raise InternalCheckError("Askey-Wilson fit does not satisfy the relations")
     return fit
-
-
-def _solve_rectangular(field, rows, rhs):
-    """Exact solve of an overdetermined system; None when inconsistent.
-
-    Returns (values, nullity) with free variables set to zero.
-    """
-    width = len(rows[0])
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    reduced, pivots = _rref(field, aug)
-    if width in pivots:
-        return None
-    values = [field.zero] * width
-    for r_idx, pc in enumerate(pivots):
-        values[pc] = reduced[r_idx][width]
-    return values, width - len(pivots)
 
 
 def askey_wilson_residuals(

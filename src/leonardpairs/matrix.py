@@ -1,11 +1,17 @@
 """Exact dense square matrices and their eigenstructure.
 
-Matrices are immutable: a field plus a tuple-of-tuples payload grid.  All
-eliminations use first-nonzero pivoting, so identical inputs always produce
-identical outputs.  Eigenvectors are normalized to leading coordinate 1 and
-eigenvalues are listed in the canonical shortlex order of their serialized
-form; the primitive idempotent E_i is the outer product of eigenvector i
-with row i of the inverse eigenvector matrix, built only when asked for.
+Matrices are immutable: a field plus a tuple-of-tuples payload grid.  There
+is one elimination kernel, a forward pass with first-nonzero pivoting, so
+identical inputs always produce identical outputs; kernels and solutions
+are read off it by back-substitution, and an upward pass gives the reduced
+form where one is needed (inverses, canonical bases).  One Hessenberg
+reduction H = Q^-1 M Q per matrix gives both the characteristic polynomial,
+by the Hessenberg recurrence, and the eigenvectors Q ker(H - theta I);
+diagonal, bidiagonal and tridiagonal matrices are already Hessenberg.
+Eigenvectors are normalized to leading coordinate 1 and eigenvalues are
+listed in the canonical shortlex order of their serialized form; the
+primitive idempotent E_i is the outer product of eigenvector i with row i
+of the inverse eigenvector matrix, built only when asked for.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ from .field import (
     ExactPolynomial,
     Field,
     FieldElement,
-    PrimeField,
-    Rationals,
     field_from_dict,
     field_to_dict,
     roots_in_field,
@@ -208,36 +212,75 @@ class ExactMatrix:
 # --- elimination on raw grids (rectangular allowed internally) ---
 
 
-def _rref(field: Field, grid: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form with first-nonzero pivoting; returns pivots."""
+def _subtract_multiple(field: Field, row: list, lead: list, factor, start: int) -> None:
+    """row[start:] -= factor * lead[start:], in place, skipping zeros of lead."""
+    is_zero, mul, sub = field.is_zero, field.mul, field.sub
+    row[start:] = [
+        v if is_zero(w) else sub(v, mul(factor, w))
+        for v, w in zip(row[start:], lead[start:])
+    ]
+
+
+def _echelon(field: Field, grid) -> tuple[list[list], list[int]]:
+    """Row echelon form by first-nonzero pivoting; returns it and the pivots.
+
+    Each pivot row is scaled to a leading 1 and clears the rows below it,
+    never those above, so upper Hessenberg input costs O(n^2).
+    """
     rows = [list(r) for r in grid]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
+    is_zero, mul = field.is_zero, field.mul
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not field.is_zero(rows[i][c]):
-                pivot_row = i
-                break
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if not is_zero(rows[i][c])), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
         lead = rows[r]
-        for i in range(nrows):
-            if i != r and not field.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [
-                    field.sub(v, field.mul(factor, w)) for v, w in zip(rows[i], lead)
-                ]
+        inv = field.inv(lead[c])
+        lead[c:] = [v if is_zero(v) else mul(inv, v) for v in lead[c:]]
+        for i in range(r + 1, nrows):
+            if not is_zero(rows[i][c]):
+                _subtract_multiple(field, rows[i], lead, rows[i][c], c)
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
     return rows, pivots
+
+
+def _rref(field: Field, grid) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form with first-nonzero pivoting; returns pivots.
+
+    The forward pass, then the upward pass clearing above each pivot.
+    """
+    rows, pivots = _echelon(field, grid)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        for i in range(r):
+            if not field.is_zero(rows[i][c]):
+                _subtract_multiple(field, rows[i], rows[r], rows[i][c], c)
+    return rows, pivots
+
+
+def _back_substitute(field: Field, rows, pivots: list[int], x: list) -> list:
+    """Fill the pivot coordinates of x from unit-pivot echelon rows, in place.
+
+    The other coordinates are read as given.  A row longer than x carries
+    its right-hand side in its last column; otherwise the right side is 0.
+    """
+    is_zero, mul, sub = field.is_zero, field.mul, field.sub
+    width = len(x)
+    for r in range(len(pivots) - 1, -1, -1):
+        row = rows[r]
+        acc = row[width] if len(row) > width else field.zero
+        for j in range(pivots[r] + 1, width):
+            if not is_zero(row[j]) and not is_zero(x[j]):
+                acc = sub(acc, mul(row[j], x[j]))
+        x[pivots[r]] = acc
+    return x
 
 
 def _normalize_leading(field: Field, vec: list) -> tuple:
@@ -248,14 +291,16 @@ def _normalize_leading(field: Field, vec: list) -> tuple:
     return tuple(vec)
 
 
-def _nullspace_grid(field: Field, grid: list[list]) -> list[tuple]:
+def _nullspace_grid(field: Field, grid) -> list[tuple]:
     """Basis of the right nullspace, leading coordinates normalized to 1.
 
     Basis vectors are emitted in increasing order of their free column, so
-    the result is deterministic.
+    the result is deterministic.  Each is the back-substituted solution
+    with that free coordinate 1 and the others 0, which is also what the
+    reduced echelon form would give.
     """
     ncols = len(grid[0])
-    rref, pivots = _rref(field, grid)
+    rows, pivots = _echelon(field, grid)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -263,38 +308,163 @@ def _nullspace_grid(field: Field, grid: list[list]) -> list[tuple]:
             continue
         vec = [field.zero] * ncols
         vec[free] = field.one
-        for r_idx, pc in enumerate(pivots):
-            vec[pc] = field.neg(rref[r_idx][free])
+        _back_substitute(field, rows, pivots, vec)
         basis.append(_normalize_leading(field, vec))
     return basis
+
+
+def _is_invertible(matrix: ExactMatrix) -> bool:
+    return len(_echelon(matrix.field, matrix.rows)[1]) == matrix.n
+
+
+def _solve_grid(field: Field, rows, rhs) -> "tuple[list, int] | None":
+    """Exact solve of rows @ x = rhs, rectangular allowed.
+
+    Returns (x, nullity) with every free variable set to zero, or None
+    when the system is inconsistent.
+    """
+    width = len(rows[0])
+    echelon, pivots = _echelon(field, [list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == width:
+        return None
+    x = _back_substitute(field, echelon, pivots, [field.zero] * width)
+    return x, width - len(pivots)
+
+
+# --- Hessenberg form and the characteristic polynomial ---
+
+
+def _hessenberg(matrix: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """Upper Hessenberg H and Q with H = Q^-1 M Q (Cohen, Alg. 2.2.9).
+
+    For each column c the first nonzero entry below the subdiagonal row
+    c + 1 is swapped up to it (rows and columns alike), then clears the
+    entries under it by row operations, each followed by the inverse
+    column operation; Q collects the column operations.  Input that is
+    already upper Hessenberg is returned as it is, with Q = I.
+    """
+    f = matrix.field
+    n = matrix.n
+    is_zero, add, mul = f.is_zero, f.add, f.mul
+    h = [list(row) for row in matrix.rows]
+    q = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+    reduced = False
+    for c in range(n - 2):
+        m = c + 1
+        below = [i for i in range(m, n) if not is_zero(h[i][c])]
+        if below in ([], [m]):
+            continue
+        reduced = True
+        pivot = below[0]
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for grid in (h, q):
+                for row in grid:
+                    row[m], row[pivot] = row[pivot], row[m]
+        inv = f.inv(h[m][c])
+        for i in range(m + 1, n):
+            if is_zero(h[i][c]):
+                continue
+            u = mul(h[i][c], inv)
+            _subtract_multiple(f, h[i], h[m], u, c)
+            for grid in (h, q):
+                for r in grid:
+                    if not is_zero(r[i]):
+                        r[m] = add(r[m], mul(u, r[i]))
+    if not reduced:
+        return matrix, ExactMatrix._raw(f, q)
+    return ExactMatrix._raw(f, h), ExactMatrix._raw(f, q)
+
+
+def _similar_hessenberg(matrix: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """_hessenberg, certified: H is upper Hessenberg, M Q = Q H, Q invertible."""
+    h, q = _hessenberg(matrix)
+    f = matrix.field
+    if any(not f.is_zero(h.rows[i][j]) for i in range(2, h.n) for j in range(i - 1)):
+        raise InternalCheckError("Hessenberg form has an entry below the subdiagonal")
+    if h is matrix and q == ExactMatrix.identity(f, h.n):
+        return h, q  # no work was done: M Q = Q H would read M I = I M
+    if matrix @ q != q @ h or not _is_invertible(q):
+        raise InternalCheckError("Hessenberg reduction is not a similarity")
+    return h, q
+
+
+def _hessenberg_recurrence(field: Field, h, start: int, stop: int) -> list:
+    """Coefficients, low to high, of det(lambda I - B) for the diagonal block
+    B = h[start:stop, start:stop] of an upper Hessenberg grid.
+
+    p_m = (x - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
+    (Cohen, Alg. 2.2.9).  A zero subdiagonal entry ends the sum, and zero
+    entries of column m add nothing, so a tridiagonal block costs O(n^2).
+    """
+    is_zero, mul, sub = field.is_zero, field.mul, field.sub
+    polys = [[field.one]]
+    for m in range(start, stop):
+        prev = polys[-1]
+        nxt = [field.zero] + prev
+        if not is_zero(h[m][m]):
+            for k, v in enumerate(prev):
+                nxt[k] = sub(nxt[k], mul(h[m][m], v))
+        t = field.one
+        for i in range(m - 1, start - 1, -1):
+            t = mul(t, h[i + 1][i])
+            if is_zero(t):
+                break
+            if not is_zero(h[i][m]):
+                coef = mul(h[i][m], t)
+                for k, v in enumerate(polys[i - start]):
+                    nxt[k] = sub(nxt[k], mul(coef, v))
+        polys.append(nxt)
+    return polys[-1]
+
+
+def _annihilates_first_vector(field: Field, h, start: int, stop: int, coeffs) -> bool:
+    """Whether p(B) e_start = 0 for the block B = h[start:stop, start:stop]."""
+    block = ExactMatrix._raw(field, [row[start:stop] for row in h[start:stop]])
+    v = [field.zero] * (stop - start)
+    for c in reversed(coeffs):  # Horner: v <- B v + c e_start
+        v = block.apply(v)
+        v[0] = field.add(v[0], c)
+    return all(field.is_zero(x) for x in v)
 
 
 def char_poly(matrix: ExactMatrix) -> ExactPolynomial:
     """Monic characteristic polynomial det(lambda I - M), exactly.
 
-    Faddeev-LeVerrier; its divisions by 1..n are exact in characteristic 0
-    and in GF(p) for p > n.  For p <= n the computation is lifted to Q on
-    the canonical residues and reduced back, where those divisions are
-    again exact (the coefficients are integers).
+    M is reduced to an upper Hessenberg H = Q^-1 M Q, which costs nothing
+    when M is already upper Hessenberg (diagonal, bidiagonal, tridiagonal),
+    and the polynomial is read off H by the Hessenberg recurrence (Cohen,
+    Alg. 2.2.9): O(n^3) field operations in every field, O(n^2) on
+    tridiagonal input.  Certified by M Q = Q H with Q invertible, and per
+    unreduced diagonal block of H: the block's first basis vector is
+    cyclic, so the only monic polynomial of the block's size annihilating
+    it is the block's characteristic polynomial.  The blocks' polynomials
+    must multiply to the recurrence's result over all of H.
     """
-    field = matrix.field
-    n = matrix.n
-    p = field.characteristic()
-    if 0 < p <= n:
-        lifted = ExactMatrix(Rationals(), [[int(v) for v in row] for row in matrix.rows])
-        integral = char_poly(lifted)
-        return ExactPolynomial(field, [int(c) for c in integral.coeffs])
-    coeffs = [field.zero] * (n + 1)
-    coeffs[n] = field.one
-    work = ExactMatrix.identity(field, n)
-    for k in range(1, n + 1):
-        work = matrix @ work
-        c = field.div(field.neg(work.trace().payload), field.from_int(k))
-        coeffs[n - k] = c
-        work = work.add_scalar_diagonal(c)
-    if not work.is_zero:
-        raise InternalCheckError("Faddeev-LeVerrier closure failed")
-    return ExactPolynomial(field, coeffs)
+    h, _ = _similar_hessenberg(matrix)
+    f = h.field
+    n = h.n
+    rows = h.rows
+    chi = _hessenberg_recurrence(f, rows, 0, n)
+    cuts = [0] + [k for k in range(1, n) if f.is_zero(rows[k][k - 1])] + [n]
+    product = ExactPolynomial._raw(f, [f.one])
+    for start, stop in zip(cuts, cuts[1:]):
+        if stop - start == n:
+            block = chi
+        else:
+            block = _hessenberg_recurrence(f, rows, start, stop)
+        if not _annihilates_first_vector(f, rows, start, stop, block):
+            raise InternalCheckError(
+                f"characteristic polynomial of the Hessenberg block "
+                f"{start}..{stop - 1} does not annihilate its cyclic vector"
+            )
+        product = product * ExactPolynomial._raw(f, block)
+    chi = ExactPolynomial._raw(f, chi)
+    if product != chi:
+        raise InternalCheckError(
+            "Hessenberg blocks do not multiply to the characteristic polynomial"
+        )
+    return chi
 
 
 def inverse(matrix: ExactMatrix) -> ExactMatrix:
@@ -341,17 +511,14 @@ def solve_linear(matrix: ExactMatrix, rhs) -> LinearSolution:
     b = [field.coerce(v) for v in rhs]
     if len(b) != n:
         raise ValueError(f"right-hand side has length {len(b)}, expected {n}")
-    aug = [list(row) + [b[i]] for i, row in enumerate(matrix.rows)]
-    rref, pivots = _rref(field, aug)
-    if n in pivots:
+    solved = _solve_grid(field, matrix.rows, b)
+    if solved is None:
         return LinearSolution("inconsistent", None, ())
-    x = [field.zero] * n
-    for r_idx, pc in enumerate(pivots):
-        x[pc] = rref[r_idx][n]
+    x, nullity = solved
     solution = tuple(FieldElement(field, v) for v in x)
-    if len(pivots) == n:
+    if nullity == 0:
         return LinearSolution("unique", solution, ())
-    basis = _nullspace_grid(field, [list(row) for row in matrix.rows])
+    basis = _nullspace_grid(field, matrix.rows)
     wrapped = tuple(tuple(FieldElement(field, v) for v in vec) for vec in basis)
     return LinearSolution("underdetermined", solution, wrapped)
 
@@ -476,10 +643,15 @@ def is_multiplicity_free(
     eigenvalues; they are certified by exact deflation of the
     characteristic polynomial before use, so wrong hints cost time but
     cannot change the verdict.
+
+    One Hessenberg reduction H = Q^-1 M Q serves both the characteristic
+    polynomial, read off H, and the eigenvectors Q ker(H - theta I), each
+    kernel taken by forward elimination and back-substitution in O(n^2).
     """
     field = matrix.field
     n = matrix.n
-    chi = char_poly(matrix)
+    h, q = _similar_hessenberg(matrix)
+    chi = char_poly(h)
     mults = None
     if eigenvalue_hints is not None:
         mults = verify_root_multiset(chi, eigenvalue_hints)
@@ -506,15 +678,16 @@ def is_multiplicity_free(
         )
 
     eigenvalues = [payload for payload, _ in mults]
-    columns = []
+    kernels = []
     for theta in eigenvalues:
-        shifted = matrix.add_scalar_diagonal(field.neg(theta))
-        kernel = _nullspace_grid(field, [list(row) for row in shifted.rows])
+        kernel = _nullspace_grid(field, h.add_scalar_diagonal(field.neg(theta)).rows)
         if len(kernel) != 1:
             raise InternalCheckError(
                 "distinct eigenvalue must have a one-dimensional eigenspace"
             )
-        columns.append(kernel[0])
+        kernels.append(kernel[0])
+    moved = q @ ExactMatrix._raw(field, zip(*kernels))
+    columns = [_normalize_leading(field, col) for col in zip(*moved.rows)]
     vectors = ExactMatrix._raw(field, zip(*columns))
     try:
         inv = inverse(vectors)
@@ -560,11 +733,6 @@ def joint_intertwiner_basis(pairs) -> list[ExactMatrix]:
         ExactMatrix._raw(field, [vec[i * n : (i + 1) * n] for i in range(n)])
         for vec in basis
     ]
-
-
-def _is_invertible(matrix: ExactMatrix) -> bool:
-    _, pivots = _rref(matrix.field, [list(row) for row in matrix.rows])
-    return len(pivots) == matrix.n
 
 
 PENCIL_CAP = 4096

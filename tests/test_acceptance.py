@@ -31,14 +31,13 @@ from leonardpairs.generators import (
 )
 from leonardpairs.leonard import (
     AskeyWilsonFit,
-    _solve_rectangular,
     askey_wilson_residuals,
     extract_parameter_array,
     fit_askey_wilson,
     is_leonard_pair,
     system_from_bidiagonal_pair,
 )
-from leonardpairs.matrix import ExactMatrix, is_multiplicity_free
+from leonardpairs.matrix import ExactMatrix, _solve_grid, is_multiplicity_free
 from leonardpairs.parray import (
     ParameterArray,
     affine_transform,
@@ -348,7 +347,7 @@ def _pinned_beta_consistent(a, a_star, beta):
             for j in range(n):
                 rows.append([m.entry(i, j) for m in mats])
                 rhs.append(target.entry(i, j))
-    solution = _solve_rectangular(f, rows, rhs)
+    solution = _solve_grid(f, rows, rhs)
     if solution is None:
         return False
     names = ("gamma", "gamma_star", "rho", "rho_star", "omega", "eta", "eta_star")

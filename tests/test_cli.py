@@ -418,6 +418,17 @@ def test_gen_sl2_char2_exits_two():
     assert "generate" in err
 
 
+def test_gen_sizes_are_capped():
+    cap = cli.MAX_GEN_SIZE
+    capped = (("sl2", "--d"), ("random-array", "--d"), ("random-nonexample", "--size"))
+    for source, flag in capped:
+        code, out, err = run_cli("gen", "--source", source, flag, str(cap + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} {cap + 1} exceeds the limit of {cap}\n"
+    code, _, _ = run_cli("gen", "--source", "random-array", "--d", str(cap))
+    assert code == 0
+
+
 def test_gen_seed_echo_and_byte_determinism():
     code, first, _ = run_cli("gen", "--source", "random-array", "--d", "4", "--seed", "9")
     code2, second, _ = run_cli("gen", "--source", "random-array", "--d", "4", "--seed", "9")
@@ -495,6 +506,28 @@ def test_batch_size_mismatch_is_recorded_and_rest_reported(tmp_path):
     assert list(summary["results"]) == ["good.json"]
     assert (tmp_path / "good.report.json").exists()
     assert not (tmp_path / "mismatch.report.json").exists()
+
+
+def test_batch_library_error_is_recorded_and_rest_reported(tmp_path):
+    gen_file(tmp_path, "sl2.json", "--source", "sl2", "--d", "2")
+    big_p = {"kind": "prime_field", "p": 1000003}
+    write_json(
+        tmp_path,
+        "wide.json",
+        {
+            "a": {"field": big_p, "rows": [["0", "1"], ["1", "0"]]},
+            "astar": {"field": big_p, "rows": [["1", "0"], ["0", "2"]]},
+        },
+    )
+    code, out, err = run_cli("verify", "--batch", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "wide.json: " in err and "GF(1000003)" in err
+    summary = json.loads(out)
+    assert summary["checked"] == 2 and summary["errors"] == 1
+    assert list(summary["results"]) == ["sl2.json"]
+    assert (tmp_path / "sl2.report.json").exists()
+    assert not (tmp_path / "wide.report.json").exists()
 
 
 def test_batch_on_missing_directory(tmp_path):

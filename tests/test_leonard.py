@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 from leonardpairs.errors import DegenerateSplitError, FieldMismatchError
 from leonardpairs.field import PrimeField, QuadraticExtension, Rationals
 from leonardpairs.generators import random_nonexample, sl2_pair, uq_pair
-from leonardpairs.matrix import ExactMatrix, conjugate, is_multiplicity_free
+from leonardpairs.matrix import ExactMatrix, conjugate, inverse, is_multiplicity_free
 from leonardpairs.leonard import (
     AskeyWilsonFit,
+    _split_superdiagonal,
     _support_matrix,
     askey_wilson_residuals,
     check_converse_preconditions,
@@ -385,6 +386,25 @@ def test_with_orderings_verifies_support():
     loose = system_from_pair_with_orderings(a, a_star, bad, THETA, verify=False)
     with pytest.raises(DegenerateSplitError):
         extract_parameter_array(loose)
+    loose_dual = system_from_pair_with_orderings(a, a_star, THETA, bad, verify=False)
+    with pytest.raises(DegenerateSplitError, match="upper bidiagonal"):
+        extract_parameter_array(loose_dual)
+
+
+def test_split_needs_an_independent_basis():
+    # xi = (1, 0, 1) meets only two A-eigenspaces, so u_1 and u_2 are
+    # parallel, yet every bidiagonal relation of the forward walk holds:
+    # only the rank of the split basis tells it apart
+    a = ExactMatrix.diagonal(Q, [1, 2, 3])
+    p = ExactMatrix(Q, [[1, 0, 0], [0, 0, 1], [1, 1, 0]])
+    a_star = p @ ExactMatrix.diagonal(Q, [10, 20, 30]) @ inverse(p)
+    loose = system_from_pair_with_orderings(
+        a, a_star, (1, 2, 3), (10, 20, 30), verify=False
+    )
+    s = split_basis(loose)
+    assert s.column(1) == s.column(2) == (0, 0, 2)
+    with pytest.raises(DegenerateSplitError, match="singular"):
+        _split_superdiagonal(loose, reverse_theta=False)
 
 
 # --- Askey-Wilson relations ---

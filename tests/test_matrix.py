@@ -11,6 +11,7 @@ from leonardpairs.errors import (
     InternalCheckError,
     SingularMatrixError,
 )
+from leonardpairs import matrix as matrix_module
 from leonardpairs.field import (
     ExactPolynomial,
     PrimeField,
@@ -21,6 +22,7 @@ from leonardpairs.field import (
 from leonardpairs.generators import sl2_pair, uq_pair
 from leonardpairs.matrix import (
     ExactMatrix,
+    _hessenberg,
     SHAPE_DIAGONAL,
     SHAPE_IRREDUCIBLE_TRIDIAGONAL,
     SHAPE_LOWER_BIDIAGONAL,
@@ -152,13 +154,59 @@ def test_char_poly_matches_cofactor_oracle():
 
 
 def test_char_poly_small_characteristic():
-    # p <= n forces the lift-to-Q path inside Faddeev-LeVerrier
+    # p <= n: the Hessenberg recurrence never divides by n, so these need
+    # no lift to Q; dense conjugates make the reduction do real work
     rng = random.Random(42)
     for p in (2, 3):
         field = PrimeField(p)
-        for n in (p, p + 1, p + 2):
+        for n in range(p, 7):
             m = _random_matrix(field, n, rng)
             assert char_poly(m) == _charpoly_cofactor(m)
+            dense = conjugate(m, _random_invertible(field, n, rng))
+            assert char_poly(dense) == _charpoly_cofactor(dense)
+
+
+def _hessenberg_inputs(field):
+    """Matrices the reduction must leave alone: diagonal, bidiagonal, and
+    block upper triangular Hessenberg with a zero subdiagonal entry."""
+    yield ExactMatrix.diagonal(field, [3, -1, 4, 1, -5])
+    lower = ExactMatrix(
+        field, [[2, 0, 0, 0], [1, 5, 0, 0], [0, -3, 2, 0], [0, 0, 7, -1]]
+    )
+    yield lower
+    yield lower.transpose()
+    yield ExactMatrix(
+        field,
+        [
+            [1, 2, 3, 4, 5],
+            [6, 7, 8, 9, 1],
+            [0, 0, 2, 3, 4],  # h[2][1] = 0 splits off a 2x2 block
+            [0, 0, 5, 6, 7],
+            [0, 0, 0, 8, 9],
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "field", [Q, PrimeField(7), QuadraticExtension(5)], ids=lambda f: f.name
+)
+def test_char_poly_on_hessenberg_input(field):
+    for m in _hessenberg_inputs(field):
+        h, q = _hessenberg(m)
+        assert h == m and q == ExactMatrix.identity(field, m.n)  # no work done
+        assert char_poly(m) == _charpoly_cofactor(m)
+
+
+def test_hessenberg_reduction_is_a_similarity():
+    rng = random.Random(45)
+    for field in (Q, PrimeField(2), QuadraticExtension(5)):
+        for n in (1, 2, 3, 5, 6):
+            m = _random_matrix(field, n, rng)
+            h, q = _hessenberg(m)
+            assert m @ q == q @ h
+            assert all(
+                field.is_zero(h.entry(i, j)) for i in range(n) for j in range(i - 1)
+            )
 
 
 def test_char_poly_similarity_invariant():
@@ -295,6 +343,122 @@ def test_idempotents_match_lagrange_products(field, q):
         assert eigen.idempotents is eigen.idempotents  # built once, then cached
         perm = list(reversed(range(m.n)))
         assert list(eigen.reordered(perm).idempotents) == want[::-1]
+
+
+def _reference_eigenvectors(matrix, eigenvalues):
+    """Columns nullspace(M - theta I), one elimination per eigenvalue."""
+    f = matrix.field
+    columns = []
+    for theta in eigenvalues:
+        kernel = nullspace(matrix.add_scalar_diagonal(f.neg(theta.payload)))
+        assert len(kernel) == 1
+        columns.append([v.payload for v in kernel[0]])
+    return ExactMatrix._raw(f, zip(*columns))
+
+
+@pytest.mark.parametrize(
+    "field, q",
+    [(Q, 2), (PrimeField(101), 2), (QuadraticExtension(5), "1/2+1/2*s")],
+    ids=["Q", "GF(101)", "Q(sqrt 5)"],
+)
+def test_eigenvectors_match_nullspace_reference(field, q):
+    rng = random.Random(46)
+    a4 = ExactMatrix(field, A4.rows)
+    structured = [a4, *sl2_pair(field, 5), *uq_pair(field, 4, q)[:2]]
+    dense = [conjugate(m, _random_invertible(field, m.n, rng)) for m in structured]
+    for m in structured + dense:
+        eigen = is_multiplicity_free(m).eigen
+        assert eigen.eigenvectors == _reference_eigenvectors(m, eigen.eigenvalues)
+
+
+def _flip_constant_term(recurrence, whole_only=False):
+    def mutant(field, h, start, stop):
+        coeffs = recurrence(field, h, start, stop)
+        if not whole_only or stop - start == len(h):
+            coeffs[0] = field.add(coeffs[0], field.one)
+        return coeffs
+
+    return mutant
+
+
+def _wrong_entry(reduce):
+    def mutant(matrix):
+        h, q = reduce(matrix)
+        f = h.field
+        rows = [list(r) for r in h.rows]
+        rows[0][-1] = f.add(rows[0][-1], f.one)
+        return ExactMatrix._raw(f, rows), q
+
+    return mutant
+
+
+def _no_reduction(matrix):
+    return matrix, ExactMatrix.identity(matrix.field, matrix.n)
+
+
+def _singular_q(matrix):
+    f, n = matrix.field, matrix.n
+    return ExactMatrix.diagonal(f, range(n)), ExactMatrix.zeros(f, n)
+
+
+_DENSE4 = conjugate(A4, _random_invertible(Q, 4, random.Random(47)))
+# not Hessenberg, yet (x - 1) and the lower 2x2 block's polynomial pass the
+# block checks: only the shape check sees the entry 6
+_ONE_ENTRY_BELOW = ExactMatrix(Q, [[1, 2, 3], [0, 4, 5], [6, 7, 8]])
+
+
+@pytest.mark.parametrize(
+    "mutation, matrices",
+    [
+        ("block polynomials", (A4, A4_STAR, _DENSE4)),
+        ("whole polynomial", (A4, A4_STAR, _DENSE4)),
+        ("H entry", (A4, A4_STAR, _DENSE4)),
+        ("no reduction", (_DENSE4, _ONE_ENTRY_BELOW)),
+        ("singular Q", (A4, _DENSE4)),
+    ],
+)
+def test_char_poly_certificates_catch_mutants(monkeypatch, mutation, matrices):
+    recurrence = matrix_module._hessenberg_recurrence
+    mutants = {
+        "block polynomials": ("_hessenberg_recurrence", _flip_constant_term(recurrence)),
+        "whole polynomial": (
+            "_hessenberg_recurrence",
+            _flip_constant_term(recurrence, whole_only=True),
+        ),
+        "H entry": ("_hessenberg", _wrong_entry(_hessenberg)),
+        "no reduction": ("_hessenberg", _no_reduction),
+        "singular Q": ("_hessenberg", _singular_q),
+    }
+    monkeypatch.setattr(matrix_module, *mutants[mutation])
+    for m in matrices:
+        with pytest.raises(InternalCheckError):
+            char_poly(m)
+        with pytest.raises(InternalCheckError):
+            is_multiplicity_free(m)
+
+
+class _CountingField(PrimeField):
+    """GF(p) that counts its multiplications."""
+
+    muls = 0
+
+    def mul(self, a, b):
+        _CountingField.muls += 1
+        return super().mul(a, b)
+
+
+def test_multiplicity_free_costs_cubic_field_operations():
+    # one elimination per eigenvalue on a dense matrix is O(n^4): the ratio
+    # from n = 12 to n = 24 was 15.5; O(n^3) work gives at most 8
+    field = _CountingField(1009)
+    counts = []
+    for n in (12, 24):
+        _, a_star = sl2_pair(field, n - 1)
+        m = conjugate(a_star, _random_invertible(field, n, random.Random(n)))
+        _CountingField.muls = 0
+        assert is_multiplicity_free(m)
+        counts.append(_CountingField.muls)
+    assert counts[1] <= 10 * counts[0], counts
 
 
 def test_multiplicity_free_failures():
