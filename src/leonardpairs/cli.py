@@ -72,10 +72,10 @@ GEN_SOURCES = (
     "random-nonexample",
 )
 
-# Largest --d and --size that gen accepts.  Generation confirms its
-# matrices multiplicity-free, and the cost grows faster than cubically:
-# sl2 at d = 30 takes about 6 s and a size-50 random non-example about 5 s
-# on a 2-vCPU host, a size-100 one about 50 s.
+# Largest --d and --size that gen accepts, and the largest diameter (rows
+# minus one) of a matrix that verify, extract or awfit read, so that every
+# generated pair can be verified.  Generation and recognition both confirm
+# matrices multiplicity-free, at a cost that grows faster than cubically.
 MAX_GEN_SIZE = 32
 
 _FIELD_FLAG = re.compile(
@@ -121,6 +121,9 @@ def _read_json(path: str):
         raise _InputError(
             f"{label}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # integers past Python's digit limit, nesting past the recursion limit
+        raise _InputError(f"{label}: unreadable JSON: {exc}") from exc
 
 
 def _field_from_obj(obj: dict, override: "Field | None", label: str) -> Field:
@@ -137,9 +140,15 @@ def _field_from_obj(obj: dict, override: "Field | None", label: str) -> Field:
 def _matrix_from_obj(obj, override: "Field | None", label: str) -> ExactMatrix:
     if not isinstance(obj, dict) or "rows" not in obj:
         raise _InputError(f"{label}: expected an object with 'field' and 'rows'")
+    rows = obj["rows"]
+    if isinstance(rows, list) and len(rows) > MAX_GEN_SIZE + 1:
+        raise _InputError(
+            f"{label}: {len(rows)} rows exceed the limit of {MAX_GEN_SIZE + 1} "
+            f"(diameter {MAX_GEN_SIZE})"
+        )
     field = _field_from_obj(obj, override, label)
     try:
-        return ExactMatrix(field, obj["rows"])
+        return ExactMatrix(field, rows)
     except (LeonardPairsError, TypeError, ValueError) as exc:
         raise _InputError(f"{label}: {exc}") from exc
 

@@ -18,11 +18,24 @@ elements as the canonical decimal residue; quadratic-extension elements as
 (``"0"``, ``"s"``, ``"-s"``, ``"1/2-3*s"``).  Parsing accepts any integer
 for prime fields and reduces it; serialization always emits the canonical
 form.
+
+Roots (``roots_in_field``) come from one kernel on raw residues.  Over
+GF(p) the distinct roots of f are those of r = gcd(f, x^p - x), with x^p
+taken mod f by repeated squaring; gcd(r, (x + a)^((p-1)/2) - 1) for
+seeded random a splits r into linear factors (Cantor and Zassenhaus,
+Math. Comp. 36, 1981), in O(d^2 log p) operations for every p the field
+accepts.  Over Q the kernel runs modulo the smallest odd prime at which
+the squarefree part of f keeps its degree and stays squarefree, and
+Newton iteration lifts each root p-adically past twice the Cauchy bound,
+where centring recovers every rational root exactly.  Either way, exact
+deflation of f certifies each candidate and counts its multiplicity.
+Q(sqrt m) factors over Q with sympy.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -101,13 +114,6 @@ def squarefree_part(n: int) -> int:
         if e % 2:
             out *= p
     return out
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in _factorint(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 def _sqrt_rational(x) -> "Rational | None":
@@ -807,55 +813,196 @@ def _mults_by_deflation(poly: ExactPolynomial, candidates) -> list[tuple]:
     return found
 
 
+# --- root kernel on raw residues (see the module docstring) ---
+#
+# Polynomials below are plain lists of ints, low degree first, with no
+# trailing zeros.
+
+
+def _trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _monic_mod(a: list, p: int) -> list:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _divmod_mod(a: list, f: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder of a by monic f over GF(p); a is consumed."""
+    n = len(f) - 1
+    quotient = [0] * max(len(a) - n, 0)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] % p
+        if c:
+            quotient[i - n] = c
+            k = i - n
+            for j in range(n):
+                a[k + j] -= c * f[j]
+    return quotient, _trim([c % p for c in a[:n]])
+
+
+def _mulmod(a: list, b: list, f: list, p: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _divmod_mod(out, f, p)[1]
+
+
+def _powmod(base: list, e: int, f: list, p: int) -> list:
+    """base^e modulo (f, p) by repeated squaring; f monic."""
+    base = _divmod_mod(list(base), f, p)[1]
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _mulmod(out, out, f, p)
+        if bit == "1":
+            out = _mulmod(out, base, f, p)
+    return out
+
+
+def _gcd_mod(a: list, b: list, p: int) -> list:
+    """Monic gcd over GF(p); the gcd of two zero polynomials is []."""
+    a = list(a)
+    while b:
+        b = _monic_mod(b, p)
+        a, b = b, _divmod_mod(a, b, p)[1]
+    return _monic_mod(a, p) if a else a
+
+
+def _derivative(a: list) -> list:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _split_linear(r: list, p: int, rng, out: list) -> None:
+    """Roots of a monic product r of distinct linear factors, p odd."""
+    if len(r) == 2:
+        out.append(-r[0] % p)
+        return
+    while True:
+        h = _powmod([rng.randrange(p), 1], (p - 1) // 2, r, p) or [0]
+        h[0] = (h[0] - 1) % p
+        g = _gcd_mod(r, _trim(h), p)
+        if 1 < len(g) < len(r):
+            break
+    _split_linear(g, p, rng, out)
+    _split_linear(_divmod_mod(list(r), g, p)[0], p, rng, out)
+
+
+def _distinct_roots_mod(f: list, p: int) -> list[int]:
+    """The distinct roots in GF(p) of a nonzero residue list f."""
+    f = _monic_mod(_trim([c % p for c in f]), p)
+    if p == 2:  # f(0) = f[0] and f(1) = sum(f)
+        return [x for x, value in ((0, f[0]), (1, sum(f))) if value % 2 == 0]
+    if len(f) < 2:
+        return []
+    h = _powmod([0, 1], p, f, p)
+    h += [0] * (2 - len(h))
+    h[1] = (h[1] - 1) % p
+    r = _gcd_mod(f, _trim(h), p)
+    out: list[int] = []
+    if len(r) > 1:
+        _split_linear(r, p, random.Random(0), out)
+    return out
+
+
+def _prim(a: list) -> list:
+    """Primitive part of an integer polynomial, positive leading coefficient."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
+
+
+def _gcd_int(a: list, b: list) -> list:
+    """Primitive gcd in Z[x] by the primitive remainder sequence."""
+    a, b = _prim(a), _prim(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        n, lead = len(b) - 1, b[-1]
+        r = list(a)
+        for i in range(len(r) - 1, n - 1, -1):
+            c = r.pop()
+            if c:
+                g = math.gcd(lead, c)
+                s, t = lead // g, c // g
+                k = i - n
+                r = [x * s for x in r]
+                for j in range(n):
+                    r[k + j] -= t * b[j]
+        if not _trim(r):
+            return b
+        a, b = b, _prim(r)
+    return [1]
+
+
+def _exact_quotient_int(a: list, b: list) -> list:
+    """a / b in Z[x] when b divides a exactly."""
+    a = list(a)
+    n = len(b) - 1
+    quotient = [0] * (len(a) - n)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] // b[-1]
+        quotient[i - n] = c
+        for j in range(n + 1):
+            a[i - n + j] -= c * b[j]
+    return quotient
+
+
+def _next_prime(p: int) -> int:
+    p += 2
+    while not _is_prime(p):
+        p += 2
+    return p
+
+
+def _rational_candidates(f: list) -> list:
+    """Every rational root of the primitive integer polynomial f, and more.
+
+    A root a/b in lowest terms of the squarefree part s has b | lead(s),
+    so it is the unique p-adic lift of a simple root of s mod p, and
+    |lead * a/b| <= |lead| + max|c_i| (Cauchy) stays below m/2 once the
+    lift reaches modulus m; centring lead * r mod m recovers it exactly.
+    """
+    sf = _exact_quotient_int(f, _gcd_int(f, _derivative(f)))
+    lead = sf[-1]
+    ds = _derivative(sf)
+    p = 3
+    while lead % p == 0 or len(_gcd_mod([c % p for c in sf], _trim([c % p for c in ds]), p)) > 1:
+        p = _next_prime(p)
+    bound = 2 * (abs(lead) + max(abs(c) for c in sf))
+    out = []
+    for r in _distinct_roots_mod(sf, p):
+        m = p
+        while m <= bound:
+            m *= m
+            value = slope = 0
+            for c in reversed(sf):
+                slope = (slope * r + value) % m
+                value = (value * r + c) % m
+            r = (r - value * pow(slope, -1, m)) % m
+        v = lead * r % m
+        if 2 * v > m:
+            v -= m
+        out.append(Rational(v, lead))
+    return out
+
+
 def _roots_rationals(poly: ExactPolynomial) -> list[tuple]:
-    field = poly.field
-    dens = [int(c.denominator) for c in poly.coeffs]
-    scale = math.lcm(*dens) if dens else 1
-    ints = [int(c * scale) for c in poly.coeffs]
-
-    k = 0
-    while ints[k] == 0:
-        k += 1
-    found = [(field.zero, k)] if k else []
-
-    trimmed = ints[k:]
-    if len(trimmed) == 1:
-        return found
-    content = math.gcd(*(abs(c) for c in trimmed))
-    trimmed = [c // content for c in trimmed]
-
-    candidates = set()
-    for num in _divisors(abs(trimmed[0])):
-        for den in _divisors(abs(trimmed[-1])):
-            candidates.add(Rational(num, den))
-            candidates.add(Rational(-num, den))
-    reduced = ExactPolynomial._raw(field, [Rational(c) for c in trimmed])
-    ordered = sorted(candidates, key=field.sort_key)
-    found.extend(_mults_by_deflation(reduced, ordered))
-    return found
+    scale = math.lcm(*(int(c.denominator) for c in poly.coeffs))
+    ints = _prim([int(c * scale) for c in poly.coeffs])
+    reduced = ExactPolynomial._raw(poly.field, [Rational(c) for c in ints])
+    return _mults_by_deflation(reduced, _rational_candidates(ints))
 
 
 def _roots_prime_field(poly: ExactPolynomial) -> list[tuple]:
-    field = poly.field
-    p = field.p
-    if p > 10**6:
-        raise SearchTooLargeError(
-            f"exhaustive root search over {field.name} is limited to p <= 10^6"
-        )
-    degree = poly.degree
-    rev = tuple(reversed(poly.coeffs))
-    roots = []
-    total = 0
-    for x in range(p):
-        acc = 0
-        for c in rev:
-            acc = (acc * x + c) % p
-        if acc == 0:
-            roots.append(x)
-            total += 1
-            if total == degree:
-                break
-    return _mults_by_deflation(poly, roots)
+    return _mults_by_deflation(poly, _distinct_roots_mod(list(poly.coeffs), poly.field.p))
 
 
 def _quadratic_roots_in_field(field: Field, c0, c1, c2) -> "list[tuple] | None":
@@ -915,9 +1062,13 @@ def _roots_quadext(poly: ExactPolynomial) -> list[tuple]:
 def roots_in_field(poly: ExactPolynomial) -> list[tuple[FieldElement, int]]:
     """All roots of poly lying in its own field, with multiplicities.
 
-    Sorted by the canonical shortlex order on serialized roots.  Raises
-    PolynomialError for the zero polynomial and SearchTooLargeError or
-    UnsupportedFieldOperationError outside the documented decidable range.
+    Sorted by the canonical shortlex order on serialized roots.  Over Q
+    and GF(p) every polynomial is decided, with no size limit on p or on
+    the coefficients; roots mod p by gcd with x^p - x and equal-degree
+    splitting, lifted p-adically over Q, each certified by exact
+    deflation.  Raises PolynomialError for the zero polynomial, and
+    UnsupportedFieldOperationError over Q(sqrt m) for degree >= 3 with
+    irrational coefficients.
     """
     if poly.is_zero:
         raise PolynomialError("every scalar is a root of the zero polynomial")

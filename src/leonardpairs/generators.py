@@ -39,7 +39,7 @@ from .errors import (
 )
 from .field import Field, QuadraticExtension, Rationals
 from .leonard import is_leonard_pair
-from .matrix import ExactMatrix, _nullspace_grid, conjugate, is_multiplicity_free
+from .matrix import ExactMatrix, _nullspace_grid, inverse, is_multiplicity_free
 from .parray import ParameterArray, pa3_rhs, pa4_rhs, validate
 
 EXAMPLE2_NAME = "example2"
@@ -988,7 +988,8 @@ def random_nonexample(field: Field, n: int, rng, kind: "str | None" = None):
         a_star = ExactMatrix.diagonal(field, diag)
 
     g = _random_invertible(field, n, rng)
-    return conjugate(a, g), conjugate(a_star, g), kind
+    g_inv = inverse(g)
+    return g_inv @ a @ g, g_inv @ a_star @ g, kind
 
 
 def _structural_scalars(field: Field, n: int, rng):

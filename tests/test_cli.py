@@ -130,6 +130,17 @@ def test_malformed_json_diagnostic_names_position(tmp_path):
     assert "line 2" in err
 
 
+def test_unreadable_json_exits_two(tmp_path):
+    # valid JSON syntax that json.loads still cannot turn into a value
+    texts = {"digits.json": "[" + "7" * 5000 + "]", "deep.json": "[" * 10**5 + "]" * 10**5}
+    for name, text in texts.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli("verify", "--pair", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+
 def test_missing_file_exits_two(tmp_path):
     code, _, err = run_cli("classify", "--in", str(tmp_path / "nope.json"))
     assert code == 2
@@ -429,6 +440,40 @@ def test_gen_sizes_are_capped():
     assert code == 0
 
 
+def test_gen_sl2_at_the_cap():
+    # d = 32 used to take seconds of root search; d = 50 was refused outright
+    code, out, err = run_cli("gen", "--source", "sl2", "--d", str(cli.MAX_GEN_SIZE))
+    assert code == 0, err
+    assert len(json.loads(out)["a"]["rows"]) == cli.MAX_GEN_SIZE + 1
+
+
+def _diagonal_pair(n):
+    field = {"kind": "rationals"}
+    rows = [[str(i + 1) if i == j else "0" for j in range(n)] for i in range(n)]
+    return {"a": {"field": field, "rows": rows}, "astar": {"field": field, "rows": rows}}
+
+
+def test_verify_sizes_are_capped(tmp_path):
+    cap = cli.MAX_GEN_SIZE
+    fits = write_json(tmp_path, "fits.json", _diagonal_pair(cap + 1))
+    code, out, err = run_cli("verify", "--pair", fits)
+    assert code == 0, err
+    assert json.loads(out)["is_leonard_pair"] is False
+    big = tmp_path / "big"
+    big.mkdir()
+    over = write_json(big, "over.json", _diagonal_pair(cap + 2))
+    line = f"error: {over}#a: {cap + 2} rows exceed the limit of {cap + 1} (diameter {cap})\n"
+    for command in ("verify", "extract", "awfit"):
+        code, out, err = run_cli(command, "--pair", over)
+        assert (code, out, err) == (2, "", line)
+    write_json(big, "small.json", _diagonal_pair(3))
+    code, out, err = run_cli("verify", "--batch", str(big))
+    assert code == 2 and err == line
+    summary = json.loads(out)
+    assert summary["checked"] == 2 and summary["errors"] == 1
+    assert list(summary["results"]) == ["small.json"]
+
+
 def test_gen_seed_echo_and_byte_determinism():
     code, first, _ = run_cli("gen", "--source", "random-array", "--d", "4", "--seed", "9")
     code2, second, _ = run_cli("gen", "--source", "random-array", "--d", "4", "--seed", "9")
@@ -510,24 +555,26 @@ def test_batch_size_mismatch_is_recorded_and_rest_reported(tmp_path):
 
 def test_batch_library_error_is_recorded_and_rest_reported(tmp_path):
     gen_file(tmp_path, "sl2.json", "--source", "sl2", "--d", "2")
-    big_p = {"kind": "prime_field", "p": 1000003}
+    # a cubic characteristic polynomial with irrational coefficients is
+    # outside the decidable root-finding fragment of Q(sqrt 5)
+    surd = {"kind": "quadratic_extension", "discriminant": 5}
     write_json(
         tmp_path,
-        "wide.json",
+        "cubic.json",
         {
-            "a": {"field": big_p, "rows": [["0", "1"], ["1", "0"]]},
-            "astar": {"field": big_p, "rows": [["1", "0"], ["0", "2"]]},
+            "a": {"field": surd, "rows": [["1+s", "1", "0"], ["1", "s", "1"], ["0", "1", "2"]]},
+            "astar": {"field": surd, "rows": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]},
         },
     )
     code, out, err = run_cli("verify", "--batch", str(tmp_path))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "wide.json: " in err and "GF(1000003)" in err
+    assert "cubic.json: " in err and "Q(sqrt 5)" in err
     summary = json.loads(out)
     assert summary["checked"] == 2 and summary["errors"] == 1
     assert list(summary["results"]) == ["sl2.json"]
     assert (tmp_path / "sl2.report.json").exists()
-    assert not (tmp_path / "wide.report.json").exists()
+    assert not (tmp_path / "cubic.report.json").exists()
 
 
 def test_batch_on_missing_directory(tmp_path):

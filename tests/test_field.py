@@ -279,9 +279,21 @@ def test_roots_prime_field():
 
 
 def test_roots_prime_field_size_guard():
-    big = PrimeField(1_000_003)
+    # no cap on p: a repeated root and an irreducible quadratic over large fields
+    for p in (1_000_003, 2**61 - 1):
+        big = PrimeField(p)
+        poly = ExactPolynomial.from_roots(big, [5, 5, p - 1, 17])
+        assert [(str(r), m) for r, m in roots_in_field(poly)] == [
+            ("5", 2), ("17", 1), (str(p - 1), 1)
+        ]
+        assert p % 4 == 3  # so -1 is not a square and x^2 + 1 is irreducible
+        assert roots_in_field(ExactPolynomial(big, [1, 0, 1])) == []
+        assert roots_in_field(poly * ExactPolynomial(big, [1, 0, 1])) == roots_in_field(poly)
+
+
+def test_squarefree_part_refuses_unfactorable_integers():
     with pytest.raises(SearchTooLargeError):
-        roots_in_field(ExactPolynomial(big, [1, 1, 1]))
+        squarefree_part(2**201 + 1)
 
 
 def test_roots_quadratic_extension():

@@ -10,6 +10,8 @@ the raw lowering scalars along the top chain are 7, 9, 7, rescaled by
 beta / sqrt(2)^2 = 4.
 """
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -48,7 +50,8 @@ from leonardpairs.leonard import (
     fit_askey_wilson,
     is_leonard_pair,
 )
-from leonardpairs.matrix import ExactMatrix
+from leonardpairs import generators
+from leonardpairs.matrix import ExactMatrix, inverse, matrix_to_dict
 from leonardpairs.parray import (
     FAMILY_CLASSICAL,
     FAMILY_Q_TYPE,
@@ -558,6 +561,29 @@ def test_random_nonexample_default_kind_and_determinism():
     a2, s2, k2 = random_nonexample(Q, 5, random.Random(11))
     assert (a1, s1, k1) == (a2, s2, k2)
     assert k1 in NONEXAMPLE_KINDS
+
+
+def test_random_nonexample_inverts_once(monkeypatch):
+    # digest of the seeded output from when each member was conjugated on
+    # its own, inverting g twice
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return inverse(g)
+
+    monkeypatch.setattr(generators, "inverse", counted)
+    digest = hashlib.sha256()
+    for field in (Q, PrimeField(101)):
+        for seed, kind in enumerate(NONEXAMPLE_KINDS):
+            calls.clear()
+            a, a_star, got = random_nonexample(field, 5, random.Random(seed), kind)
+            assert len(calls) == 1
+            dumped = [matrix_to_dict(a), matrix_to_dict(a_star), got]
+            digest.update(json.dumps(dumped, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "c8f9c7e0eed7c2da6122878ffd2271bdb8a26382293ddc7707edb2e0a9ef99d4"
+    )
 
 
 def test_random_nonexample_guards():
