@@ -227,6 +227,8 @@ def _cmd_verify(args):
 
 
 def _cmd_verify_batch(args):
+    if args.jobs < 1:
+        raise _InputError(f"--jobs must be at least 1, got {args.jobs}")
     directory = args.batch
     if not os.path.isdir(directory):
         raise _InputError(f"{directory}: not a directory")

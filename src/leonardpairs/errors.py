@@ -23,10 +23,6 @@ class UnsupportedFieldOperationError(LeonardPairsError):
     """The request is outside the documented decidable fragment."""
 
 
-class SearchTooLargeError(UnsupportedFieldOperationError):
-    """An exhaustive search would exceed the documented size bounds."""
-
-
 class PolynomialError(LeonardPairsError, ValueError):
     """Ill-posed polynomial request (e.g. roots of the zero polynomial)."""
 

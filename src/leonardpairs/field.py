@@ -6,7 +6,7 @@ Payload conventions (the raw values field methods operate on):
   always in lowest terms with positive denominator.
 - ``PrimeField(p)``: a plain ``int`` in ``range(p)``.
 - ``QuadraticExtension(m)``: a pair ``(a, b)`` of backend rationals meaning
-  ``a + b*sqrt(m)``; ``m`` is squarefree, not 0 or 1, and may be negative.
+  ``a + b*sqrt(m)``; ``squarefree_part(m) == m``, not 0 or 1, may be negative.
 
 ``FieldElement`` wraps one payload together with its field and provides the
 usual operators; the matrix and polynomial layers call the payload-level
@@ -19,17 +19,18 @@ elements as the canonical decimal residue; quadratic-extension elements as
 for prime fields and reduces it; serialization always emits the canonical
 form.
 
-Roots (``roots_in_field``) come from one kernel on raw residues.  Over
-GF(p) the distinct roots of f are those of r = gcd(f, x^p - x), with x^p
-taken mod f by repeated squaring; gcd(r, (x + a)^((p-1)/2) - 1) for
-seeded random a splits r into linear factors (Cantor and Zassenhaus,
-Math. Comp. 36, 1981), in O(d^2 log p) operations for every p the field
-accepts.  Over Q the kernel runs modulo the smallest odd prime at which
-the squarefree part of f keeps its degree and stays squarefree, and
-Newton iteration lifts each root p-adically past twice the Cauchy bound,
-where centring recovers every rational root exactly.  Either way, exact
-deflation of f certifies each candidate and counts its multiplicity.
-Q(sqrt m) factors over Q with sympy.
+Roots (``roots_in_field``, and ``sqrt`` over Q and Q(sqrt m)) come from
+one kernel on raw residues.  Over GF(p) the distinct roots of f are those of
+r = gcd(f, x^p - x), with x^p taken mod f by repeated squaring;
+gcd(r, (x + a)^((p-1)/2) - 1) for seeded random a splits r into linear
+factors (Cantor and Zassenhaus, Math. Comp. 36, 1981), in O(d^2 log p)
+operations for every p the field accepts.  Over Q and Q(sqrt m) the
+kernel runs modulo the smallest odd prime at which the squarefree part
+of f (of its norm f * conj(f) over Q(sqrt m), with m a square mod p)
+keeps its degree and stays squarefree, and Newton iteration lifts each
+root p-adically past a multiple of the Cauchy bound, where centring
+recovers every root exactly.  Exact deflation of f certifies each
+candidate and counts its multiplicity.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ from .errors import (
     FieldMismatchError,
     ParseError,
     PolynomialError,
-    SearchTooLargeError,
-    UnsupportedFieldOperationError,
 )
 
 _RAT_ZERO = Rational(0)
@@ -91,39 +90,32 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _factorint(n: int) -> dict[int, int]:
-    # Guard keeps exactness: an incomplete factorization would silently drop
-    # root candidates, so refuse inputs we cannot certify.
-    if n.bit_length() > 200:
-        raise SearchTooLargeError(
-            f"cannot factor {n.bit_length()}-bit integer exactly; "
-            "coefficients this large are outside the supported range"
-        )
-    import sympy
-
-    return {int(p): int(e) for p, e in sympy.factorint(n).items()}
+_SMALL_PRIMES = [p for p in range(2, 1 << 10) if _is_prime(p)]
 
 
 def squarefree_part(n: int) -> int:
-    """Largest squarefree divisor pattern: n = squarefree_part(n) * square."""
+    """A divisor m of n, not a square unless it is +-1, with n/m a square.
+
+    The squares of primes below 2^10 are stripped by trial division and
+    the cofactor is dropped when it is a perfect square.  Every other
+    prime of the cofactor is at least 1031, so below 1031^3 > 2^30 it is
+    1, q, q^2 or qr and m is the squarefree part of n exactly; above
+    that, m still labels the same quadratic field as n.
+    """
     if n == 0:
         return 0
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in _factorint(abs(n)).items():
-        if e % 2:
+    out, n = (-1, -n) if n < 0 else (1, n)
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % (p * p) == 0:
+            n //= p * p
+        if n % p == 0:
             out *= p
+            n //= p
+    if math.isqrt(n) ** 2 != n:
+        out *= n
     return out
-
-
-def _sqrt_rational(x) -> "Rational | None":
-    if x < 0:
-        return None
-    num, den = int(x.numerator), int(x.denominator)
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Rational(rn, rd)
-    return None
 
 
 def _sqrt_mod_p(a: int, p: int) -> "int | None":
@@ -222,8 +214,13 @@ class Field:
         raise NotImplementedError
 
     def sqrt(self, a):
-        """A payload x with x*x == a, or None when a is not a square."""
-        raise NotImplementedError
+        """A payload x with x*x == a, or None when a is not a square.
+
+        Of the roots of x^2 - a, the largest: over Q(sqrt m), the one whose
+        first nonzero part is positive.
+        """
+        square = ExactPolynomial._raw(self, [self.neg(a), self.zero, self.one])
+        return max((root.payload for root, _ in roots_in_field(square)), default=None)
 
     def pow(self, a, n: int):
         if n < 0:
@@ -323,9 +320,6 @@ class Rationals(Field):
     def parse(self, text: str):
         return _parse_rational(text.strip())
 
-    def sqrt(self, a):
-        return _sqrt_rational(a)
-
     def pow(self, a, n: int):
         if n < 0 and a == 0:
             raise ZeroDivisionError("division by zero in Q")
@@ -413,7 +407,7 @@ class PrimeField(Field):
 
 
 class QuadraticExtension(Field):
-    """Q(sqrt m) for squarefree m not in {0, 1}; payloads are (a, b) pairs."""
+    """Q(sqrt m) for m not 0 or 1 with squarefree_part(m) == m; payloads are (a, b)."""
 
     kind = "quadratic_extension"
 
@@ -523,26 +517,6 @@ class QuadraticExtension(Field):
             coef = sign * part
         return (rat if rat is not None else _RAT_ZERO,
                 coef if coef is not None else _RAT_ZERO)
-
-    def sqrt(self, a):
-        a0, a1 = a
-        if a1 == 0:
-            r = _sqrt_rational(a0)
-            if r is not None:
-                return (r, _RAT_ZERO)
-            r = _sqrt_rational(a0 / self._mr)
-            if r is not None:
-                return (_RAT_ZERO, r)
-            return None
-        norm = a0 * a0 - self._mr * a1 * a1
-        s = _sqrt_rational(norm)
-        if s is None:
-            return None
-        for t in ((a0 + s) / 2, (a0 - s) / 2):
-            x = _sqrt_rational(t)
-            if x is not None and x != 0:
-                return (x, a1 / (2 * x))
-        return None
 
     def random_element(self, rng) -> "FieldElement":
         return self.element(
@@ -844,7 +818,8 @@ def _divmod_mod(a: list, f: list, p: int) -> tuple[list, list]:
     return quotient, _trim([c % p for c in a[:n]])
 
 
-def _mulmod(a: list, b: list, f: list, p: int) -> list:
+def _convolve(a: list, b: list) -> list:
+    """The product of two integer polynomials, without reduction."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -852,7 +827,11 @@ def _mulmod(a: list, b: list, f: list, p: int) -> list:
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _divmod_mod(out, f, p)[1]
+    return out
+
+
+def _mulmod(a: list, b: list, f: list, p: int) -> list:
+    return _divmod_mod(_convolve(a, b), f, p)[1]
 
 
 def _powmod(base: list, e: int, f: list, p: int) -> list:
@@ -962,41 +941,114 @@ def _next_prime(p: int) -> int:
     return p
 
 
+def _lifting_prime(s: list, m: int = 1) -> int:
+    """Smallest odd prime p not dividing lead(s), with m a nonzero square
+    mod p, at which the integer polynomial s stays squarefree."""
+    ds = _derivative(s)
+    p = 3
+    while (
+        s[-1] % p == 0
+        or pow(m, (p - 1) // 2, p) != 1
+        or len(_gcd_mod([c % p for c in s], _trim([c % p for c in ds]), p)) > 1
+    ):
+        p = _next_prime(p)
+    return p
+
+
+def _value_mod(f: list, r: int, m: int) -> int:
+    value = 0
+    for c in reversed(f):
+        value = (value * r + c) % m
+    return value
+
+
+def _lift(f: list, r: int, p: int, bound: int) -> tuple[int, int]:
+    """Newton-lift a simple root r of f mod p to modulus p^(2^k) > bound."""
+    df, m = _derivative(f), p
+    while m <= bound:
+        m *= m
+        r = (r - _value_mod(f, r, m) * pow(_value_mod(df, r, m), -1, m)) % m
+    return r, m
+
+
+def _centre(v: int, m: int) -> int:
+    """The residue of v mod m in (-m/2, m/2]."""
+    v %= m
+    return v - m if 2 * v > m else v
+
+
+def _squarefree_int(f: list) -> list:
+    """Primitive squarefree part of an integer polynomial, positive lead."""
+    f = _prim(f)
+    return _exact_quotient_int(f, _gcd_int(f, _derivative(f)))
+
+
 def _rational_candidates(f: list) -> list:
-    """Every rational root of the primitive integer polynomial f, and more.
+    """Every rational root of the integer polynomial f, and more.
 
     A root a/b in lowest terms of the squarefree part s has b | lead(s),
     so it is the unique p-adic lift of a simple root of s mod p, and
     |lead * a/b| <= |lead| + max|c_i| (Cauchy) stays below m/2 once the
     lift reaches modulus m; centring lead * r mod m recovers it exactly.
     """
-    sf = _exact_quotient_int(f, _gcd_int(f, _derivative(f)))
-    lead = sf[-1]
-    ds = _derivative(sf)
-    p = 3
-    while lead % p == 0 or len(_gcd_mod([c % p for c in sf], _trim([c % p for c in ds]), p)) > 1:
-        p = _next_prime(p)
-    bound = 2 * (abs(lead) + max(abs(c) for c in sf))
+    s = _squarefree_int(f)
+    lead, p = s[-1], _lifting_prime(s)
+    bound = 2 * (lead + max(abs(c) for c in s))
     out = []
-    for r in _distinct_roots_mod(sf, p):
-        m = p
-        while m <= bound:
-            m *= m
-            value = slope = 0
-            for c in reversed(sf):
-                slope = (slope * r + value) % m
-                value = (value * r + c) % m
-            r = (r - value * pow(slope, -1, m)) % m
-        v = lead * r % m
-        if 2 * v > m:
-            v -= m
-        out.append(Rational(v, lead))
+    for r in _distinct_roots_mod(s, p):
+        r, m = _lift(s, r, p, bound)
+        out.append(Rational(_centre(lead * r, m), lead))
     return out
 
 
+def _quadratic_candidates(f: list, m: int) -> list:
+    """Every root in Q(sqrt m) of f = sum (a_i + b_i sqrt m) x^i, a_i, b_i in Z.
+
+    A root alpha = x + y sqrt m and its conjugate are roots of the norm
+    f * conj(f), so of its squarefree part s, with lead c.  With S^2 = m
+    mod p, sqrt m -> +-S send alpha to lifts r+ of f(+S) and r- of f(-S)
+    of simple roots of s mod p.  As c alpha is an algebraic integer,
+    c (r+ + r-) = 2cx and c (r+ - r-) S = 2cym are integers, also when m
+    keeps a square factor, and Cauchy's bound H = c + max|s_i| on
+    |c alpha| and |c conj(alpha)| gives |2cx| <= 2H, |2cym| <= 2H sqrt|m|:
+    centring modulo a lift past 4H sqrt|m| recovers both.
+    """
+    a, b = (list(part) for part in zip(*f))
+    s = _squarefree_int([x - m * y for x, y in zip(_convolve(a, a), _convolve(b, b))])
+    c, p = s[-1], _lifting_prime(s, m)
+    bound = math.isqrt(16 * (c + max(abs(v) for v in s)) ** 2 * abs(m))
+    root, mod = _lift([-m, 0, 1], _sqrt_mod_p(m, p), p, bound)
+    lifted = [_lift(s, r, p, bound)[0] for r in _distinct_roots_mod(s, p)]
+    plus, minus = (
+        [r for r in lifted if _value_mod([x + sign * y * root for x, y in f], r, mod) == 0]
+        for sign in (1, -1)
+    )
+    out = []
+    for u in plus:
+        for v in minus:
+            trace, part = _centre(c * (u + v), mod), _centre(c * (u - v) * root, mod)
+            if _vanishes_at(f, trace * m, part, 2 * c * m, m):
+                out.append((Rational(trace, 2 * c), Rational(part, 2 * c * m)))
+    return out
+
+
+def _vanishes_at(f: list, u: int, v: int, den: int, m: int) -> bool:
+    """Whether f((u + v sqrt m) / den) = 0, by Horner's rule in Z[sqrt m]."""
+    acc, bcc = f[-1]
+    scale = 1
+    for a, b in reversed(f[:-1]):
+        scale *= den
+        acc, bcc = acc * u + m * bcc * v + a * scale, acc * v + bcc * u + b * scale
+    return acc == 0 and bcc == 0
+
+
+def _integer_coefficients(values: list) -> list:
+    scale = math.lcm(*(int(v.denominator) for v in values))
+    return [int(v * scale) for v in values]
+
+
 def _roots_rationals(poly: ExactPolynomial) -> list[tuple]:
-    scale = math.lcm(*(int(c.denominator) for c in poly.coeffs))
-    ints = _prim([int(c * scale) for c in poly.coeffs])
+    ints = _prim(_integer_coefficients(list(poly.coeffs)))
     reduced = ExactPolynomial._raw(poly.field, [Rational(c) for c in ints])
     return _mults_by_deflation(reduced, _rational_candidates(ints))
 
@@ -1005,70 +1057,21 @@ def _roots_prime_field(poly: ExactPolynomial) -> list[tuple]:
     return _mults_by_deflation(poly, _distinct_roots_mod(list(poly.coeffs), poly.field.p))
 
 
-def _quadratic_roots_in_field(field: Field, c0, c1, c2) -> "list[tuple] | None":
-    """Roots of c2 x^2 + c1 x + c0 inside field, or None when irreducible."""
-    disc = field.sub(field.mul(c1, c1), field.mul(field.from_int(4), field.mul(c2, c0)))
-    s = field.sqrt(disc)
-    if s is None:
-        return None
-    two_a = field.mul(field.from_int(2), c2)
-    if field.is_zero(s):
-        return [(field.div(field.neg(c1), two_a), 2)]
-    r1 = field.div(field.sub(s, c1), two_a)
-    r2 = field.div(field.sub(field.neg(s), c1), two_a)
-    return [(r1, 1), (r2, 1)]
-
-
 def _roots_quadext(poly: ExactPolynomial) -> list[tuple]:
-    field = poly.field
-    degree = poly.degree
-    if degree == 1:
-        c0, c1 = poly.coeffs
-        return [(field.div(field.neg(c0), c1), 1)]
-    if degree == 2:
-        c0, c1, c2 = poly.coeffs
-        return _quadratic_roots_in_field(field, c0, c1, c2) or []
-    if any(c[1] != 0 for c in poly.coeffs):
-        raise UnsupportedFieldOperationError(
-            f"root finding over {field.name} covers degree <= 2 and arbitrary-degree "
-            f"polynomials with rational coefficients; got degree {degree} with "
-            "irrational coefficients"
-        )
-
-    dens = [int(c[0].denominator) for c in poly.coeffs]
-    scale = math.lcm(*dens)
-    ints = [int(c[0] * scale) for c in poly.coeffs]
-
-    import sympy
-
-    x = sympy.Symbol("x")
-    _, factors = sympy.Poly(list(reversed(ints)), x, domain="QQ").factor_list()
-    found = []
-    for factor, mult in factors:
-        fc = [Rational(int(c.p), int(c.q)) for c in reversed(factor.all_coeffs())]
-        if factor.degree() == 1:
-            root = (-fc[0] / fc[1], _RAT_ZERO)
-            found.append((root, mult))
-        elif factor.degree() == 2:
-            pair = _quadratic_roots_in_field(
-                field, (fc[0], _RAT_ZERO), (fc[1], _RAT_ZERO), (fc[2], _RAT_ZERO)
-            )
-            if pair:
-                found.extend((root, mult) for root, _ in pair)
-        # degree >= 3 irreducible over Q has no root in a quadratic extension
-    return found
+    flat = _integer_coefficients([v for pair in poly.coeffs for v in pair])
+    pairs = list(zip(flat[::2], flat[1::2]))
+    return _mults_by_deflation(poly, _quadratic_candidates(pairs, poly.field.m))
 
 
 def roots_in_field(poly: ExactPolynomial) -> list[tuple[FieldElement, int]]:
     """All roots of poly lying in its own field, with multiplicities.
 
-    Sorted by the canonical shortlex order on serialized roots.  Over Q
-    and GF(p) every polynomial is decided, with no size limit on p or on
-    the coefficients; roots mod p by gcd with x^p - x and equal-degree
-    splitting, lifted p-adically over Q, each certified by exact
-    deflation.  Raises PolynomialError for the zero polynomial, and
-    UnsupportedFieldOperationError over Q(sqrt m) for degree >= 3 with
-    irrational coefficients.
+    Sorted by the canonical shortlex order on serialized roots.  Every
+    polynomial over Q, GF(p) and Q(sqrt m) is decided, of any degree and
+    with no size limit on p or on the coefficients: roots mod p by gcd
+    with x^p - x and equal-degree splitting, lifted p-adically over Q and
+    Q(sqrt m), each certified by exact deflation.  Raises PolynomialError
+    for the zero polynomial.
     """
     if poly.is_zero:
         raise PolynomialError("every scalar is a root of the zero polynomial")

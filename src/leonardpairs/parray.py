@@ -39,7 +39,6 @@ from .field import (
     roots_in_field,
     squarefree_part,
 )
-from ._backend import Rational
 from .matrix import (
     ExactMatrix,
     _nullspace_grid,
@@ -661,23 +660,14 @@ def classify_beta(field: Field, beta) -> ClassificationFingerprint:
         return ClassificationFingerprint(FAMILY_Q_TYPE, beta_elem, r_elem, q=q)
 
     if isinstance(field, Rationals):
-        # embed into Q(sqrt D): disc = beta^2 - 4 = D * t^2 with D squarefree
+        # beta^2 - 4 = D t^2, so the roots (beta +- t sqrt D)/2 lie in Q(sqrt D)
         disc = b * b - 4
-        num, den = int(disc.numerator), int(disc.denominator)
-        d_part = squarefree_part(num * den)
-        ext = QuadraticExtension(d_part)
-        t_squared = disc / d_part
-        t = Rationals().sqrt(t_squared)
-        if t is None:
-            raise InternalCheckError("squarefree decomposition failed")
-        half = Rational(1, 2)
-        roots_ext = [
-            FieldElement(ext, ((b * half), (t * half))),
-            FieldElement(ext, ((b * half), (-t * half))),
-        ]
-        q = min(roots_ext, key=lambda e: e.sort_key())
+        ext = QuadraticExtension(squarefree_part(int(disc.numerator) * int(disc.denominator)))
+        roots_ext = roots_in_field(ExactPolynomial(ext, [1, -b, 1]))
+        if not roots_ext:
+            raise InternalCheckError(f"x^2 - beta x + 1 does not split over {ext.name}")
         return ClassificationFingerprint(
-            FAMILY_Q_TYPE, beta_elem, r_elem, q=q, q_field=ext
+            FAMILY_Q_TYPE, beta_elem, r_elem, q=roots_ext[0][0], q_field=ext
         )
 
     # GF(p) nonresidue disc, or a quadratic-extension base needing degree 4:

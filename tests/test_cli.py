@@ -9,12 +9,17 @@ tests compare raw output strings rather than parsed values.  Exit codes:
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from leonardpairs import cli
+from leonardpairs.errors import LeonardPairsError
+from leonardpairs.field import Rationals
+from leonardpairs.generators import _complete_array, _recurrence
 from leonardpairs.parray import parameter_array_from_dict, parameter_array_to_dict
 
 
@@ -553,19 +558,31 @@ def test_batch_size_mismatch_is_recorded_and_rest_reported(tmp_path):
     assert not (tmp_path / "mismatch.report.json").exists()
 
 
-def test_batch_library_error_is_recorded_and_rest_reported(tmp_path):
+CUBIC_SURD_PAIR = {
+    "a": {
+        "field": {"kind": "quadratic_extension", "discriminant": 5},
+        "rows": [["1+s", "1", "0"], ["1", "s", "1"], ["0", "1", "2"]],
+    },
+    "astar": {
+        "field": {"kind": "quadratic_extension", "discriminant": 5},
+        "rows": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]],
+    },
+}
+
+
+def test_batch_library_error_is_recorded_and_rest_reported(tmp_path, monkeypatch):
     gen_file(tmp_path, "sl2.json", "--source", "sl2", "--d", "2")
-    # a cubic characteristic polynomial with irrational coefficients is
-    # outside the decidable root-finding fragment of Q(sqrt 5)
-    surd = {"kind": "quadratic_extension", "discriminant": 5}
-    write_json(
-        tmp_path,
-        "cubic.json",
-        {
-            "a": {"field": surd, "rows": [["1+s", "1", "0"], ["1", "s", "1"], ["0", "1", "2"]]},
-            "astar": {"field": surd, "rows": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]},
-        },
-    )
+    write_json(tmp_path, "cubic.json", CUBIC_SURD_PAIR)
+    # every pair now gets a verdict, so the library error is injected for
+    # the pair over Q(sqrt 5) while the sl2 pair verifies as usual
+    real_report = cli.verification_report
+
+    def report(a, a_star):
+        if a.field.name == "Q(sqrt 5)":
+            raise LeonardPairsError(f"no verdict over {a.field.name}")
+        return real_report(a, a_star)
+
+    monkeypatch.setattr(cli, "verification_report", report)
     code, out, err = run_cli("verify", "--batch", str(tmp_path))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -575,6 +592,86 @@ def test_batch_library_error_is_recorded_and_rest_reported(tmp_path):
     assert list(summary["results"]) == ["sl2.json"]
     assert (tmp_path / "sl2.report.json").exists()
     assert not (tmp_path / "cubic.report.json").exists()
+
+
+def test_irrational_cubic_over_a_quadratic_extension_gets_a_verdict(tmp_path):
+    # the characteristic polynomial of A has trace 3 + 2s, so irrational
+    # coefficients, and no root in Q(sqrt 5)
+    path = write_json(tmp_path, "cubic.json", CUBIC_SURD_PAIR)
+    code, report = run_json("verify", "--pair", path, "--strict")
+    assert code == 1
+    assert report["is_leonard_pair"] is False
+    assert report["failure_reason"].startswith(
+        "A is not multiplicity-free: characteristic polynomial does not split "
+        "over Q(sqrt 5): only 0 of 3 eigenvalues lie in the field"
+    )
+
+
+def test_batch_jobs_must_be_positive(tmp_path):
+    gen_file(tmp_path, "sl2.json", "--source", "sl2", "--d", "2")
+    for jobs in ("0", "-1"):
+        code, out, err = run_cli("verify", "--batch", str(tmp_path), "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert not (tmp_path / "sl2.report.json").exists()
+
+
+def test_pair_of_large_height_verifies_and_classifies(tmp_path):
+    # theta_3 = 8000000000000000000040/1000000000000000000007: the numerator
+    # times the denominator of beta^2 - 4 has 281 bits, so classification
+    # must label Q(sqrt(beta^2 - 4)) without factoring it
+    field = Rationals()
+    r = field.coerce(Fraction(10**21 + 3, 10**21 + 7) + 1)
+    theta = _recurrence(field, [field.coerce(v) for v in (0, 1, 5)], r, 3)
+    theta_star = _recurrence(field, [field.coerce(v) for v in (0, 2, 7)], r, 3)
+    pa = _complete_array(field, theta, theta_star, field.coerce(3))
+    assert str(pa.theta[3]) == "8000000000000000000040/1000000000000000000007"
+    pa_path = write_json(tmp_path, "pa.json", parameter_array_to_dict(pa))
+    code, out, err = run_cli("construct", "--in", pa_path)
+    assert code == 0, err
+    pair_path = tmp_path / "pair.json"
+    pair_path.write_text(out)
+    code, report = run_json("verify", "--pair", str(pair_path))
+    assert code == 0
+    assert report["is_leonard_pair"] is True and report["all_checks_passed"] is True
+    code, classified = run_json("classify", "--in", pa_path)
+    assert code == 0
+    assert classified["fingerprint"]["family"] == "q-type"
+    disc = classified["fingerprint"]["q_field"]["discriminant"]
+    beta = Fraction(classified["fingerprint"]["beta"])
+    ratio = (beta * beta - 4) / disc
+    assert math.isqrt(ratio.numerator) ** 2 == ratio.numerator
+    assert math.isqrt(ratio.denominator) ** 2 == ratio.denominator
+
+
+SYMPY_FREE_RUN = """
+import contextlib, io, json, os, sys
+from leonardpairs import cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(list(argv)) == 0, argv
+    return out.getvalue()
+
+pair_path, pa_path = (os.path.join(sys.argv[1], name) for name in ("pair.json", "pa.json"))
+array = json.loads(run("gen", "--source", "random-array", "--d", "4", "--seed", "3",
+                       "--field", "Q(sqrt 5)"))
+with open(pa_path, "w") as handle:
+    json.dump(array["parameter_array"], handle)
+with open(pair_path, "w") as handle:
+    handle.write(run("construct", "--in", pa_path))
+assert json.loads(run("verify", "--pair", pair_path))["all_checks_passed"] is True
+run("classify", "--in", pa_path)
+assert "sympy" not in sys.modules, "sympy was imported"
+"""
+
+
+def test_runtime_does_not_import_sympy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", SYMPY_FREE_RUN, str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_batch_on_missing_directory(tmp_path):

@@ -1,9 +1,12 @@
-"""Arbitrary JSON into the pair-reading commands: exit 0, 1 or 2, no traceback.
+"""Arbitrary JSON into the CLI: exit 0, 1 or 2, no traceback.
 
 Inputs are bounded in size.  Half are free-form JSON; the other half keep
-the {"a": {"field", "rows"}, "astar": ...} shape with arbitrary leaves, so
+the shape of a pair ({"a": {"field", "rows"}, "astar": ...}) or of a
+parameter array ({"field", "d", "theta", ...}) with arbitrary leaves, so
 the fuzzing reaches field construction, parsing and recognition instead of
-stopping at the first missing key.
+stopping at the first missing key.  Valid parameter arrays with
+large-height rational entries must go through every array command with
+exit 0, and their bidiagonal pairs must verify.
 """
 
 import contextlib
@@ -12,10 +15,15 @@ import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from fractions import Fraction
+
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from leonardpairs import cli
+from leonardpairs.field import Rationals
+from leonardpairs.generators import _complete_array, _recurrence
+from leonardpairs.parray import parameter_array_to_dict, validate
 
 scalars = st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats() | st.text(max_size=8)
 anything = st.recursive(
@@ -121,3 +129,89 @@ def test_batch_survives_arbitrary_json(batch):
             with open(os.path.join(tmp, f"p{i}.json"), "w", encoding="utf-8") as handle:
                 json.dump(pair, handle)
         _run("verify", "--batch", tmp, "--jobs", "1")
+
+
+ARRAY_COMMANDS = (
+    ("construct",),
+    ("tdconstruct",),
+    ("tdconstruct", "--split", "symmetric"),
+    ("gmatrix",),
+    ("polys",),
+    ("classify",),
+    ("validate-array",),
+    ("roundtrip",),
+)
+
+# rationals of up to about 100 bits, and ones just off 1 whose
+# squares minus 4 have large numerators and denominators
+big = st.integers(-(2**100), 2**100)
+heights = st.builds(Fraction, big, st.integers(1, 2**100)) | st.builds(
+    lambda n, k: Fraction(n + k, n), st.integers(10**20, 10**22), st.integers(-9, 9)
+)
+array_entries = entries | heights.map(str)
+
+
+@st.composite
+def array_shaped(draw):
+    d = draw(st.integers(0, 4))
+    length = st.integers(max(d - 1, 0), d + 1) if draw(st.booleans()) else st.just(d)
+
+    def seq(n):
+        return draw(st.lists(array_entries, min_size=n, max_size=n))
+
+    return {
+        "field": draw(fields),
+        "d": draw(st.sampled_from([d, d + 1, "3", None])) if draw(st.booleans()) else d,
+        "theta": seq(draw(length) + 1),
+        "theta_star": seq(draw(length) + 1),
+        "varphi": seq(draw(length)),
+        "phi": seq(draw(length)),
+    }
+
+
+arrays = array_shaped() | anything
+
+
+def _write(tmp, name, obj):
+    path = os.path.join(tmp, name)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(obj, handle)
+    return path
+
+
+@FUZZ
+@given(array=arrays)
+def test_array_commands_survive_arbitrary_json(array):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, "array.json", array)
+        for command in ARRAY_COMMANDS:
+            _run(*command, "--in", path)
+
+
+@settings(FUZZ, max_examples=30)
+@given(
+    d=st.integers(1, 4),
+    r=heights,
+    starts=st.lists(heights, min_size=3, max_size=3),
+    dual_starts=st.lists(heights, min_size=3, max_size=3),
+    phi1=heights,
+)
+def test_valid_arrays_of_large_height_exit_zero(d, r, starts, dual_starts, phi1):
+    field = Rationals()
+    theta = _recurrence(field, [field.coerce(v) for v in starts], field.coerce(r), d)
+    theta_star = _recurrence(field, [field.coerce(v) for v in dual_starts], field.coerce(r), d)
+    assume(theta is not None and theta_star is not None and phi1 != 0)
+    pa = _complete_array(field, theta, theta_star, field.coerce(phi1))
+    assume(pa is not None and validate(pa).valid)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, "array.json", parameter_array_to_dict(pa))
+        for command in ARRAY_COMMANDS:
+            if command[-1] != "symmetric":  # needs square roots in Q
+                assert _run(*command, "--in", path, "--strict") == 0, command
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run(["construct", "--in", path]) == 0
+        pair = os.path.join(tmp, "pair.json")
+        with open(pair, "w", encoding="utf-8") as handle:
+            handle.write(out.getvalue())
+        assert _run("verify", "--pair", pair, "--strict") == 0

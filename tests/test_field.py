@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,6 @@ from leonardpairs.errors import (
     FieldMismatchError,
     ParseError,
     PolynomialError,
-    SearchTooLargeError,
-    UnsupportedFieldOperationError,
 )
 from leonardpairs.field import (
     BACKEND,
@@ -222,6 +222,13 @@ def test_sqrt():
     x = KI("3+4*s").sqrt()  # sqrt(3+4i) = 2+i
     assert x is not None and x * x == KI("3+4*s")
     assert PrimeField(2).sqrt(1) == 1
+    # over Q and Q(sqrt m) the root whose first nonzero part is positive
+    # (symmetric splits print it)
+    assert Q("-9/4").sqrt() is None
+    assert [str(K2(a).sqrt()) for a in ("3+2*s", "3-2*s", "2", "1/2", "9", "0")] == [
+        "1+s", "1-s", "s", "1/2*s", "3", "0"
+    ]
+    assert str(KI(-4).sqrt()) == "2*s" and str(KI("3-4*s").sqrt()) == "2-s"
 
 
 def test_polynomial_basics():
@@ -291,9 +298,39 @@ def test_roots_prime_field_size_guard():
         assert roots_in_field(poly * ExactPolynomial(big, [1, 0, 1])) == roots_in_field(poly)
 
 
-def test_squarefree_part_refuses_unfactorable_integers():
-    with pytest.raises(SearchTooLargeError):
-        squarefree_part(2**201 + 1)
+def test_squarefree_part_of_unfactorable_integers():
+    # no integer is factored: n / m is a square and m is not, at any size
+    n = 2**201 + 1
+    start = time.perf_counter()
+    m = squarefree_part(n)
+    assert time.perf_counter() - start < 0.1
+    assert n % m == 0 and math.isqrt(n // m) ** 2 == n // m
+    assert math.isqrt(m) ** 2 != m
+    # below 2^30 the result is exact, also for squares of primes above 2^10
+    assert squarefree_part(1031**2 * 7) == 7
+    assert squarefree_part(-(1031**2)) == -1
+    assert squarefree_part(1031 * 1033) == 1031 * 1033
+    assert squarefree_part(2**29 * 3**3) == 2 * 3
+
+
+def test_discriminant_of_162_bits_is_checked_in_under_a_second():
+    m = 2923003274661805836422499372065043123433313040949
+    start = time.perf_counter()
+    assert QuadraticExtension(m).m == m
+    assert time.perf_counter() - start < 1.0
+    # square factors that are found are refused: small primes and squares
+    for bad in (4 * m, 1021**2 * m, m * m):
+        with pytest.raises(FieldConstructionError):
+            QuadraticExtension(bad)
+
+
+def test_roots_over_a_discriminant_with_a_hidden_square():
+    # 1031^2 * 1033 is above 2^30 and its square factor is above 2^10, so it
+    # labels Q(sqrt 1033) as it stands; the roots of x^2 - 1033 are then
+    # +-sqrt(m)/1031, whose sqrt m part has a denominator prime to 2c
+    field = QuadraticExtension(1031**2 * 1033)
+    got = roots_in_field(ExactPolynomial(field, [-1033, 0, 1]))
+    assert [(str(r), k) for r, k in got] == [("1/1031*s", 1), ("-1/1031*s", 1)]
 
 
 def test_roots_quadratic_extension():
@@ -316,10 +353,9 @@ def test_roots_quadratic_extension():
     assert sorted(str(r) for r, _ in got) == sorted(["s", "1+s"])
 
 
-def test_roots_quadext_unsupported_degree():
+def test_roots_quadext_irrational_cubic():
     p = ExactPolynomial.from_roots(K2, [K2("s"), K2("1+s"), K2(2)])
-    with pytest.raises(UnsupportedFieldOperationError):
-        roots_in_field(p)
+    assert [(str(r), m) for r, m in roots_in_field(p)] == [("2", 1), ("s", 1), ("1+s", 1)]
 
 
 def test_roots_zero_polynomial():

@@ -1,11 +1,13 @@
-"""Gates for the exact root finder over Q and GF(p).
+"""Gates for the exact root finder over Q, GF(p) and Q(sqrt m).
 
 Roots mod p come from gcd(f, x^p - x) and equal-degree splitting; over Q
-they are lifted p-adically from a prime where the squarefree part stays
-squarefree.  The references here are independent of that kernel: a scan
-of the whole field over GF(p), and sympy's factorisation over Q.  The
-search for a good prime and the splitting both loop until they succeed,
-so every test runs under a deadline and fails instead of hanging.
+and Q(sqrt m) they are lifted p-adically from a prime where the
+squarefree part of f (of its norm over Q(sqrt m)) stays squarefree.  The
+references here are independent of that kernel: a scan of the whole
+field over GF(p), and sympy's factorisation over Q and over Q(sqrt m).
+The search for a good prime and the splitting both loop until they
+succeed, so every test runs under a deadline and fails instead of
+hanging.
 """
 
 import math
@@ -16,7 +18,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from leonardpairs.field import ExactPolynomial, PrimeField, Rationals, roots_in_field
+from leonardpairs.field import (
+    ExactPolynomial,
+    PrimeField,
+    QuadraticExtension,
+    Rationals,
+    roots_in_field,
+)
 
 Q = Rationals()
 
@@ -146,3 +154,74 @@ def test_rationals_match_sympy_factorisation():
         if poly.degree < 1:
             continue
         assert sorted(roots(poly)) == _sympy_rational_roots(poly), poly
+
+
+def _sympy_quadratic_roots(poly):
+    """Roots in Q(sqrt m) from sympy's factorisation over that field."""
+    x, w = sympy.Symbol("x"), sympy.sqrt(poly.field.m)
+    expr = sum(
+        (sympy.Rational(str(a)) + sympy.Rational(str(b)) * w) * x**i
+        for i, (a, b) in enumerate(poly.coeffs)
+    )
+    _, factors = sympy.factor_list(sympy.expand(expr), x, extension=w)
+    found = []
+    for factor, mult in factors:
+        factor = sympy.Poly(factor, x, extension=w)
+        if factor.degree() == 1:
+            lead, const = factor.all_coeffs()
+            found.append((sympy.expand(sympy.radsimp(-const / lead)), mult))
+    return found
+
+
+def _as_sympy(root, m):
+    a, b = root.payload
+    return sympy.expand(sympy.Rational(str(a)) + sympy.Rational(str(b)) * sympy.sqrt(m))
+
+
+@pytest.mark.parametrize("m", [2, 5, -3])
+def test_quadratic_extensions_match_sympy_factorisation(m):
+    field = QuadraticExtension(m)
+    rng = random.Random(1000 + m)
+
+    def element(size):
+        return field((rng.randint(-size, size), Fraction(rng.randint(-size, size), rng.randint(1, 3))))
+
+    for trial in range(12):
+        # roots in the field (some repeated), times a factor with irrational
+        # coefficients and no root, of degree 2 or 3
+        roots = [element(4) for _ in range(rng.randint(1, 3))]
+        roots += roots[: rng.randint(0, 1)]
+        poly = ExactPolynomial.from_roots(field, roots)
+        extra = ExactPolynomial(field, [element(6) for _ in range(rng.randint(3, 4))])
+        poly = (poly * extra).scale(element(3) or field(1))
+        assert poly.degree >= 3
+        ours = sorted((str(_as_sympy(r, m)), k) for r, k in roots_in_field(poly))
+        theirs = sorted((str(r), k) for r, k in _sympy_quadratic_roots(poly))
+        assert ours == theirs, (trial, poly)
+
+
+@pytest.mark.parametrize("m", [2, -3])
+def test_quadratic_lift_reaches_the_cauchy_bound(m):
+    # |2c * root| comes within 2c of twice the Cauchy bound of the norm's
+    # squarefree part; a lift that stops at a modulus half as large centres
+    # some wrongly, whatever the sqrt m part needs
+    field = QuadraticExtension(m)
+    for c in range(1, 120):
+        for root in (field(c), field(-c), field((c, 1)), field((0, c))):
+            poly = ExactPolynomial.from_roots(field, [root])
+            assert roots_in_field(poly) == [(root, 1)], root
+
+
+def test_quadratic_roots_of_rational_and_irrational_polynomials():
+    k5 = QuadraticExtension(5)
+    phi = k5("1/2+1/2*s")
+    # x^2 - x - 1 has the golden ratio and its conjugate as roots
+    got = roots_in_field(ExactPolynomial(k5, [-1, -1, 1]))
+    assert sorted(str(r) for r, _ in got) == ["1/2+1/2*s", "1/2-1/2*s"]
+    # a root repeated three times beside an irrational cubic without roots
+    poly = ExactPolynomial.from_roots(k5, [phi, phi, phi]) * ExactPolynomial(k5, [k5("s"), 0, 0, 1])
+    assert roots_in_field(poly) == [(phi, 3)]
+    # an irrational leading coefficient and a root with a large denominator
+    root = k5("7/1000003-3/1000033*s")
+    poly = ExactPolynomial.from_roots(k5, [root, 2]).scale(k5("2-s"))
+    assert sorted(roots_in_field(poly), key=str) == sorted([(root, 1), (k5(2), 1)], key=str)
