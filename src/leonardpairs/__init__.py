@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from ._backend import BACKEND
 from .field import (
+    BACKEND,
     ExactPolynomial,
     Field,
     FieldElement,

@@ -99,7 +99,8 @@ def parse_field_flag(text: str) -> Field:
             return PrimeField(int(m.group(1)))
         if m.group(2) is not None:
             return QuadraticExtension(int(m.group(2)))
-    except LeonardPairsError as exc:
+    except (LeonardPairsError, ValueError) as exc:
+        # ValueError: int() refuses integers past Python's digit limit.
         raise _InputError(str(exc)) from exc
     return Rationals()
 

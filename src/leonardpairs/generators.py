@@ -198,12 +198,6 @@ def _q_int(field: Field, q, n: int):
     return field.div(num, den)
 
 
-def _signed_power(field: Field, base, e: int):
-    if e >= 0:
-        return field.pow(base, e)
-    return field.pow(field.inv(base), -e)
-
-
 def uq_module(field: Field, d: int, q, epsilon=1) -> UqModule:
     if d < 0:
         raise GeneratorError("diameter must be nonnegative")
@@ -230,7 +224,7 @@ def uq_module(field: Field, d: int, q, epsilon=1) -> UqModule:
     f_rows = [[z] * n for _ in range(n)]
     k_diag, k_inv_diag = [], []
     for i in range(n):
-        weight = field.mul(epsilon, _signed_power(field, q, d - 2 * i))
+        weight = field.mul(epsilon, field.pow(q, d - 2 * i))
         k_diag.append(weight)
         k_inv_diag.append(field.inv(weight))
         if i + 1 <= d:
@@ -275,7 +269,7 @@ def _verify_uq_relations(module: UqModule) -> None:
 def uq_forbidden_set(field: Field, d: int, q) -> list:
     """The payloads q^(d-1), q^(d-3), ..., q^(1-d)."""
     q = field.coerce(q)
-    return [_signed_power(field, q, d - 1 - 2 * t) for t in range(d)]
+    return [field.pow(q, d - 1 - 2 * t) for t in range(d)]
 
 
 def uq_pair(
@@ -502,7 +496,7 @@ def _sqrt_q_setup(q: int):
     return field, field.from_parts(0, p ** ((k - 1) // 2))
 
 
-def build_lattice(n: int, q: int, *, max_subspaces: int = MAX_LATTICE_SUBSPACES) -> SubspaceLattice:
+def build_lattice(n: int, q: int) -> SubspaceLattice:
     """Enumerate the subspace lattice of GF(q)^n and build K, R, L.
 
     K scales a grade-k vertex by sqrt(q)^(n-2k); R sends a vertex to the
@@ -517,10 +511,10 @@ def build_lattice(n: int, q: int, *, max_subspaces: int = MAX_LATTICE_SUBSPACES)
         raise GeneratorError(f"the lattice construction is guarded at n <= 5; got {n}")
     tiny = _TinyField(q)
     counts = tuple(gaussian_binomial(n, k, q) for k in range(n + 1))
-    if sum(counts) > max_subspaces:
+    if sum(counts) > MAX_LATTICE_SUBSPACES:
         raise LatticeSizeError(
             f"the lattice of GF({q})^{n} has {sum(counts)} subspaces, "
-            f"above the limit of {max_subspaces}"
+            f"above the limit of {MAX_LATTICE_SUBSPACES}"
         )
     grades = tuple(tuple(_rref_subspaces(n, k, tiny)) for k in range(n + 1))
     for k, verts in enumerate(grades):
@@ -551,11 +545,11 @@ def build_lattice(n: int, q: int, *, max_subspaces: int = MAX_LATTICE_SUBSPACES)
     k_rows = [[z] * total for _ in range(total)]
     r_rows = [[z] * total for _ in range(total)]
     l_rows = [[z] * total for _ in range(total)]
-    l_scale = _signed_power(field, sq, 1 - n)
+    l_scale = field.pow(sq, 1 - n)
     for k in range(n + 1):
         for j in range(counts[k]):
             col = offsets[k] + j
-            k_rows[col][col] = _signed_power(field, sq, n - 2 * k)
+            k_rows[col][col] = field.pow(sq, n - 2 * k)
             if k < n:
                 for up in covers[k][j]:
                     r_rows[offsets[k + 1] + up][col] = field.one
@@ -682,7 +676,7 @@ class LatticeDecomposition:
 def lattice_forbidden_set(lat: SubspaceLattice) -> list:
     """The payloads sqrt(q)^(n-1), sqrt(q)^(n-3), ..., sqrt(q)^(1-n)."""
     _, sq = _sqrt_q_setup(lat.q)
-    return [_signed_power(lat.field, sq, lat.n - 1 - 2 * t) for t in range(lat.n)]
+    return [lat.field.pow(sq, lat.n - 1 - 2 * t) for t in range(lat.n)]
 
 
 def lattice_pair(
@@ -720,10 +714,10 @@ def lattice_pair(
     z = field.zero
     rows_a = [[z] * total for _ in range(total)]
     rows_s = [[z] * total for _ in range(total)]
-    super_pay = field.mul(beta, _signed_power(field, sq, 1 - n))
+    super_pay = field.mul(beta, field.pow(sq, 1 - n))
     for k in range(n + 1):
-        diag = field.mul(_signed_power(field, sq, n - 2 * k), den)
-        diag_s = field.mul(_signed_power(field, sq, 2 * k - n), den)
+        diag = field.mul(field.pow(sq, n - 2 * k), den)
+        diag_s = field.mul(field.pow(sq, 2 * k - n), den)
         for j in range(counts[k]):
             col = lat.offsets[k] + j
             rows_a[col][col] = diag
@@ -735,7 +729,7 @@ def lattice_pair(
     big_a = ExactMatrix._raw(field, rows_a)
     big_s = ExactMatrix._raw(field, rows_s)
     q_rat = Rationals()
-    l_scale = _signed_power(field, sq, 1 - n)
+    l_scale = field.pow(sq, 1 - n)
     components = []
     for k in range(n // 2 + 1):
         d_comp = n - 2 * k
@@ -788,16 +782,9 @@ def lattice_pair(
     return big_a, big_s, decomposition
 
 
-def lattice_decomposition(
-    n: int,
-    q: int,
-    *,
-    alpha=1,
-    beta=None,
-    max_subspaces: int = MAX_LATTICE_SUBSPACES,
-) -> LatticeDecomposition:
+def lattice_decomposition(n: int, q: int, *, alpha=1, beta=None) -> LatticeDecomposition:
     """Build the lattice and return just the decomposition."""
-    lat = build_lattice(n, q, max_subspaces=max_subspaces)
+    lat = build_lattice(n, q)
     return lattice_pair(lat, alpha, beta)[2]
 
 
@@ -848,7 +835,7 @@ def _component_pair(field, sq, den, l_scale, alpha, beta, k, idx, d_comp, c_raw,
     rows_a = [[z] * m for _ in range(m)]
     rows_s = [[z] * m for _ in range(m)]
     for j in range(m):
-        weight = _signed_power(field, sq, n - 2 * (k + j))
+        weight = field.pow(sq, n - 2 * (k + j))
         rows_a[j][j] = field.mul(weight, den)
         rows_s[j][j] = field.mul(field.inv(weight), den)
         if j + 1 < m:
@@ -866,11 +853,14 @@ def _component_pair(field, sq, den, l_scale, alpha, beta, k, idx, d_comp, c_raw,
     )
 
 
-def random_parameter_array(field: Field, d: int, rng, max_tries: int = 500) -> ParameterArray:
+RANDOM_ARRAY_DRAWS = 500
+
+
+def random_parameter_array(field: Field, d: int, rng) -> ParameterArray:
     """A valid parameter array drawn from the direct construction: shared
     three-term ratio for the eigenvalue sequences, free phi_1, rejection on
     the nonvanishing axiom."""
-    for _ in range(max_tries):
+    for _ in range(RANDOM_ARRAY_DRAWS):
         if d <= 2:
             theta = _distinct(field, rng, d + 1)
             theta_star = _distinct(field, rng, d + 1)
@@ -888,7 +878,7 @@ def random_parameter_array(field: Field, d: int, rng, max_tries: int = 500) -> P
             return candidate
     raise GeneratorError(
         f"no valid parameter array of diameter {d} over {field.name} "
-        f"after {max_tries} draws"
+        f"after {RANDOM_ARRAY_DRAWS} draws"
     )
 
 

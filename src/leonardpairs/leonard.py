@@ -27,9 +27,11 @@ from .errors import (
     FieldMismatchError,
     InternalCheckError,
 )
-from .field import Field, FieldElement, field_to_dict
-from ._backend import BACKEND
+from .field import BACKEND, Field, FieldElement, field_to_dict
 from .matrix import (
+    SHAPE_DIAGONAL,
+    SHAPE_LOWER_BIDIAGONAL,
+    SHAPE_UPPER_BIDIAGONAL,
     ExactMatrix,
     EigenData,
     _is_invertible,
@@ -37,6 +39,7 @@ from .matrix import (
     is_irreducible_tridiagonal,
     is_multiplicity_free,
     is_tridiagonal,
+    shape,
 )
 from .parray import (
     ParameterArray,
@@ -378,20 +381,13 @@ def system_from_bidiagonal_pair(a: ExactMatrix, a_star: ExactMatrix) -> LeonardS
     A must be lower bidiagonal and A* upper bidiagonal; their diagonals
     are taken as theta and theta* in the given order.
     """
-    field = _structural_check(a, a_star)
-    n = a.n
-    for i in range(n):
-        for j in range(n):
-            if j > i and not field.is_zero(a.entry(i, j)):
-                raise ValueError("A is not lower bidiagonal")
-            if j > i + 1 and not field.is_zero(a.entry(j, i)):
-                raise ValueError("A is not lower bidiagonal")
-            if j < i and not field.is_zero(a_star.entry(i, j)):
-                raise ValueError("A* is not upper bidiagonal")
-            if j > i + 1 and not field.is_zero(a_star.entry(i, j)):
-                raise ValueError("A* is not upper bidiagonal")
-    theta = [a.entry(i, i) for i in range(n)]
-    theta_star = [a_star.entry(i, i) for i in range(n)]
+    _structural_check(a, a_star)
+    if shape(a) not in (SHAPE_DIAGONAL, SHAPE_LOWER_BIDIAGONAL):
+        raise ValueError("A is not lower bidiagonal")
+    if shape(a_star) not in (SHAPE_DIAGONAL, SHAPE_UPPER_BIDIAGONAL):
+        raise ValueError("A* is not upper bidiagonal")
+    theta = [a.entry(i, i) for i in range(a.n)]
+    theta_star = [a_star.entry(i, i) for i in range(a.n)]
     return system_from_pair_with_orderings(a, a_star, theta, theta_star)
 
 

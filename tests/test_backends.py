@@ -1,27 +1,21 @@
-"""The fractions fallback must agree with the compiled core byte for byte.
+"""Rational arithmetic over Q is pinned byte for byte.
 
-The backend is chosen at import time from LEONARDPAIRS_BACKEND, so the
-pure-Python path runs in a subprocess.  The probe exercises the layers
-that actually stress rational arithmetic: recognition, extraction,
-validation, the Askey-Wilson fit, and a lattice decomposition.  The
-fractions output is also pinned byte for byte to a golden file, so it
-stays checked where gmpy2 is not installed.
+Every payload over Q and Q(sqrt m) is a ``fractions.Fraction``.  The probe
+runs in a fresh interpreter and exercises the layers that stress rational
+arithmetic: recognition, extraction, validation, the Askey-Wilson fit, and
+a lattice decomposition.  Its output is compared with a golden file.
 """
 
-import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 GOLDEN_PROBE = Path(__file__).parent / "data" / "fractions_probe.json"
 
 PROBE = r"""
 import json
-from leonardpairs._backend import BACKEND
+from leonardpairs import BACKEND
 from leonardpairs.field import Rationals
 from leonardpairs.generators import (
     build_lattice, example2, lattice_pair, sl2_pair, uq_pair,
@@ -60,50 +54,21 @@ print(json.dumps(out, indent=2, sort_keys=True))
 """
 
 
-def _probe(backend: str) -> tuple[str, str]:
-    env = dict(os.environ, LEONARDPAIRS_BACKEND=backend)
+def _probe() -> str:
     proc = subprocess.run(
         [sys.executable, "-c", PROBE],
         capture_output=True,
         text=True,
-        env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout, proc.stderr
-
-
-@pytest.mark.skipif(
-    importlib.util.find_spec("gmpy2") is None,
-    reason="gmpy2 is not installed, so the gmp backend cannot be loaded",
-)
-def test_fractions_backend_matches_gmp():
-    gmp_out, _ = _probe("gmp")
-    frac_out, _ = _probe("fractions")
-    gmp = json.loads(gmp_out)
-    frac = json.loads(frac_out)
-    assert gmp.pop("backend") == "gmp"
-    assert frac.pop("backend") == "fractions"
-    assert gmp == frac
+    return proc.stdout
 
 
 def test_fractions_probe_matches_golden():
-    out, _ = _probe("fractions")
-    assert out == GOLDEN_PROBE.read_text(encoding="utf-8")
+    assert _probe() == GOLDEN_PROBE.read_text(encoding="utf-8")
 
 
-def test_unknown_backend_is_an_import_error():
-    env = dict(os.environ, LEONARDPAIRS_BACKEND="decimal")
-    proc = subprocess.run(
-        [sys.executable, "-c", "import leonardpairs"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode != 0
-    assert "LEONARDPAIRS_BACKEND" in proc.stderr
-
-
-def test_cli_reports_forced_backend(tmp_path):
+def test_cli_reports_fractions_backend(tmp_path):
     pair = tmp_path / "pair.json"
     gen = subprocess.run(
         [sys.executable, "-m", "leonardpairs", "gen", "--source", "sl2", "--d", "2"],
@@ -112,7 +77,6 @@ def test_cli_reports_forced_backend(tmp_path):
     )
     assert gen.returncode == 0, gen.stderr
     pair.write_text(gen.stdout)
-    env = dict(os.environ, LEONARDPAIRS_BACKEND="fractions")
     proc = subprocess.run(
         [
             sys.executable, "-m", "leonardpairs",
@@ -120,7 +84,6 @@ def test_cli_reports_forced_backend(tmp_path):
         ],
         capture_output=True,
         text=True,
-        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)

@@ -157,9 +157,24 @@ def test_field_flag_forms():
     assert cli.parse_field_flag("GF(7)").name == "GF(7)"
     assert cli.parse_field_flag("Q(sqrt 2)").name == "Q(sqrt 2)"
     assert cli.parse_field_flag("Q(sqrt -1)").name == "Q(sqrt -1)"
-    for bad in ("R", "GF(4)", "Q(sqrt 0)", "gf(5)"):
+    assert cli.parse_field_flag("Q(sqrt-1)").name == "Q(sqrt -1)"
+    for bad in ("", "R", "GF(4)", "GF(6)", "Q(sqrt 0)", "Q(sqrt 4)", "Q(sqrt)", "gf(5)"):
         with pytest.raises(Exception):
             cli.parse_field_flag(bad)
+
+
+@pytest.mark.parametrize("form", ["GF({})", "Q(sqrt {})"], ids=["prime", "quadratic"])
+def test_field_flag_past_int_digit_limit_is_one_error_line(tmp_path, form):
+    field = form.format("1" * 5000)
+    pair = gen_file(tmp_path, "sl2.json", "--source", "sl2", "--d", "2")
+    for argv in (
+        ("gen", "--source", "sl2", "--d", "2", "--field", field),
+        ("verify", "--pair", pair, "--field", field),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_field_override_changes_verdict(tmp_path):

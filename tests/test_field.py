@@ -24,7 +24,6 @@ from leonardpairs.field import (
     Rationals,
     field_from_dict,
     field_to_dict,
-    parse_field_name,
     roots_in_field,
     squarefree_part,
     verify_root_multiset,
@@ -39,7 +38,7 @@ AXIOM_SAMPLES = 10_000
 
 
 def test_backend_selected():
-    assert BACKEND in ("gmp", "fractions")
+    assert BACKEND == "fractions"
 
 
 def _axiom_battery(field, rng, samples):
@@ -389,15 +388,6 @@ def test_verify_root_multiset():
 def test_field_dicts_and_names():
     for field in (Q, F13, K2, KI):
         assert field_from_dict(field_to_dict(field)) == field
-    assert parse_field_name("Q") == Q
-    assert parse_field_name("rationals") == Q
-    assert parse_field_name("GF(13)") == F13
-    assert parse_field_name("gf( 13 )") == F13
-    assert parse_field_name("Q(sqrt 2)") == K2
-    assert parse_field_name("Q(sqrt-1)") == KI
-    for bad in ("", "R", "GF(6)", "Q(sqrt 4)", "Q(sqrt)"):
-        with pytest.raises((ParseError, FieldConstructionError)):
-            parse_field_name(bad)
     with pytest.raises(ParseError):
         field_from_dict({"kind": "octonions"})
     with pytest.raises(ParseError):

@@ -520,7 +520,7 @@ def test_lattice_guards():
     with pytest.raises(LatticeSizeError):
         build_lattice(5, 4)
     with pytest.raises(LatticeSizeError):
-        lattice_decomposition(4, 2, max_subspaces=50)
+        lattice_decomposition(5, 4)
     with pytest.raises(GeneratorError):
         lattice_pair(build_lattice(2, 2), 0, 1)
 
@@ -543,7 +543,7 @@ def test_random_parameter_array_is_seed_deterministic():
 
 def test_random_parameter_array_exhaustion():
     with pytest.raises(GeneratorError, match="no valid parameter array"):
-        random_parameter_array(PrimeField(2), 2, random.Random(0), max_tries=40)
+        random_parameter_array(PrimeField(2), 2, random.Random(0))
 
 
 @pytest.mark.parametrize("kind", NONEXAMPLE_KINDS)

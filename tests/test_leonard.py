@@ -362,6 +362,10 @@ def test_bidiagonal_roundtrip_exact():
         a, a_star = fixture_pair()
         system_from_bidiagonal_pair(a, a_star)
 
+    with pytest.raises(ValueError, match="upper bidiagonal"):
+        a, _ = construct_bidiagonal(pa)
+        system_from_bidiagonal_pair(a, a)
+
 
 def test_tridiagonal_roundtrip_exact():
     pa = fixture_array()
