@@ -49,16 +49,15 @@ from .leonard import (
 from .matrix import ExactMatrix, matrix_from_dict, matrix_to_dict
 from .parray import (
     ParameterArray,
-    check_poly_characterization,
     construct_bidiagonal,
     construct_tridiagonal,
+    duals_proportional,
     find_g_matrix,
     fingerprint,
     fingerprint_to_dict,
     parameter_array_from_dict,
     parameter_array_to_dict,
-    poly_u,
-    poly_u_dual,
+    poly_u_sequences,
     validate,
     validity_report_to_dict,
 )
@@ -337,9 +336,8 @@ def _cmd_polys(args):
         payload = {"computable": False, "validity": validity_report_to_dict(report)}
         return payload, True
     ser = pa.field.serialize
-    us = [poly_u(pa, i) for i in range(pa.d + 1)]
-    duals = [poly_u_dual(pa, i) for i in range(pa.d + 1)]
-    agrees = check_poly_characterization(pa)
+    us, duals = poly_u_sequences(pa)
+    agrees = duals_proportional(us, duals)
     payload = {
         "d": pa.d,
         "field": field_to_dict(pa.field),

@@ -523,32 +523,19 @@ def fit_askey_wilson(a: ExactMatrix, a_star: ExactMatrix) -> AskeyWilsonFit:
       A*^2 A - beta A* A A* + A A*^2 - gamma* (A* A + A A*) - rho* A
         - gamma A*^2 - omega A* - eta* I = 0
     Each matrix entry of each relation contributes one linear equation.
+    The products are formed once, for the equations and for the residual
+    certificate alike.
     """
     field = _structural_check(a, a_star)
     n = a.n
-    aa = a @ a
-    ss = a_star @ a_star
-    as_ = a @ a_star
-    sa = a_star @ a
-    asa = as_ @ a
-    sas = sa @ a_star
-    anti = as_ + sa
-    ident = ExactMatrix.identity(field, n)
-    zero = ExactMatrix.zeros(field, n)
-
-    rhs1 = (aa @ a_star + a_star @ aa).scale(field.neg(field.one))
-    rhs2 = (ss @ a + a @ ss).scale(field.neg(field.one))
-
-    columns1 = (asa, anti, aa, a_star, zero, a, ident, zero)
-    columns2 = (sas, ss, anti, zero, a, a_star, zero, ident)
-
+    relations = _askey_wilson_relations(a, a_star)
     rows = []
     rhs = []
-    for mats, target in ((columns1, rhs1), (columns2, rhs2)):
+    for mats, target in relations:
         for i in range(n):
             for j in range(n):
                 rows.append([field.neg(m.entry(i, j)) for m in mats])
-                rhs.append(target.entry(i, j))
+                rhs.append(field.neg(target.entry(i, j)))
 
     solution = _solve_grid(field, rows, rhs)
     if solution is None:
@@ -557,11 +544,9 @@ def fit_askey_wilson(a: ExactMatrix, a_star: ExactMatrix) -> AskeyWilsonFit:
     coeffs = {
         name: FieldElement(field, v) for name, v in zip(AW_COEFFICIENT_NAMES, values)
     }
-    fit = AskeyWilsonFit(True, nullity == 0, nullity, coeffs)
-    res1, res2 = askey_wilson_residuals(a, a_star, fit)
-    if not (res1.is_zero and res2.is_zero):
+    if not all(_residual(mats, target, values).is_zero for mats, target in relations):
         raise InternalCheckError("Askey-Wilson fit does not satisfy the relations")
-    return fit
+    return AskeyWilsonFit(True, nullity == 0, nullity, coeffs)
 
 
 def askey_wilson_residuals(
@@ -570,37 +555,45 @@ def askey_wilson_residuals(
     """The two relation left-hand sides under the given coefficients."""
     if fit.coefficients is None:
         raise ValueError("fit carries no coefficients")
-    field = a.field
-    c = {k: v.payload for k, v in fit.coefficients.items()}
-    n = a.n
-    ident = ExactMatrix.identity(field, n)
+    values = [fit.coefficients[name].payload for name in AW_COEFFICIENT_NAMES]
+    res1, res2 = (
+        _residual(mats, target, values)
+        for mats, target in _askey_wilson_relations(a, a_star)
+    )
+    return res1, res2
+
+
+def _askey_wilson_relations(a: ExactMatrix, a_star: ExactMatrix) -> tuple:
+    """Each relation as (matrices, target): the matrix that each coefficient
+    of AW_COEFFICIENT_NAMES multiplies, and the coefficient-free part
+    A^2 A* + A* A^2 or A*^2 A + A A*^2.  The relation is target = sum of
+    coefficient * matrix."""
+    field, n = a.field, a.n
     aa = a @ a
     ss = a_star @ a_star
     as_ = a @ a_star
     sa = a_star @ a
     anti = as_ + sa
-    neg = field.neg
-    res1 = (
-        aa @ a_star
-        + a_star @ aa
-        + (as_ @ a).scale(neg(c["beta"]))
-        + anti.scale(neg(c["gamma"]))
-        + a_star.scale(neg(c["rho"]))
-        + aa.scale(neg(c["gamma_star"]))
-        + a.scale(neg(c["omega"]))
-        + ident.scale(neg(c["eta"]))
+    ident = ExactMatrix.identity(field, n)
+    zero = ExactMatrix.zeros(field, n)
+    return (
+        ((as_ @ a, anti, aa, a_star, zero, a, ident, zero), aa @ a_star + a_star @ aa),
+        ((sa @ a_star, ss, anti, zero, a, a_star, zero, ident), ss @ a + a @ ss),
     )
-    res2 = (
-        ss @ a
-        + a @ ss
-        + (sa @ a_star).scale(neg(c["beta"]))
-        + anti.scale(neg(c["gamma_star"]))
-        + a.scale(neg(c["rho_star"]))
-        + ss.scale(neg(c["gamma"]))
-        + a_star.scale(neg(c["omega"]))
-        + ident.scale(neg(c["eta_star"]))
-    )
-    return res1, res2
+
+
+def _residual(mats, target: ExactMatrix, values) -> ExactMatrix:
+    """target minus the sum of value * matrix, skipping zero terms."""
+    f = target.field
+    rows = [list(row) for row in target.rows]
+    for m, c in zip(mats, values, strict=True):
+        if f.is_zero(c):
+            continue
+        for row, mrow in zip(rows, m.rows):
+            for j, v in enumerate(mrow):
+                if not f.is_zero(v):
+                    row[j] = f.sub(row[j], f.mul(c, v))
+    return ExactMatrix._raw(f, rows)
 
 
 def _root_of_unity_betas(field: Field) -> "set | None":

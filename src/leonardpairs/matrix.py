@@ -16,7 +16,6 @@ of the inverse eigenvector matrix, built only when asked for.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -733,35 +732,6 @@ def joint_intertwiner_basis(pairs) -> list[ExactMatrix]:
         ExactMatrix._raw(field, [vec[i * n : (i + 1) * n] for i in range(n)])
         for vec in basis
     ]
-
-
-PENCIL_CAP = 4096
-
-
-def invertible_in_span(basis) -> tuple["ExactMatrix | None", bool]:
-    """Deterministic search for an invertible element of a matrix span.
-
-    Tries the basis itself first, then 0/1 combinations in lexicographic
-    subset order, giving up after PENCIL_CAP combinations.  The second
-    component is True when the search ended without certifying either
-    existence or absence.
-    """
-    basis = list(basis)
-    for mat in basis:
-        if _is_invertible(mat):
-            return mat, False
-    tried = 0
-    for size in range(2, len(basis) + 1):
-        for combo in itertools.combinations(range(len(basis)), size):
-            tried += 1
-            if tried > PENCIL_CAP:
-                return None, True
-            acc = basis[combo[0]]
-            for idx in combo[1:]:
-                acc = acc + basis[idx]
-            if _is_invertible(acc):
-                return acc, False
-    return None, bool(basis)
 
 
 def matrix_to_dict(matrix: ExactMatrix) -> dict:

@@ -39,12 +39,7 @@ from .field import (
     roots_in_field,
     squarefree_part,
 )
-from .matrix import (
-    ExactMatrix,
-    _nullspace_grid,
-    _rref,
-    invertible_in_span,
-)
+from .matrix import ExactMatrix
 
 FAMILY_CLASSICAL = "classical"
 FAMILY_BANNAI_ITO = "bannai-ito"
@@ -487,7 +482,7 @@ def reversal_intertwiner_systems(
 
 
 def find_g_matrix(pa: ParameterArray) -> GMatrixResult:
-    """Search for invertible G with B1 G = G B2 and C1 G = G C2.
+    """Find the invertible G with B1 G = G B2 and C1 G = G C2.
 
     B1, B2 are the lower-bidiagonal matrices with diagonals theta and
     reversed theta (subdiagonals 1); C1, C2 are upper bidiagonal with
@@ -495,68 +490,51 @@ def find_g_matrix(pa: ParameterArray) -> GMatrixResult:
     exists precisely when PA3-PA5 hold (given PA1 and PA2, which are
     required here).
 
-    The first column of G determines the rest: column recurrence
-    g_{j+1} = (B1 - theta_{d-j} I) g_j, with the tail constraint
-    (B1 - theta_0 I) g_d = 0 and the C-side constraints expressed through
-    the same column maps.  The solver therefore works in d+1 unknowns.
-    Candidate selection is deterministic: reduced basis of the solution
-    space, earliest leading coordinate first, then 0/1 combinations capped
-    at 4096 with the exhaustion flag raised if the cap is hit.
+    Column j of the two identities reads
+      B1 g_j = theta_{d-j} g_j + g_{j+1}    (g_{d+1} = 0)
+      C1 g_j = theta*_j g_j + phi_j g_{j-1}  (g_{-1} = 0).
+    At j = 0 the second puts g_0 in the kernel of C1 - theta*_0 I, which is
+    upper bidiagonal with diagonal (0, theta*_1 - theta*_0, ...), nonzero
+    after its first entry by PA1, and superdiagonal varphi, nonzero by
+    PA2: that kernel is span(e_0).  So the solutions form a space of
+    dimension 0 or 1, and g_0 = e_0 decides which.  The first identity
+    builds g_{j+1} = (B1 - theta_{d-j} I) g_j; its last column holds on
+    its own, since (B1 - theta_0 I) g_d = prod_k (B1 - theta_k I) e_0 = 0
+    by Cayley-Hamilton.  So a solution exists exactly when every C-side
+    column holds.  Each step is banded, so the search costs O(d^2) field
+    operations.  g_j ends in a 1 in row j, so G is upper unitriangular,
+    hence invertible; multiplying out both identities certifies it.
     """
     _require_pa12(pa, "find_g_matrix")
     f = pa.field
     d = pa.d
-    n = d + 1
-    b1, _, c1, _ = reversal_intertwiner_systems(pa)
-
-    mats = [ExactMatrix.identity(f, n)]
+    theta, theta_star = pa.theta, pa.theta_star
+    cols = [[f.one]]
     for j in range(d):
-        step = b1.add_scalar_diagonal(f.neg(pa.theta[d - j]))
-        mats.append(step @ mats[-1])
-
-    rows: list[list] = []
-    tail = b1.add_scalar_diagonal(f.neg(pa.theta[0])) @ mats[d]
-    rows.extend(list(r) for r in tail.rows)
-    for j in range(n):
-        lhs = c1 @ mats[j]
-        lhs = lhs + mats[j].scale(f.neg(pa.theta_star[j]))
-        if j >= 1:
-            lhs = lhs + mats[j - 1].scale(f.neg(pa.phi[j - 1]))
-        rows.extend(list(r) for r in lhs.rows)
-
-    kernel = _nullspace_grid(f, rows)
-    dim = len(kernel)
-    if dim == 0:
-        return GMatrixResult(False, None, 0, False)
-
-    candidates = []
-    for g0 in kernel:
-        cols = [[f.zero] * n for _ in range(n)]
-        for j in range(n):
-            mj = mats[j]
-            for r in range(n):
-                acc = f.zero
-                row = mj.rows[r]
-                for k in range(n):
-                    acc = f.add(acc, f.mul(row[k], g0[k]))
-                cols[j][r] = acc
-        candidates.append(
-            ExactMatrix._raw(f, [[cols[j][r] for j in range(n)] for r in range(n)])
-        )
-
-    # canonical basis of the G-span: reduce the row-major vectorizations
-    vecs = [[v for row in g.rows for v in row] for g in candidates]
-    rref, pivots = _rref(f, vecs)
-    basis = [
-        ExactMatrix._raw(f, [vec[i * n : (i + 1) * n] for i in range(n)])
-        for vec in rref[: len(pivots)]
-    ]
-    g, exhausted = invertible_in_span(basis)
-    if g is None:
-        return GMatrixResult(False, None, dim, exhausted)
-
+        # (B1 - theta_{d-j} I) g_j reaches one row below g_j's last
+        col, shift = cols[j], theta[d - j]
+        nxt = [f.mul(f.sub(theta[i], shift), v) for i, v in enumerate(col)]
+        for i in range(1, j + 1):
+            nxt[i] = f.add(nxt[i], col[i - 1])
+        nxt.append(col[j])
+        cols.append(nxt)
+    for j in range(1, d + 1):
+        col, prev = cols[j], cols[j - 1]
+        # row j holds on its own: both sides read theta*_j there
+        for i in range(j):
+            lhs = f.add(
+                f.mul(f.sub(theta_star[i], theta_star[j]), col[i]),
+                f.mul(pa.varphi[i], col[i + 1]),
+            )
+            if lhs != f.mul(pa.phi[j - 1], prev[i]):
+                return GMatrixResult(False, None, 0, False)
+    z = f.zero
+    n = d + 1
+    g = ExactMatrix._raw(
+        f, [[cols[j][r] if r <= j else z for j in range(n)] for r in range(n)]
+    )
     _check_intertwines(pa, g)
-    return GMatrixResult(True, g, dim, False)
+    return GMatrixResult(True, g, 1, False)
 
 
 def _check_intertwines(pa: ParameterArray, g: ExactMatrix) -> None:
@@ -572,51 +550,82 @@ def poly_u(pa: ParameterArray, i: int) -> ExactPolynomial:
     Normalized so that u_i(theta_0) = 1 (only the n = 0 term survives
     there).  Requires PA1 and PA2.
     """
-    return _poly_u_generic(pa, i, pa.theta, pa.varphi)
+    _check_index(pa, i)
+    _require_pa12(pa, "poly_u")
+    return _u_sequence(pa, pa.theta, pa.varphi)[i]
 
 
 def poly_u_dual(pa: ParameterArray, i: int) -> ExactPolynomial:
     """The mirror of poly_u: theta reversed and phi in place of varphi."""
-    return _poly_u_generic(pa, i, tuple(reversed(pa.theta)), pa.phi)
+    _check_index(pa, i)
+    _require_pa12(pa, "poly_u")
+    return _u_sequence(pa, tuple(reversed(pa.theta)), pa.phi)[i]
 
 
-def _poly_u_generic(pa: ParameterArray, i: int, theta, denoms) -> ExactPolynomial:
+def _check_index(pa: ParameterArray, i: int) -> None:
     if not 0 <= i <= pa.d:
         raise ValueError(f"index {i} outside 0..{pa.d}")
+
+
+def poly_u_sequences(
+    pa: ParameterArray,
+) -> tuple[tuple[ExactPolynomial, ...], tuple[ExactPolynomial, ...]]:
+    """(u_0, ..., u_d) and their duals, from one PA1/PA2 check.
+
+    Every u_i combines the same running products prod_{h<n}(x - theta_h),
+    so each sequence builds them once: O(d^3) field operations in all.
+    """
     _require_pa12(pa, "poly_u")
+    return (
+        _u_sequence(pa, pa.theta, pa.varphi),
+        _u_sequence(pa, tuple(reversed(pa.theta)), pa.phi),
+    )
+
+
+def _u_sequence(pa: ParameterArray, theta, denoms) -> tuple[ExactPolynomial, ...]:
     f = pa.field
-    acc = ExactPolynomial(f, [f.one])
-    running = ExactPolynomial(f, [f.one])
-    coeff = f.one
-    for n in range(1, i + 1):
-        running = running * ExactPolynomial(f, [f.neg(theta[n - 1]), f.one])
-        coeff = f.mul(
-            coeff,
-            f.div(
-                f.sub(pa.theta_star[i], pa.theta_star[n - 1]), denoms[n - 1]
-            ),
-        )
-        acc = acc + running.scale(coeff)
-    return acc
+    ts = pa.theta_star
+    running = [[f.one]]
+    for t in theta[: pa.d]:
+        prev = running[-1]
+        nt = f.neg(t)
+        nxt = [f.mul(nt, prev[0])]
+        for k in range(1, len(prev)):
+            nxt.append(f.add(prev[k - 1], f.mul(nt, prev[k])))
+        nxt.append(f.one)
+        running.append(nxt)
+    out = []
+    for i in range(pa.d + 1):
+        acc = [f.one] + [f.zero] * i
+        coeff = f.one
+        for n in range(1, i + 1):
+            coeff = f.mul(coeff, f.div(f.sub(ts[i], ts[n - 1]), denoms[n - 1]))
+            for k, c in enumerate(running[n]):
+                acc[k] = f.add(acc[k], f.mul(coeff, c))
+        out.append(ExactPolynomial._raw(f, acc))
+    return tuple(out)
+
+
+def duals_proportional(us, duals) -> bool:
+    """Whether each polynomial of us is a scalar multiple of its dual.
+
+    The scalar is fixed from the leading coefficients, so the comparison
+    is exact.
+    """
+    for u, v in zip(us, duals, strict=True):
+        if u.degree != v.degree:
+            return False
+        if u != v.scale(u.field.div(u.coeffs[-1], v.coeffs[-1])):
+            return False
+    return True
 
 
 def check_poly_characterization(pa: ParameterArray) -> bool:
     """Whether every u_i is a scalar multiple of its dual.
 
-    Given PA1 and PA2, this holds exactly when PA3-PA5 do.  The scalar is
-    fixed from the leading coefficients, so the comparison is exact.
+    Given PA1 and PA2, this holds exactly when PA3-PA5 do.
     """
-    _require_pa12(pa, "check_poly_characterization")
-    f = pa.field
-    for i in range(pa.d + 1):
-        u = poly_u(pa, i)
-        v = poly_u_dual(pa, i)
-        if u.degree != v.degree:
-            return False
-        scalar = f.div(u.coeffs[-1], v.coeffs[-1])
-        if u != v.scale(scalar):
-            return False
-    return True
+    return duals_proportional(*poly_u_sequences(pa))
 
 
 @dataclass(frozen=True)
@@ -785,6 +794,7 @@ __all__ = [
     "classify_beta",
     "construct_bidiagonal",
     "construct_tridiagonal",
+    "duals_proportional",
     "find_g_matrix",
     "fingerprint",
     "pa3_rhs",
@@ -793,6 +803,7 @@ __all__ = [
     "parameter_array_to_dict",
     "poly_u",
     "poly_u_dual",
+    "poly_u_sequences",
     "reversal_intertwiner_systems",
     "tridiagonal_products",
     "validate",

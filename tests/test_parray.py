@@ -6,6 +6,7 @@ hand: the split products (3, 4, 3), the change-of-basis S to split form,
 and the u_i(theta_j) table matching the eigenvector matrix P columnwise.
 """
 
+import itertools
 import random
 
 import pytest
@@ -256,6 +257,126 @@ def test_find_g_matrix_rejects_broken_arrays():
 
     with pytest.raises(InvalidParameterArrayError):
         find_g_matrix(ParameterArray(Q, (3, 1, 3, -3), THETA, VARPHI, PHI))
+
+
+def _with(pa, **changes) -> ParameterArray:
+    parts = {
+        "theta": pa.theta,
+        "theta_star": pa.theta_star,
+        "varphi": pa.varphi,
+        "phi": pa.phi,
+    }
+    parts.update(changes)
+    return ParameterArray(pa.field, **parts)
+
+
+def _fresh_nonzero(field, rng, avoid):
+    while True:
+        v = field.random_element(rng).payload
+        if v not in avoid and not field.is_zero(v):
+            return v
+
+
+def _broken_variants(pa, rng):
+    """PA1/PA2 arrays next to a valid one that break PA3, PA4 or PA5."""
+    f, d = pa.field, pa.d
+    out = []
+    if d >= 1:
+        i = rng.randrange(d)
+        varphi = list(pa.varphi)
+        varphi[i] = _fresh_nonzero(f, rng, [varphi[i]])
+        out.append(_with(pa, varphi=varphi))
+    if d >= 2:
+        phi = list(pa.phi)
+        phi[-1] = _fresh_nonzero(f, rng, [phi[-1]])
+        out.append(_with(pa, phi=phi))
+    if d >= 3:
+        # PA3 and PA4 rebuilt around a theta that leaves the recurrence
+        theta = list(pa.theta)
+        theta[-1] = _fresh_nonzero(f, rng, theta)
+        broken = array_from_eigen_data(f, theta, pa.theta_star, pa.phi[0])
+        if broken is not None:
+            out.append(broken)
+    return out
+
+
+def _all_pa12_arrays(field, d):
+    """Every array of diameter d over a small prime field that passes PA1
+    and PA2."""
+    values = range(field.characteristic())
+    nonzero = range(1, field.characteristic())
+    for theta in itertools.permutations(values, d + 1):
+        for theta_star in itertools.permutations(values, d + 1):
+            for varphi in itertools.product(nonzero, repeat=d):
+                for phi in itertools.product(nonzero, repeat=d):
+                    yield ParameterArray(field, theta, theta_star, varphi, phi)
+
+
+def _differential_arrays(field):
+    """Every PA1/PA2 array over GF(2) and GF(3), where PA1 caps the
+    diameter at p - 1; elsewhere seeded valid arrays of diameter 0 to 5,
+    each with its broken variants."""
+    if field.characteristic() in (2, 3):
+        top = field.characteristic() - 1
+        return [pa for d in range(top + 1) for pa in _all_pa12_arrays(field, d)]
+    rng = random.Random(field.name)
+    out = []
+    for d in range(6):
+        pa = random_valid_array(field, rng, d)
+        out.append(pa)
+        out.extend(_broken_variants(pa, rng))
+    return out
+
+
+@pytest.mark.parametrize(
+    "field",
+    [Q, PrimeField(2), PrimeField(3), PrimeField(101), QuadraticExtension(5)],
+    ids=str,
+)
+def test_cross_checks_agree_with_dense_solve_and_axioms(field):
+    arrays = _differential_arrays(field)
+    failing = set()
+    for pa in arrays:
+        report = validate(pa)
+        assert report.axiom("PA1").passed and report.axiom("PA2").passed, pa
+        failing.update(report.failing())
+
+        result = find_g_matrix(pa)
+        b1, b2, c1, c2 = reversal_intertwiner_systems(pa)
+        dense = joint_intertwiner_basis([(b1, b2), (c1, c2)])
+        assert result.solution_dimension == len(dense), pa
+        assert result.found is report.valid, pa
+        assert not result.pencil_exhausted
+        if result.found:
+            # normalised the same way, so G is the dense solve's basis
+            assert dense == [result.g], pa
+            rows = result.g.rows
+            assert all(rows[r][r] == field.one for r in range(pa.d + 1)), pa
+            assert all(
+                field.is_zero(rows[r][c]) for r in range(pa.d + 1) for c in range(r)
+            ), pa
+        else:
+            assert result.g is None
+
+        assert check_poly_characterization(pa) is report.valid, pa
+    # the corpus reaches each failure it is meant to test; PA5 needs d >= 3
+    expected = {"PA3", "PA4"} | ({"PA5"} if max(pa.d for pa in arrays) >= 3 else set())
+    assert expected <= failing, failing
+
+
+def test_find_g_matrix_costs_quadratic_field_multiplications(counting_field):
+    # dense column products and the n^2 + n by n kernel elimination took
+    # 7.4x the multiplications from n = 12 to n = 24, near the cubic 8;
+    # the banded column steps and checks, and the certificate's products
+    # with a bidiagonal factor, are O(n^2): 3.9x
+    field = counting_field(1009)
+    counts = []
+    for n in (12, 24):
+        pa = random_valid_array(field, random.Random(n), n - 1)
+        field.muls = 0
+        assert find_g_matrix(pa).found
+        counts.append(field.muls)
+    assert counts[1] <= 6 * counts[0], counts
 
 
 def test_poly_u_matches_eigenvector_matrix():
