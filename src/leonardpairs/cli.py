@@ -43,7 +43,7 @@ from .leonard import (
     extract_parameter_array,
     fit_askey_wilson,
     is_leonard_pair,
-    system_from_bidiagonal_pair,
+    system_from_parameter_array,
     verification_report,
 )
 from .matrix import ExactMatrix, matrix_from_dict, matrix_to_dict
@@ -384,8 +384,7 @@ def _cmd_roundtrip(args):
             "validity": validity_report_to_dict(report),
         }
         return payload, True
-    a, a_star = construct_bidiagonal(pa)
-    back = extract_parameter_array(system_from_bidiagonal_pair(a, a_star))
+    back = system_from_parameter_array(pa).parameter_array()
     identical = back == pa
     payload = {
         "valid": True,

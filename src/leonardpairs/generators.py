@@ -40,7 +40,7 @@ from .errors import (
 from .field import Field, QuadraticExtension, Rationals
 from .leonard import is_leonard_pair
 from .matrix import ExactMatrix, _nullspace_grid, inverse, is_multiplicity_free
-from .parray import ParameterArray, pa3_rhs, pa4_rhs, validate
+from .parray import ParameterArray, _split_rhs, validate
 
 EXAMPLE2_NAME = "example2"
 
@@ -539,21 +539,10 @@ def build_lattice(n: int, q: int) -> SubspaceLattice:
     )
 
     field, sq = _sqrt_q_setup(q)
-    total = offsets[-1]
-    z = field.zero
     den = field.inv(field.sub(sq, field.inv(sq)))
-    k_rows = [[z] * total for _ in range(total)]
-    r_rows = [[z] * total for _ in range(total)]
-    l_rows = [[z] * total for _ in range(total)]
-    l_scale = field.pow(sq, 1 - n)
-    for k in range(n + 1):
-        for j in range(counts[k]):
-            col = offsets[k] + j
-            k_rows[col][col] = field.pow(sq, n - 2 * k)
-            if k < n:
-                for up in covers[k][j]:
-                    r_rows[offsets[k + 1] + up][col] = field.one
-                    l_rows[col][offsets[k + 1] + up] = l_scale
+    z = field.zero
+    weights = [field.pow(sq, n - 2 * k) for k in range(n + 1)]
+    zeros = [z] * (n + 1)
     lattice = SubspaceLattice(
         n,
         q,
@@ -561,12 +550,45 @@ def build_lattice(n: int, q: int) -> SubspaceLattice:
         grades,
         tuple(offsets),
         covers,
-        ExactMatrix._raw(field, k_rows),
-        ExactMatrix._raw(field, r_rows),
-        ExactMatrix._raw(field, l_rows),
+        _grade_operator(field, offsets, covers, weights, z, z),
+        _grade_operator(field, offsets, covers, zeros, field.one, z),
+        _grade_operator(field, offsets, covers, zeros, z, field.pow(sq, 1 - n)),
     )
     _verify_lattice_relations(lattice, sq, den)
     return lattice
+
+
+def _grade_operator(field: Field, offsets, covers, diagonal, below, above):
+    """An operator on the vertex coordinates that moves a vertex at most one
+    grade: diagonal[k] on each grade-k vertex, the entry below the diagonal
+    from a vertex to each of its covers, and the one above from each cover
+    back to the vertex.
+
+    Assembled cell by cell so the handful of distinct payloads is shared
+    across the whole grid (the dense operators get large near the guard).
+    """
+    total = offsets[-1]
+    rows = [[field.zero] * total for _ in range(total)]
+    for k, pay in enumerate(diagonal):
+        for j in range(offsets[k + 1] - offsets[k]):
+            col = offsets[k] + j
+            rows[col][col] = pay
+            if k < len(covers):
+                for up in covers[k][j]:
+                    rows[offsets[k + 1] + up][col] = below
+                    rows[col][offsets[k + 1] + up] = above
+    return ExactMatrix._raw(field, rows)
+
+
+def _raise(q_rat, vec, covers_k, size: int) -> list:
+    """R on a grade-k vector: each coefficient added to each cover."""
+    out = [q_rat.zero] * size
+    for col, coeff in enumerate(vec):
+        if q_rat.is_zero(coeff):
+            continue
+        for target in covers_k[col]:
+            out[target] = q_rat.add(out[target], coeff)
+    return out
 
 
 def _sparse_rows(matrix: ExactMatrix) -> list[dict]:
@@ -708,26 +730,12 @@ def lattice_pair(
     _, sq = _sqrt_q_setup(q)
     den = field.inv(field.sub(sq, field.inv(sq)))
     counts = lat.counts
-    # assembled cell by cell so the handful of distinct payloads is shared
-    # across the whole grid (the dense operators get large near the guard)
-    total = lat.total_subspaces
-    z = field.zero
-    rows_a = [[z] * total for _ in range(total)]
-    rows_s = [[z] * total for _ in range(total)]
+    diag = [field.mul(field.pow(sq, n - 2 * k), den) for k in range(n + 1)]
+    diag_s = [field.mul(field.pow(sq, 2 * k - n), den) for k in range(n + 1)]
     super_pay = field.mul(beta, field.pow(sq, 1 - n))
-    for k in range(n + 1):
-        diag = field.mul(field.pow(sq, n - 2 * k), den)
-        diag_s = field.mul(field.pow(sq, 2 * k - n), den)
-        for j in range(counts[k]):
-            col = lat.offsets[k] + j
-            rows_a[col][col] = diag
-            rows_s[col][col] = diag_s
-            if k < n:
-                for up in lat.covers[k][j]:
-                    rows_a[lat.offsets[k + 1] + up][col] = alpha
-                    rows_s[col][lat.offsets[k + 1] + up] = super_pay
-    big_a = ExactMatrix._raw(field, rows_a)
-    big_s = ExactMatrix._raw(field, rows_s)
+    z = field.zero
+    big_a = _grade_operator(field, lat.offsets, lat.covers, diag, alpha, z)
+    big_s = _grade_operator(field, lat.offsets, lat.covers, diag_s, z, super_pay)
     q_rat = Rationals()
     l_scale = field.pow(sq, 1 - n)
     components = []
@@ -748,18 +756,18 @@ def lattice_pair(
             )
         for idx, low in enumerate(kernel):
             chain = [list(low)]
-            for j in range(d_comp):
-                here = k + j
-                nxt = [q_rat.zero] * counts[here + 1]
-                for col, coeff in enumerate(chain[j]):
-                    if q_rat.is_zero(coeff):
-                        continue
-                    for target in lat.covers[here][col]:
-                        nxt[target] = q_rat.add(nxt[target], coeff)
-                if all(q_rat.is_zero(v) for v in nxt):
+            # R walks the chain up; above its top it must vanish, and the
+            # top grade n has no covers to walk
+            for here in range(k, min(k + d_comp + 1, n)):
+                nxt = _raise(q_rat, chain[-1], lat.covers[here], counts[here + 1])
+                nonzero = any(not q_rat.is_zero(v) for v in nxt)
+                if here == k + d_comp:
+                    if nonzero:
+                        raise InternalCheckError("R does not kill the top of the chain")
+                elif not nonzero:
                     raise InternalCheckError("chain ended before its diameter")
-                chain.append(nxt)
-            _check_chain_top(q_rat, chain[-1], lat.covers, k + d_comp, counts, n)
+                else:
+                    chain.append(nxt)
             c_raw = _lowering_coefficients(q_rat, chain, lat.covers, k, counts)
             basis = tuple(
                 _embed(q_rat, vec, k + j, counts) for j, vec in enumerate(chain)
@@ -786,19 +794,6 @@ def lattice_decomposition(n: int, q: int, *, alpha=1, beta=None) -> LatticeDecom
     """Build the lattice and return just the decomposition."""
     lat = build_lattice(n, q)
     return lattice_pair(lat, alpha, beta)[2]
-
-
-def _check_chain_top(q_rat, top, covers, grade, counts, n) -> None:
-    if grade == n:
-        return
-    out = [q_rat.zero] * counts[grade + 1]
-    for col, coeff in enumerate(top):
-        if q_rat.is_zero(coeff):
-            continue
-        for target in covers[grade][col]:
-            out[target] = q_rat.add(out[target], coeff)
-    if any(not q_rat.is_zero(v) for v in out):
-        raise InternalCheckError("R does not kill the top of the chain")
 
 
 def _lowering_coefficients(q_rat, chain, covers, k, counts):
@@ -903,19 +898,15 @@ def _recurrence(field: Field, starts, r, d: int):
 
 
 def _complete_array(field: Field, theta, theta_star, phi1):
-    d = len(theta) - 1
-    probe = ParameterArray(
-        field,
-        theta,
-        theta_star,
-        [field.one] * d,
-        ([phi1] + [field.one] * (d - 1)) if d >= 1 else [],
-    )
-    varphi = [pa3_rhs(probe, i) for i in range(1, d + 1)]
+    """The array with these eigenvalue sequences and phi_1: varphi from the
+    PA3 right-hand sides, then phi from those of PA4.  None when a split
+    value vanishes (PA2)."""
+    theta = [field.coerce(v) for v in theta]
+    theta_star = [field.coerce(v) for v in theta_star]
+    varphi = _split_rhs(field, theta, theta_star, field.coerce(phi1))
     if any(field.is_zero(v) for v in varphi):
         return None
-    probe2 = ParameterArray(field, theta, theta_star, varphi, probe.phi)
-    phi = [pa4_rhs(probe2, i) for i in range(1, d + 1)]
+    phi = _split_rhs(field, theta[::-1], theta_star, varphi[0]) if varphi else []
     if any(field.is_zero(v) for v in phi):
         return None
     return ParameterArray(field, theta, theta_star, varphi, phi)

@@ -8,6 +8,8 @@ ordering (at most two per side, so at most four systems) by reading the
 nonzero pattern of P^-1 X P, where P holds the eigenvectors of the other
 matrix: E_i X E_j is nonzero exactly when entry (i, j) is.  The pattern
 must be a Hamiltonian path with both directions present on every edge.
+A system with prescribed orderings is picked from the systems that
+recognition finds; there is no second support check.
 
 Extraction walks a system down to its parameter array through the split
 basis u_i = (A - theta_{i-1} I) ... (A - theta_0 I) xi with xi the
@@ -302,77 +304,33 @@ def _system_sort_key(system: LeonardSystem):
 
 
 def system_from_pair_with_orderings(
-    a: ExactMatrix,
-    a_star: ExactMatrix,
-    theta,
-    theta_star,
-    *,
-    verify: bool = True,
+    a: ExactMatrix, a_star: ExactMatrix, theta, theta_star
 ) -> LeonardSystem:
-    """Assemble a system with prescribed eigenvalue orderings.
+    """The system of (A, A*) with prescribed eigenvalue orderings.
 
-    theta and theta_star must list the eigenvalues of A and A* exactly, in
-    the desired order.  With verify=True the tridiagonal support conditions
-    are checked directly and a ValueError names any violation.
+    theta and theta_star list the eigenvalues of A and A* in the desired
+    order.  They are passed to recognition as hints, certified there, and
+    the system is the one among recognition's systems with exactly these
+    orderings; a ValueError gives recognition's failure reason or says
+    that the orderings are not admissible.
     """
     field = _structural_check(a, a_star)
-    theta = [field.coerce(v) for v in theta]
-    theta_star = [field.coerce(v) for v in theta_star]
-
-    mf_a = is_multiplicity_free(a, eigenvalue_hints=theta)
-    if not mf_a:
-        raise ValueError(f"A is not multiplicity-free: {mf_a.reason}")
-    mf_star = is_multiplicity_free(a_star, eigenvalue_hints=theta_star)
-    if not mf_star:
-        raise ValueError(f"A* is not multiplicity-free: {mf_star.reason}")
-
-    system = LeonardSystem(
-        a,
-        a_star,
-        _reorder_to(mf_a.eigen, theta, "theta"),
-        _reorder_to(mf_star.eigen, theta_star, "theta_star"),
+    theta = tuple(field.coerce(v) for v in theta)
+    theta_star = tuple(field.coerce(v) for v in theta_star)
+    rec = is_leonard_pair(
+        a, a_star, eigenvalue_hints=theta, dual_eigenvalue_hints=theta_star
     )
-    if verify:
-        _verify_system_supports(system)
-    return system
-
-
-def _reorder_to(eigen: EigenData, wanted, label: str) -> EigenData:
-    field = eigen.eigenvectors.field
-    have = {str(v): i for i, v in enumerate(eigen.eigenvalues)}
-    order = []
-    for v in wanted:
-        key = field.serialize(v)
-        if key not in have:
-            raise ValueError(f"{label} lists {key}, which is not an eigenvalue")
-        order.append(have[key])
-    if sorted(order) != list(range(len(have))):
-        raise ValueError(f"{label} does not list each eigenvalue exactly once")
-    return eigen.reordered(order)
-
-
-def _verify_system_supports(system: LeonardSystem) -> None:
-    support = _support_matrix(system.a, system.dual_eigen)
-    _assert_tridiagonal_support(support, "A", "A*")
-    support = _support_matrix(system.a_star, system.eigen)
-    _assert_tridiagonal_support(support, "A*", "A")
-
-
-def _assert_tridiagonal_support(support, actor: str, basis: str) -> None:
-    n = len(support)
-    for i in range(n):
-        for j in range(n):
-            gap = abs(i - j)
-            if gap > 1 and support[i][j]:
-                raise ValueError(
-                    f"{actor} does not act tridiagonally on the ordered "
-                    f"{basis}-eigenspaces: block ({i}, {j}) is nonzero"
-                )
-            if gap == 1 and not support[i][j]:
-                raise ValueError(
-                    f"{actor} acts reducibly on the ordered {basis}-eigenspaces: "
-                    f"block ({i}, {j}) vanishes"
-                )
+    if not rec.is_pair:
+        raise ValueError(rec.failure_reason)
+    for system in rec.systems:
+        if system.theta == theta and system.theta_star == theta_star:
+            return system
+    ser = field.serialize
+    raise ValueError(
+        f"theta = ({', '.join(ser(v) for v in theta)}), "
+        f"theta* = ({', '.join(ser(v) for v in theta_star)}) is not an "
+        "admissible ordering of the eigenspaces"
+    )
 
 
 def system_from_bidiagonal_pair(a: ExactMatrix, a_star: ExactMatrix) -> LeonardSystem:
@@ -698,13 +656,7 @@ def askey_wilson_to_dict(fit: AskeyWilsonFit) -> dict:
     return out
 
 
-def verification_report(
-    a: ExactMatrix,
-    a_star: ExactMatrix,
-    *,
-    eigenvalue_hints=None,
-    dual_eigenvalue_hints=None,
-) -> dict:
+def verification_report(a: ExactMatrix, a_star: ExactMatrix) -> dict:
     """Full cross-validation of a pair, as one JSON-ready dictionary.
 
     Recognition, canonical parameter array, axiom report, fingerprint,
@@ -713,12 +665,7 @@ def verification_report(
     against the fingerprint.
     """
     field = _structural_check(a, a_star)
-    rec = is_leonard_pair(
-        a,
-        a_star,
-        eigenvalue_hints=eigenvalue_hints,
-        dual_eigenvalue_hints=dual_eigenvalue_hints,
-    )
+    rec = is_leonard_pair(a, a_star)
     fit = fit_askey_wilson(a, a_star)
     out: dict = {
         "backend": BACKEND,

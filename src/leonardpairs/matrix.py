@@ -762,7 +762,6 @@ __all__ = [
     "char_poly",
     "conjugate",
     "inverse",
-    "invertible_in_span",
     "is_irreducible_tridiagonal",
     "is_multiplicity_free",
     "is_tridiagonal",

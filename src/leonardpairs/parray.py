@@ -153,42 +153,47 @@ def _distinctness(field: Field, values, label: str) -> "tuple[int, str] | None":
     return None
 
 
-def _prefix_sums(field: Field, theta) -> list:
-    """S_i = sum_{h<i} (theta_h - theta_{d-h}) / (theta_0 - theta_d), i = 0..d."""
+def _split_rhs(field: Field, theta, theta_star, seed) -> list:
+    """The d right-hand sides of PA3, varphi_1..varphi_d, given phi_1 = seed.
+
+    Passing theta reversed gives those of PA4, phi_1..phi_d given
+    varphi_1 = seed: S_i is unchanged and theta_{i-1} - theta_d becomes
+    theta_{d-i+1} - theta_0.
+    """
     d = len(theta) - 1
-    denom = field.sub(theta[0], theta[d])
-    sums = [field.zero]
+    if d == 0:
+        return []
+    scale = field.mul(seed, field.inv(field.sub(theta[0], theta[d])))
     acc = field.zero
-    for h in range(d):
-        acc = field.add(acc, field.div(field.sub(theta[h], theta[d - h]), denom))
-        sums.append(acc)
-    return sums
+    out = []
+    for i in range(1, d + 1):
+        acc = field.add(acc, field.sub(theta[i - 1], theta[d - i + 1]))
+        out.append(
+            field.add(
+                field.mul(scale, acc),
+                field.mul(
+                    field.sub(theta_star[i], theta_star[0]),
+                    field.sub(theta[i - 1], theta[d]),
+                ),
+            )
+        )
+    return out
 
 
-def pa3_rhs(pa: ParameterArray, i: int):
-    """Right-hand side of PA3 for 1 <= i <= d, as a payload."""
-    f = pa.field
-    sums = _prefix_sums(f, pa.theta)
-    return f.add(
-        f.mul(pa.phi[0], sums[i]),
-        f.mul(
-            f.sub(pa.theta_star[i], pa.theta_star[0]),
-            f.sub(pa.theta[i - 1], pa.theta[pa.d]),
-        ),
+def _status(name: str, fail: "tuple[int, str] | None") -> AxiomStatus:
+    return AxiomStatus(
+        name,
+        fail is None,
+        first_failure=None if fail is None else fail[0],
+        detail=None if fail is None else fail[1],
     )
 
 
-def pa4_rhs(pa: ParameterArray, i: int):
-    """Right-hand side of PA4 for 1 <= i <= d, as a payload."""
-    f = pa.field
-    sums = _prefix_sums(f, pa.theta)
-    return f.add(
-        f.mul(pa.varphi[0], sums[i]),
-        f.mul(
-            f.sub(pa.theta_star[i], pa.theta_star[0]),
-            f.sub(pa.theta[pa.d - i + 1], pa.theta[0]),
-        ),
-    )
+def _first_mismatch(field: Field, values, rhs) -> "tuple[int, str] | None":
+    for i, (v, want) in enumerate(zip(values, rhs), start=1):
+        if v != want:
+            return i, f"index {i}: {field.serialize(v)} != {field.serialize(want)}"
+    return None
 
 
 def validate(pa: ParameterArray) -> ValidityReport:
@@ -200,14 +205,10 @@ def validate(pa: ParameterArray) -> ValidityReport:
     f = pa.field
     d = pa.d
 
-    pa1_fail = _distinctness(f, pa.theta, "theta") or _distinctness(
-        f, pa.theta_star, "theta*"
-    )
-    pa1 = AxiomStatus(
+    pa1 = _status(
         "PA1",
-        pa1_fail is None,
-        first_failure=None if pa1_fail is None else pa1_fail[0],
-        detail=None if pa1_fail is None else pa1_fail[1],
+        _distinctness(f, pa.theta, "theta")
+        or _distinctness(f, pa.theta_star, "theta*"),
     )
 
     pa2_fail = None
@@ -218,66 +219,29 @@ def validate(pa: ParameterArray) -> ValidityReport:
         if f.is_zero(pa.phi[i]):
             pa2_fail = (i + 1, f"phi_{i + 1} == 0")
             break
-    pa2 = AxiomStatus(
-        "PA2",
-        pa2_fail is None,
-        first_failure=None if pa2_fail is None else pa2_fail[0],
-        detail=None if pa2_fail is None else pa2_fail[1],
-    )
+    pa2 = _status("PA2", pa2_fail)
 
     if not pa1.passed:
-        skipped = AxiomStatus(
-            "", False, evaluated=False, detail="not evaluated: PA1 failed"
-        )
         return ValidityReport(
-            (
-                pa1,
-                pa2,
-                AxiomStatus("PA3", **_skip_kwargs(skipped)),
-                AxiomStatus("PA4", **_skip_kwargs(skipped)),
-                AxiomStatus("PA5", **_skip_kwargs(skipped)),
+            (pa1, pa2)
+            + tuple(
+                AxiomStatus(
+                    name, False, evaluated=False, detail="not evaluated: PA1 failed"
+                )
+                for name in ("PA3", "PA4", "PA5")
             )
         )
 
-    sums = _prefix_sums(f, pa.theta) if d >= 1 else [f.zero]
-
-    def _check_eq34(values, seed, second_factor) -> "tuple[int, str] | None":
-        for i in range(1, d + 1):
-            rhs = f.add(
-                f.mul(seed, sums[i]),
-                f.mul(
-                    f.sub(pa.theta_star[i], pa.theta_star[0]), second_factor(i)
-                ),
-            )
-            if values[i - 1] != rhs:
-                return i, (
-                    f"index {i}: {f.serialize(values[i - 1])} != "
-                    f"{f.serialize(rhs)}"
-                )
-        return None
-
-    pa3_fail = _check_eq34(
-        pa.varphi,
-        pa.phi[0] if d >= 1 else f.zero,
-        lambda i: f.sub(pa.theta[i - 1], pa.theta[d]),
-    )
-    pa3 = AxiomStatus(
+    phi1, varphi1 = (pa.phi[0], pa.varphi[0]) if d >= 1 else (f.zero, f.zero)
+    pa3 = _status(
         "PA3",
-        pa3_fail is None,
-        first_failure=None if pa3_fail is None else pa3_fail[0],
-        detail=None if pa3_fail is None else pa3_fail[1],
+        _first_mismatch(f, pa.varphi, _split_rhs(f, pa.theta, pa.theta_star, phi1)),
     )
-
-    pa4_fail = _check_eq34(
-        pa.phi,
-        pa.varphi[0] if d >= 1 else f.zero,
-        lambda i: f.sub(pa.theta[d - i + 1], pa.theta[0]),
-    )
-    pa4 = AxiomStatus(
+    pa4 = _status(
         "PA4",
-        pa4_fail is None,
-        first_failure=None if pa4_fail is None else pa4_fail[0],
-        detail=None if pa4_fail is None else pa4_fail[1],
+        _first_mismatch(
+            f, pa.phi, _split_rhs(f, pa.theta[::-1], pa.theta_star, varphi1)
+        ),
     )
 
     pa5_fail = None
@@ -305,22 +269,8 @@ def validate(pa: ParameterArray) -> ValidityReport:
                 f"index {i}: ratio {f.serialize(r)} != ratio {f.serialize(ratio)} at index 2",
             )
             break
-    pa5 = AxiomStatus(
-        "PA5",
-        pa5_fail is None,
-        first_failure=None if pa5_fail is None else pa5_fail[0],
-        detail=None if pa5_fail is None else pa5_fail[1],
-    )
 
-    return ValidityReport((pa1, pa2, pa3, pa4, pa5))
-
-
-def _skip_kwargs(template: AxiomStatus) -> dict:
-    return {
-        "passed": template.passed,
-        "evaluated": template.evaluated,
-        "detail": template.detail,
-    }
+    return ValidityReport((pa1, pa2, pa3, pa4, _status("PA5", pa5_fail)))
 
 
 def _require_valid(pa: ParameterArray, what: str) -> None:
@@ -797,8 +747,6 @@ __all__ = [
     "duals_proportional",
     "find_g_matrix",
     "fingerprint",
-    "pa3_rhs",
-    "pa4_rhs",
     "parameter_array_from_dict",
     "parameter_array_to_dict",
     "poly_u",

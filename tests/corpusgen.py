@@ -5,10 +5,13 @@ distinct and share the three-term ratio (PA1 + PA5), pick a free nonzero
 phi_1, then define varphi_i by the PA3 right-hand side and phi_i by the
 PA4 right-hand side.  PA3 only reads phi_1 and PA4 only reads varphi_1,
 so both hold by construction; the only axiom left to chance is PA2.
+array_from_eigen_data is the library's own completion, which returns None
+when the result breaks PA2.
 """
 
 from leonardpairs.field import Field
-from leonardpairs.parray import ParameterArray, pa3_rhs, pa4_rhs, validate
+from leonardpairs.generators import _complete_array as array_from_eigen_data
+from leonardpairs.parray import validate
 
 
 def theta_by_recurrence(field: Field, starts, r, d):
@@ -29,29 +32,6 @@ def theta_by_recurrence(field: Field, starts, r, d):
             return None
         seen.add(key)
     return seq
-
-
-def array_from_eigen_data(field: Field, theta, theta_star, phi1):
-    """Array with the given eigenvalue sequences and free phi_1.
-
-    Returns None when the result breaks PA2 (a zero varphi or phi).
-    """
-    d = len(theta) - 1
-    probe = ParameterArray(
-        field,
-        theta,
-        theta_star,
-        [field.one] * d,
-        [phi1] + [field.one] * (d - 1) if d >= 1 else [],
-    )
-    varphi = [pa3_rhs(probe, i) for i in range(1, d + 1)]
-    if any(field.is_zero(v) for v in varphi):
-        return None
-    probe2 = ParameterArray(field, theta, theta_star, varphi, probe.phi)
-    phi = [pa4_rhs(probe2, i) for i in range(1, d + 1)]
-    if any(field.is_zero(v) for v in phi):
-        return None
-    return ParameterArray(field, theta, theta_star, varphi, phi)
 
 
 def random_valid_array(field: Field, rng, d, max_tries: int = 400):

@@ -18,6 +18,7 @@ from leonardpairs.generators import random_nonexample, sl2_pair, uq_pair
 from leonardpairs.matrix import ExactMatrix, conjugate, inverse, is_multiplicity_free
 from leonardpairs.leonard import (
     AskeyWilsonFit,
+    LeonardSystem,
     _split_superdiagonal,
     _support_matrix,
     askey_wilson_residuals,
@@ -39,7 +40,7 @@ from leonardpairs.parray import (
     validate,
 )
 
-from corpusgen import array_from_eigen_data, random_valid_array
+from corpusgen import array_from_eigen_data, random_valid_array, theta_by_recurrence
 
 Q = Rationals()
 
@@ -374,23 +375,33 @@ def test_tridiagonal_roundtrip_exact():
     assert system.parameter_array() == pa
 
 
+def _eigen_in_order(x, values):
+    """Certified eigen-data of x, reordered to list the given values."""
+    eigen = is_multiplicity_free(x).eigen
+    have = [v.payload for v in eigen.eigenvalues]
+    return eigen.reordered([have.index(x.field.coerce(v)) for v in values])
+
+
 def test_with_orderings_verifies_support():
     a, a_star = fixture_pair()
     # (3, -1) adjacent in this order but their eigenspaces are not linked
     bad = (3, -1, 1, -3)
-    with pytest.raises(ValueError, match="eigenspaces"):
-        system_from_pair_with_orderings(a, a_star, bad, THETA)
-    with pytest.raises(ValueError, match="not an eigenvalue"):
-        system_from_pair_with_orderings(a, a_star, (3, 1, -1, 5), THETA)
-    with pytest.raises(ValueError, match="exactly once"):
-        system_from_pair_with_orderings(a, a_star, (3, 3, -1, -3), THETA)
+    for theta in (bad, (3, 1, -1, 5), (3, 3, -1, -3), (3, 1, -1)):
+        with pytest.raises(ValueError, match="not an admissible ordering"):
+            system_from_pair_with_orderings(a, a_star, theta, THETA)
+    with pytest.raises(ValueError, match="leaves the eigenspaces disconnected"):
+        system_from_pair_with_orderings(a_star, a_star, THETA, THETA)
 
-    # without verification the assembly goes through, but extraction then
+    # assembled directly, a loose system goes through, but extraction then
     # refuses the malformed split
-    loose = system_from_pair_with_orderings(a, a_star, bad, THETA, verify=False)
+    loose = LeonardSystem(
+        a, a_star, _eigen_in_order(a, bad), _eigen_in_order(a_star, THETA)
+    )
     with pytest.raises(DegenerateSplitError):
         extract_parameter_array(loose)
-    loose_dual = system_from_pair_with_orderings(a, a_star, THETA, bad, verify=False)
+    loose_dual = LeonardSystem(
+        a, a_star, _eigen_in_order(a, THETA), _eigen_in_order(a_star, bad)
+    )
     with pytest.raises(DegenerateSplitError, match="upper bidiagonal"):
         extract_parameter_array(loose_dual)
 
@@ -402,13 +413,108 @@ def test_split_needs_an_independent_basis():
     a = ExactMatrix.diagonal(Q, [1, 2, 3])
     p = ExactMatrix(Q, [[1, 0, 0], [0, 0, 1], [1, 1, 0]])
     a_star = p @ ExactMatrix.diagonal(Q, [10, 20, 30]) @ inverse(p)
-    loose = system_from_pair_with_orderings(
-        a, a_star, (1, 2, 3), (10, 20, 30), verify=False
+    loose = LeonardSystem(
+        a, a_star, _eigen_in_order(a, (1, 2, 3)), _eigen_in_order(a_star, (10, 20, 30))
     )
     s = split_basis(loose)
     assert s.column(1) == s.column(2) == (0, 0, 2)
     with pytest.raises(DegenerateSplitError, match="singular"):
         _split_superdiagonal(loose, reverse_theta=False)
+
+
+def _band_check(eigen, dual, a, a_star, theta, theta_star):
+    """Reference: the separate support check that system_from_pair_with_orderings
+    once ran.  Reorder the certified eigen-data to the request and require
+    each support to be an irreducible tridiagonal band."""
+    def reorder(data, wanted):
+        have = {str(v): i for i, v in enumerate(data.eigenvalues)}
+        order = [have.get(a.field.serialize(v)) for v in wanted]
+        if None in order or sorted(order) != list(range(len(have))):
+            return None
+        return data.reordered(order)
+
+    eigen, dual = reorder(eigen, theta), reorder(dual, theta_star)
+    if eigen is None or dual is None:
+        return False
+    for support in (_support_matrix(a, dual), _support_matrix(a_star, eigen)):
+        n = len(support)
+        for i in range(n):
+            for j in range(n):
+                gap = abs(i - j)
+                if (gap > 1 and support[i][j]) or (gap == 1 and not support[i][j]):
+                    return False
+    return True
+
+
+def _unitriangular(field, n, rng):
+    rows = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = field.one
+        for j in range(i + 1, n):
+            rows[i][j] = field.from_int(rng.randint(-2, 2))
+    return ExactMatrix(field, rows)
+
+
+def _small_array(field, rng, d):
+    """A seeded valid array of diameter d built from small entries, so that
+    each of the (d + 1)!^2 ordering requests stays cheap."""
+    s = field.coerce("s") if isinstance(field, QuadraticExtension) else field.zero
+
+    def small():
+        return field.add(
+            field.from_int(rng.randint(-5, 5)),
+            field.mul(field.from_int(rng.randint(-1, 1)), s),
+        )
+
+    while True:
+        r = small()
+        theta = theta_by_recurrence(field, [small() for _ in range(3)], r, d)
+        theta_star = theta_by_recurrence(field, [small() for _ in range(3)], r, d)
+        phi1 = small()
+        if theta is None or theta_star is None or field.is_zero(phi1):
+            continue
+        pa = array_from_eigen_data(field, theta, theta_star, phi1)
+        if pa is not None and validate(pa).valid:
+            return pa
+
+
+@pytest.mark.parametrize(
+    "field, max_d",
+    [(Q, 3), (PrimeField(101), 3), (QuadraticExtension(5), 2)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_prescribed_orderings_are_recognition_systems(field, max_d):
+    """Every ordering pair is accepted exactly when recognition lists it,
+    which is exactly when the band check passes.  Q(sqrt 5) stops at d = 2:
+    its 576 requests at d = 3 take half a minute."""
+    rng = random.Random(9)
+    for d in range(max_d + 1):
+        pa = _small_array(field, rng, d)
+        dress = _unitriangular(field, d + 1, rng)
+        for a, a_star in (construct_bidiagonal(pa), construct_tridiagonal(pa)):
+            a, a_star = conjugate(a, dress), conjugate(a_star, dress)
+            rec = is_leonard_pair(a, a_star)
+            admissible = {(s.theta, s.theta_star) for s in rec.systems}
+            assert (pa.theta, pa.theta_star) in admissible
+            eigen = is_multiplicity_free(a).eigen
+            dual = is_multiplicity_free(a_star).eigen
+            accepted = set()
+            for theta in itertools.permutations(pa.theta):
+                for theta_star in itertools.permutations(pa.theta_star):
+                    banded = _band_check(eigen, dual, a, a_star, theta, theta_star)
+                    try:
+                        system = system_from_pair_with_orderings(
+                            a, a_star, theta, theta_star
+                        )
+                    except ValueError as exc:
+                        assert "not an admissible ordering" in str(exc)
+                        assert not banded, (theta, theta_star)
+                        continue
+                    assert banded, (theta, theta_star)
+                    assert (system.theta, system.theta_star) == (theta, theta_star)
+                    assert system in rec.systems
+                    accepted.add((theta, theta_star))
+            assert accepted == admissible
 
 
 # --- Askey-Wilson relations ---
