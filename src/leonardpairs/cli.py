@@ -78,7 +78,7 @@ GEN_SOURCES = (
 MAX_GEN_SIZE = 32
 
 _FIELD_FLAG = re.compile(
-    r"^\s*(?:Q|QQ)\s*$|^\s*GF\(\s*(\d+)\s*\)\s*$|^\s*Q\(\s*sqrt\s*(-?\d+)\s*\)\s*$"
+    r"^\s*(?:Q|QQ)\s*$|^\s*GF\(\s*([0-9]+)\s*\)\s*$|^\s*Q\(\s*sqrt\s*(-?[0-9]+)\s*\)\s*$"
 )
 
 

@@ -9,8 +9,13 @@ Payload conventions (the raw values field methods operate on):
   ``a + b*sqrt(m)``; ``squarefree_part(m) == m``, not 0 or 1, may be negative.
 
 ``FieldElement`` wraps one payload together with its field and provides the
-usual operators; the matrix and polynomial layers call the payload-level
-methods directly to keep inner loops lean.
+usual operators; the polynomial layer calls the payload-level methods
+directly to keep inner loops lean.  The matrix layer works on integer
+images instead: ``lift`` takes a row of payloads to integers (pairs of
+integers over Q(sqrt m), residues over GF(p)) over one positive
+denominator, ``dot`` and ``combine`` multiply and exactly divide them,
+and ``lower`` and ``quotients`` return canonical payloads, one
+normalisation per entry.
 
 Element strings: rationals serialize as ``"a"`` or ``"a/b"``; prime-field
 elements as the canonical decimal residue; quadratic-extension elements as
@@ -146,7 +151,8 @@ def _sqrt_mod_p(a: int, p: int) -> "int | None":
     return r
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+# ASCII digits only: \d also matches the digits of other scripts (U+0661 ...)
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -235,6 +241,39 @@ class Field:
             n >>= 1
         return out
 
+    # --- integer image (overridden): the matrix kernel's arithmetic ---
+    #
+    # A row of payloads lifts to an image row over one positive integer
+    # denominator: Z for Q, residues over 1 for GF(p), Z[sqrt m] for
+    # Q(sqrt m).  Image entries are multiplied and exactly divided without
+    # normalising; lower and quotients turn results back into canonical
+    # payloads, one normalisation per entry.  image_zero and image_one are
+    # the images of 0 and 1.
+
+    def lift(self, payloads) -> tuple[list, int]:
+        """(image, den): a new list with image[k] / den == payloads[k]."""
+        raise NotImplementedError
+
+    def lower(self, v, den: int):
+        """The payload v / den of an image entry over a positive integer."""
+        raise NotImplementedError
+
+    def quotients(self, values, w) -> list:
+        """The payloads v / w for image entries v and a nonzero image entry w."""
+        raise NotImplementedError
+
+    def dot(self, x, y, support):
+        """Image of sum x[k] y[k] over k in support, left unreduced."""
+        raise NotImplementedError
+
+    def combine(self, row, p, prev, a=None, lead=None) -> list:
+        """(p row - a lead) / prev entrywise, or p row / prev without a lead.
+
+        The caller guarantees that every division is exact in the image
+        (Bareiss's identity); the result is a new list.
+        """
+        raise NotImplementedError
+
     # --- element layer ---
 
     def coerce(self, value):
@@ -245,7 +284,10 @@ class Field:
                     f"element of {value.field.name} used in {self.name}"
                 )
             return value.payload
-        if isinstance(value, bool) or isinstance(value, int):
+        if isinstance(value, bool):
+            # JSON true/false are not numbers
+            raise TypeError(f"cannot coerce bool {value!r} into {self.name}")
+        if isinstance(value, int):
             return self.from_int(value)
         if isinstance(value, _RAT_TYPES):
             return self.from_rational(value)
@@ -309,7 +351,7 @@ class Rationals(Field):
         return Fraction(n)
 
     def from_rational(self, r):
-        return Fraction(r)
+        return r if type(r) is Fraction else Fraction(r)
 
     def characteristic(self) -> int:
         return 0
@@ -324,6 +366,30 @@ class Rationals(Field):
         if n < 0 and a == 0:
             raise ZeroDivisionError("division by zero in Q")
         return a**n
+
+    image_zero = 0
+    image_one = 1
+
+    def lift(self, payloads):
+        ratios = [v.as_integer_ratio() for v in payloads]
+        den = math.lcm(*(d for _, d in ratios))
+        if den == 1:
+            return [n for n, _ in ratios], 1
+        return [n * (den // d) for n, d in ratios], den
+
+    def lower(self, v, den: int):
+        return Fraction(v, den) if v else _RAT_ZERO
+
+    def quotients(self, values, w) -> list:
+        return [Fraction(v, w) if v else _RAT_ZERO for v in values]
+
+    def dot(self, x, y, support):
+        return sum(x[k] * y[k] for k in support)
+
+    def combine(self, row, p, prev, a=None, lead=None) -> list:
+        if lead is None:
+            return [v * p // prev for v in row]
+        return [(v * p - a * w) // prev for v, w in zip(row, lead)]
 
     def random_element(self, rng) -> "FieldElement":
         return self.element(Fraction(rng.randint(-60, 60), rng.randint(1, 12)))
@@ -390,7 +456,7 @@ class PrimeField(Field):
 
     def parse(self, text: str):
         text = text.strip()
-        if not re.fullmatch(r"[+-]?\d+", text):
+        if not re.fullmatch(r"[+-]?[0-9]+", text):
             raise ParseError(f"malformed {self.name} element {text!r}")
         return int(text) % self.p
 
@@ -401,6 +467,33 @@ class PrimeField(Field):
         if a == 0 and n < 0:
             raise ZeroDivisionError(f"division by zero in {self.name}")
         return pow(a, n, self.p)
+
+    image_zero = 0
+    image_one = 1
+
+    def lift(self, payloads):
+        return list(payloads), 1
+
+    def lower(self, v, den: int):
+        return v % self.p  # residues lift over den = 1
+
+    def quotients(self, values, w) -> list:
+        p = self.p
+        inv = pow(w, -1, p)
+        return [v * inv % p for v in values]
+
+    def dot(self, x, y, support):
+        return sum(x[k] * y[k] for k in support)
+
+    def combine(self, row, p, prev, a=None, lead=None) -> list:
+        # one reduction per entry: (p/prev) row - (a/prev) lead, mod the prime
+        q = self.p
+        inv = pow(prev, -1, q)
+        s = p * inv % q
+        if lead is None:
+            return [v * s % q for v in row]
+        t = a * inv % q
+        return [(v * s - w * t) % q for v, w in zip(row, lead)]
 
     def random_element(self, rng) -> "FieldElement":
         return self.element(rng.randrange(self.p))
@@ -515,6 +608,61 @@ class QuadraticExtension(Field):
             coef = sign * part
         return (rat if rat is not None else _RAT_ZERO,
                 coef if coef is not None else _RAT_ZERO)
+
+    # image entries are pairs (u, v) of ints meaning u + v*sqrt(m)
+    image_zero = (0, 0)
+    image_one = (1, 0)
+
+    def lift(self, payloads):
+        ratios = [(a.as_integer_ratio(), b.as_integer_ratio()) for a, b in payloads]
+        den = math.lcm(*(d for pair in ratios for _, d in pair))
+        return [(a * (den // da), b * (den // db)) for (a, da), (b, db) in ratios], den
+
+    def lower(self, v, den: int):
+        a, b = v
+        return (
+            Fraction(a, den) if a else _RAT_ZERO,
+            Fraction(b, den) if b else _RAT_ZERO,
+        )
+
+    def quotients(self, values, w) -> list:
+        # v / w = v * conj(w) / norm(w); the norm is negative for some w when m > 0
+        m = self.m
+        c, d = w
+        norm = c * c - m * d * d
+        md = m * d
+        return [self.lower((a * c - md * b, b * c - a * d), norm) for a, b in values]
+
+    def dot(self, x, y, support):
+        re = ir = sq = 0
+        for k in support:
+            a, b = x[k]
+            c, d = y[k]
+            re += a * c
+            ir += b * d
+            sq += a * d + b * c
+        return (re + self.m * ir, sq)
+
+    def combine(self, row, p, prev, a=None, lead=None) -> list:
+        # (p row - a lead) conj(prev) / norm(prev), exact in Z[sqrt m]
+        m = self.m
+        c, d = prev
+        norm = c * c - m * d * d
+        p0, p1 = p
+        s0, s1 = p0 * c - m * p1 * d, p1 * c - p0 * d
+        ms1 = m * s1
+        if lead is None:
+            return [((s0 * u + ms1 * v) // norm, (s0 * v + s1 * u) // norm) for u, v in row]
+        a0, a1 = a
+        t0, t1 = a0 * c - m * a1 * d, a1 * c - a0 * d
+        mt1 = m * t1
+        return [
+            (
+                (s0 * u + ms1 * v - t0 * x - mt1 * y) // norm,
+                (s0 * v + s1 * u - t0 * y - t1 * x) // norm,
+            )
+            for (u, v), (x, y) in zip(row, lead)
+        ]
 
     def random_element(self, rng) -> "FieldElement":
         return self.element(

@@ -1,10 +1,17 @@
 """Exact dense square matrices and their eigenstructure.
 
-Matrices are immutable: a field plus a tuple-of-tuples payload grid.  There
-is one elimination kernel, a forward pass with first-nonzero pivoting, so
-identical inputs always produce identical outputs; kernels and solutions
-are read off it by back-substitution, and an upward pass gives the reduced
-form where one is needed (inverses, canonical bases).  One Hessenberg
+Matrices are immutable: a field plus a grid of payloads, whose rows and
+columns are lifted on first use to integer images over one positive
+denominator each (Field.lift) and kept.  All three fields share one
+integer kernel.  Products and matrix-vector products are dot products of
+the images over the positions where both sides are nonzero, lowered to
+payloads once per entry.  Elimination is Bareiss's fraction-free forward
+pass with first-nonzero pivoting, so identical inputs always produce
+identical outputs; its rows are proportional to the unit-pivot ones and
+are divided by their pivots only when emitted.  Kernels and solutions are
+read off it by back-substitution, and the inverse's upward pass stays on
+integers, with one division per entry.  The Hessenberg reduction works on
+payloads, since only dense input reaches it.  One Hessenberg
 reduction H = Q^-1 M Q per matrix gives both the characteristic polynomial,
 by the Hessenberg recurrence, and the eigenvectors Q ker(H - theta I);
 diagonal, bidiagonal and tridiagonal matrices are already Hessenberg.
@@ -43,9 +50,13 @@ SHAPE_OTHER = "other"
 
 
 class ExactMatrix:
-    """Square matrix over one exact field."""
+    """Square matrix over one exact field.
 
-    __slots__ = ("field", "rows")
+    The integer images of its rows and columns are lifted on first use
+    and kept, since the matrix never changes.
+    """
+
+    __slots__ = ("field", "rows", "_row_images", "_column_images")
 
     def __init__(self, field: Field, rows):
         grid = tuple(tuple(field.coerce(v) for v in row) for row in rows)
@@ -54,13 +65,25 @@ class ExactMatrix:
             raise ValueError("matrix must be square and nonempty")
         self.field = field
         self.rows = grid
+        self._row_images = self._column_images = None
 
     @classmethod
     def _raw(cls, field: Field, rows) -> "ExactMatrix":
         m = object.__new__(cls)
         m.field = field
         m.rows = tuple(tuple(row) for row in rows)
+        m._row_images = m._column_images = None
         return m
+
+    def _lifted_rows(self) -> list:
+        if self._row_images is None:
+            self._row_images = _lift_lines(self.field, self.rows)
+        return self._row_images
+
+    def _lifted_columns(self) -> list:
+        if self._column_images is None:
+            self._column_images = _lift_lines(self.field, zip(*self.rows))
+        return self._column_images
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "ExactMatrix":
@@ -128,19 +151,17 @@ class ExactMatrix:
         return ExactMatrix._raw(f, [[f.neg(a) for a in row] for row in self.rows])
 
     def apply(self, vector) -> list:
-        """Matrix-vector product on payloads."""
+        """Matrix-vector product: payloads in, payloads out."""
         f = self.field
         x = [f.coerce(v) for v in vector]
         if len(x) != self.n:
             raise ValueError(f"vector has length {len(x)}, expected {self.n}")
-        out = []
-        for row in self.rows:
-            acc = f.zero
-            for coeff, v in zip(row, x):
-                if not f.is_zero(coeff):
-                    acc = f.add(acc, f.mul(coeff, v))
-            out.append(acc)
-        return out
+        ((y, y_den, y_support),) = _lift_lines(f, [x])
+        dot, lower = f.dot, f.lower
+        return [
+            lower(dot(r, y, r_support & y_support), r_den * y_den)
+            for r, r_den, r_support in self._lifted_rows()
+        ]
 
     def scale(self, scalar) -> "ExactMatrix":
         f = self.field
@@ -148,24 +169,23 @@ class ExactMatrix:
         return ExactMatrix._raw(f, [[f.mul(s, a) for a in row] for row in self.rows])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Entry (i, j) is row i's image dotted with column j's over the
+        positions where both are nonzero, lowered over the product of
+        their denominators; a bidiagonal factor on either side makes the
+        product O(n^2)."""
         f = self._check_field(other)
-        n = self.n
-        add, mul, is_zero, zero = f.add, f.mul, f.is_zero, f.zero
-        brows = other.rows
-        out = []
-        for arow in self.rows:
-            acc = [zero] * n
-            for k in range(n):
-                a = arow[k]
-                if is_zero(a):
-                    continue
-                brow = brows[k]
-                for j in range(n):
-                    b = brow[j]
-                    if not is_zero(b):
-                        acc[j] = add(acc[j], mul(a, b))
-            out.append(acc)
-        return ExactMatrix._raw(f, out)
+        dot, lower = f.dot, f.lower
+        columns = other._lifted_columns()
+        return ExactMatrix._raw(
+            f,
+            [
+                [
+                    lower(dot(r, c, r_support & c_support), r_den * c_den)
+                    for c, c_den, c_support in columns
+                ]
+                for r, r_den, r_support in self._lifted_rows()
+            ],
+        )
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._raw(self.field, zip(*self.rows))
@@ -208,7 +228,18 @@ class ExactMatrix:
         return f"ExactMatrix({self.field.name}; {body})"
 
 
-# --- elimination on raw grids (rectangular allowed internally) ---
+# --- the integer kernel: lifted lines and Bareiss elimination ---
+
+
+def _lift_lines(field: Field, lines) -> list[tuple[list, int, set]]:
+    """(image, den, support) per line: its integer image over one positive
+    denominator, and the positions where the image is nonzero."""
+    zero = field.image_zero
+    out = []
+    for line in lines:
+        image, den = field.lift(line)
+        out.append((image, den, {k for k, v in enumerate(image) if v != zero}))
+    return out
 
 
 def _subtract_multiple(field: Field, row: list, lead: list, factor, start: int) -> None:
@@ -220,48 +251,70 @@ def _subtract_multiple(field: Field, row: list, lead: list, factor, start: int) 
     ]
 
 
-def _echelon(field: Field, grid) -> tuple[list[list], list[int]]:
-    """Row echelon form by first-nonzero pivoting; returns it and the pivots.
+def _bareiss(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
+    """Fraction-free forward elimination of image rows, in place (Bareiss,
+    Math. Comp. 22, 1968); returns the rows and the pivot columns.
 
-    Each pivot row is scaled to a leading 1 and clears the rows below it,
-    never those above, so upper Hessenberg input costs O(n^2).
+    Pivoting takes the first nonzero entry of each column, as the unit
+    elimination would, and each step replaces a row below the pivot row
+    by (p row - row[c] lead) / prev, with p the pivot and prev the one
+    before it: an exact division, so every entry stays in the image and
+    the k-th pivot is a k by k minor of the input.  A row with a zero in
+    the pivot column is owed the factor p / prev; it is paid, telescoped,
+    when the row is next touched, so upper Hessenberg input costs O(n^2).
+    Rows past the rank come out zero; the others are proportional to the
+    unit echelon rows.
     """
-    rows = [list(r) for r in grid]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    is_zero, mul = field.is_zero, field.mul
+    zero, combine = field.image_zero, field.combine
+    pivot_values = [field.image_one]
+    stage = [0] * nrows  # row i is owed pivot_values[r] / pivot_values[stage[i]]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pivot_row = next((i for i in range(r, nrows) if not is_zero(rows[i][c])), None)
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != zero), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        stage[r], stage[pivot_row] = stage[pivot_row], stage[r]
+        prev = pivot_values[r]
         lead = rows[r]
-        inv = field.inv(lead[c])
-        lead[c:] = [v if is_zero(v) else mul(inv, v) for v in lead[c:]]
+        if stage[r] != r:
+            lead[c:] = combine(lead[c:], prev, pivot_values[stage[r]])
+        p = lead[c]
+        tail = lead[c:]
         for i in range(r + 1, nrows):
-            if not is_zero(rows[i][c]):
-                _subtract_multiple(field, rows[i], lead, rows[i][c], c)
+            row = rows[i]
+            if row[c] == zero:
+                continue
+            if stage[i] != r:
+                row[c:] = combine(row[c:], prev, pivot_values[stage[i]])
+            row[c:] = combine(row[c:], p, prev, row[c], tail)
+            stage[i] = r + 1
+        pivot_values.append(p)
         pivots.append(c)
         r += 1
     return rows, pivots
 
 
-def _rref(field: Field, grid) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form with first-nonzero pivoting; returns pivots.
+def _echelon(field: Field, grid) -> tuple[list[list], list[int]]:
+    """Row echelon form by first-nonzero pivoting; returns it and the pivots.
 
-    The forward pass, then the upward pass clearing above each pivot.
+    The payload rows are lifted to their integer images and reduced by
+    _bareiss, which clears the rows below each pivot, never those above,
+    so upper Hessenberg input costs O(n^2).  Each pivot row is divided by
+    its pivot only when it is emitted, one normalisation per entry; the
+    rows, leading 1s and pivots are those of unit-pivot elimination.
     """
-    rows, pivots = _echelon(field, grid)
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        for i in range(r):
-            if not field.is_zero(rows[i][c]):
-                _subtract_multiple(field, rows[i], rows[r], rows[i][c], c)
-    return rows, pivots
+    rows, pivots = _bareiss(field, [field.lift(row)[0] for row in grid])
+    zero, quotients = field.zero, field.quotients
+    ncols = len(rows[0]) if rows else 0
+    out = [[zero] * c + quotients(rows[r][c:], rows[r][c]) for r, c in enumerate(pivots)]
+    out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
+    return out, pivots
 
 
 def _back_substitute(field: Field, rows, pivots: list[int], x: list) -> list:
@@ -283,10 +336,11 @@ def _back_substitute(field: Field, rows, pivots: list[int], x: list) -> list:
 
 
 def _normalize_leading(field: Field, vec: list) -> tuple:
-    for v in vec:
-        if not field.is_zero(v):
-            inv = field.inv(v)
-            return tuple(field.mul(inv, w) for w in vec)
+    image, _ = field.lift(vec)
+    zero = field.image_zero
+    for v in image:
+        if v != zero:
+            return tuple(field.quotients(image, v))
     return tuple(vec)
 
 
@@ -313,7 +367,8 @@ def _nullspace_grid(field: Field, grid) -> list[tuple]:
 
 
 def _is_invertible(matrix: ExactMatrix) -> bool:
-    return len(_echelon(matrix.field, matrix.rows)[1]) == matrix.n
+    rows = [list(image) for image, _, _ in matrix._lifted_rows()]
+    return len(_bareiss(matrix.field, rows)[1]) == matrix.n
 
 
 def _solve_grid(field: Field, rows, rhs) -> "tuple[list, int] | None":
@@ -467,17 +522,34 @@ def char_poly(matrix: ExactMatrix) -> ExactPolynomial:
 
 
 def inverse(matrix: ExactMatrix) -> ExactMatrix:
-    """Inverse by Gauss-Jordan; SingularMatrixError when rank < n."""
+    """Inverse by fraction-free Gauss-Jordan; SingularMatrixError when rank < n.
+
+    [M | I] is lifted row by row and reduced by _bareiss to [U | R], with
+    last pivot D = U[n-1][n-1], up to sign the determinant of the lifted
+    M.  The upward pass solves U Y = D R on integers, each division exact
+    because Y = D M^-1 is the image of an adjugate, and each entry of
+    M^-1 = Y / D is normalised once.
+    """
     field = matrix.field
     n = matrix.n
+    zero, one = field.image_zero, field.image_one
+    dot, combine = field.dot, field.combine
     aug = [
-        list(row) + [field.one if i == j else field.zero for j in range(n)]
+        field.lift(list(row) + [field.one if i == j else field.zero for j in range(n)])[0]
         for i, row in enumerate(matrix.rows)
     ]
-    rref, pivots = _rref(field, aug)
+    rows, pivots = _bareiss(field, aug)
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is not invertible")
-    return ExactMatrix._raw(field, [row[n:] for row in rref])
+    det = rows[n - 1][n - 1]
+    y_columns = [[zero] * n for _ in range(n)]
+    for r in range(n - 1, -1, -1):
+        row = rows[r]
+        support = [j for j in range(r + 1, n) if row[j] != zero]
+        sums = [dot(row, col, support) for col in y_columns]
+        for col, v in zip(y_columns, combine(row[n:], det, row[r], one, sums)):
+            col[r] = v
+    return ExactMatrix._raw(field, zip(*(field.quotients(col, det) for col in y_columns)))
 
 
 def conjugate(matrix: ExactMatrix, g: ExactMatrix) -> ExactMatrix:

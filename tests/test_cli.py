@@ -177,6 +177,40 @@ def test_field_flag_past_int_digit_limit_is_one_error_line(tmp_path, form):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _is_one_error_line(code, out, err) -> bool:
+    return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_json_booleans_and_non_ascii_digits_are_input_errors(tmp_path):
+    # Python's bool is an int, and the regex \d matches the digits of every
+    # script: true read as 1, and so did the Arabic-Indic one U+0661
+    pair_file = gen_file(tmp_path, "ex2.json", "--source", "example2")
+    with open(pair_file) as handle:
+        pair = json.load(handle)
+    for value in (True, False, "\u0661", "1/\u0662"):
+        bad = json.loads(json.dumps(pair))
+        bad["a"]["rows"][0][1] = value
+        path = write_json(tmp_path, "bad_pair.json", bad)
+        assert _is_one_error_line(*run_cli("verify", "--pair", path)), value
+        assert _is_one_error_line(*run_cli("verify", "--pair", path, "--field", "GF(101)"))
+    with open(valid_array_file(tmp_path, d=2, seed=7)) as handle:
+        array = json.load(handle)
+    for value in (True, False, "\u0661", "-\u0663/2"):
+        bad = dict(array, theta=[value] + array["theta"][1:])
+        path = write_json(tmp_path, "bad_array.json", bad)
+        assert _is_one_error_line(*run_cli("validate-array", "--in", path)), value
+    quadratic = dict(array, field={"kind": "quadratic_extension", "discriminant": 5})
+    quadratic["theta"] = ["\u0661*s"] + array["theta"][1:]
+    path = write_json(tmp_path, "bad_quadratic.json", quadratic)
+    assert _is_one_error_line(*run_cli("validate-array", "--in", path))
+    for flag in ("GF(\u0661\u0660\u0661)", "Q(sqrt \u0662)", "Q(sqrt -\u0663)"):
+        with pytest.raises(Exception):
+            cli.parse_field_flag(flag)
+        argv = ("gen", "--source", "sl2", "--d", "2", "--field", flag)
+        assert _is_one_error_line(*run_cli(*argv)), flag
+        assert _is_one_error_line(*run_cli("verify", "--pair", pair_file, "--field", flag))
+
+
 def test_field_override_changes_verdict(tmp_path):
     pair = gen_file(tmp_path, "ex2.json", "--source", "example2")
     code, report = run_json("verify", "--pair", pair, "--field", "GF(3)")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -500,3 +501,268 @@ def test_joint_intertwiner():
     assert len(basis) == 1
     g = basis[0]
     assert conjugate(A4, g) == b4 and conjugate(A4_STAR, g) == b4s
+
+
+# --- the integer kernel against the payload-level kernel it replaced ---
+#
+# The reference functions below are the payload-by-payload product,
+# matrix-vector product, unit-pivot elimination and Gauss-Jordan inverse,
+# with one field operation (and one normalisation) per step.
+
+KERNEL_FIELDS = [
+    Q,
+    PrimeField(2),
+    PrimeField(101),
+    PrimeField(2**61 - 1),
+    QuadraticExtension(5),
+    QuadraticExtension(-3),
+]
+
+
+def _ref_matmul(a: ExactMatrix, b: ExactMatrix) -> list:
+    f = a.field
+    n = a.n
+    out = []
+    for arow in a.rows:
+        acc = [f.zero] * n
+        for k in range(n):
+            if f.is_zero(arow[k]):
+                continue
+            for j in range(n):
+                if not f.is_zero(b.rows[k][j]):
+                    acc[j] = f.add(acc[j], f.mul(arow[k], b.rows[k][j]))
+        out.append(acc)
+    return out
+
+
+def _ref_dot(f, row, vector):
+    acc = f.zero
+    for coeff, v in zip(row, vector):
+        if not f.is_zero(coeff):
+            acc = f.add(acc, f.mul(coeff, v))
+    return acc
+
+
+def _ref_apply(m: ExactMatrix, vector) -> list:
+    return [_ref_dot(m.field, row, vector) for row in m.rows]
+
+
+def _ref_subtract_multiple(f, row, lead, factor, start):
+    row[start:] = [
+        v if f.is_zero(w) else f.sub(v, f.mul(factor, w))
+        for v, w in zip(row[start:], lead[start:])
+    ]
+
+
+def _ref_echelon(f, grid) -> tuple[list, list]:
+    rows = [list(r) for r in grid]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if not f.is_zero(rows[i][c])), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        lead = rows[r]
+        inv = f.inv(lead[c])
+        lead[c:] = [v if f.is_zero(v) else f.mul(inv, v) for v in lead[c:]]
+        for i in range(r + 1, nrows):
+            if not f.is_zero(rows[i][c]):
+                _ref_subtract_multiple(f, rows[i], lead, rows[i][c], c)
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _ref_inverse(m: ExactMatrix) -> "list | None":
+    f = m.field
+    n = m.n
+    aug = [
+        list(row) + [f.one if i == j else f.zero for j in range(n)]
+        for i, row in enumerate(m.rows)
+    ]
+    rows, pivots = _ref_echelon(f, aug)
+    if pivots != list(range(n)):
+        return None
+    for r in range(n - 1, -1, -1):
+        for i in range(r):
+            if not f.is_zero(rows[i][r]):
+                _ref_subtract_multiple(f, rows[i], rows[r], rows[i][r], r)
+    return [row[n:] for row in rows]
+
+
+def _ref_solve(f, rows, rhs) -> "tuple | None":
+    width = len(rows[0])
+    echelon, pivots = _ref_echelon(f, [list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == width:
+        return None
+    x = matrix_module._back_substitute(f, echelon, pivots, [f.zero] * width)
+    return x, width - len(pivots)
+
+
+def _ref_det(f, grid):
+    """Determinant by unit-pivot elimination: the product of the pivots."""
+    rows = [list(r) for r in grid]
+    n = len(rows)
+    det = f.one
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if not f.is_zero(rows[i][c])), None)
+        if pivot_row is None:
+            return f.zero
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            det = f.neg(det)
+        det = f.mul(det, rows[c][c])
+        inv = f.inv(rows[c][c])
+        for i in range(c + 1, n):
+            if not f.is_zero(rows[i][c]):
+                _ref_subtract_multiple(f, rows[i], rows[c], f.mul(rows[i][c], inv), c)
+    return det
+
+
+def _kernel_entry(field, rng, density: float):
+    """Zero with probability 1 - density; over Q, heights up to 100 bits over
+    mixed denominators."""
+    if rng.random() >= density:
+        return field.zero
+    if isinstance(field, Rationals):
+        height = rng.choice((3, 20, 100))
+        return Q.coerce(
+            Fraction(rng.randint(-(2**height), 2**height), rng.choice((1, 1, 2, 3, 7, 2**40 + 15)))
+        )
+    if isinstance(field, PrimeField):
+        return rng.randrange(field.p)
+    base = [Fraction(rng.randint(-(2**30), 2**30), rng.choice((1, 2, 5, 9))) for _ in range(2)]
+    return field.coerce(tuple(base))
+
+
+def _kernel_grid(field, rng, nrows, ncols, density=0.7, rank=None):
+    """A seeded grid; with rank, a product of nrows x rank and rank x ncols
+    factors, so rank-deficient when rank < min(nrows, ncols)."""
+    if rank is None:
+        return [[_kernel_entry(field, rng, density) for _ in range(ncols)] for _ in range(nrows)]
+    left = _kernel_grid(field, rng, nrows, rank, density)
+    right = _kernel_grid(field, rng, rank, ncols, density)
+    if not rank:
+        return [[field.zero] * ncols for _ in range(nrows)]
+    return [[_ref_dot(field, row, col) for col in zip(*right)] for row in left]
+
+
+def _kernel_shapes(field, rng):
+    """Grids of every shape the kernel must handle, seeded."""
+    grids = [
+        _kernel_grid(field, rng, 1, 1),
+        [[field.zero]],
+        _kernel_grid(field, rng, 3, 5),
+        _kernel_grid(field, rng, 5, 3),
+        _kernel_grid(field, rng, 4, 4),
+        _kernel_grid(field, rng, 6, 6, density=0.3),
+        _kernel_grid(field, rng, 5, 5, rank=2),
+        _kernel_grid(field, rng, 4, 6, rank=3),
+        _kernel_grid(field, rng, 6, 4, rank=1),
+    ]
+    zero_row = _kernel_grid(field, rng, 4, 4)
+    zero_row[1] = [field.zero] * 4
+    zero_col = _kernel_grid(field, rng, 4, 5)
+    for row in zero_col:
+        row[2] = field.zero
+    return grids + [zero_row, zero_col]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_kernel_products_match_payload_reference(field):
+    rng = random.Random(1010)
+    for n in (1, 2, 3, 5, 8):
+        for density in (1.0, 0.5, 0.15):
+            a = ExactMatrix._raw(field, _kernel_grid(field, rng, n, n, density))
+            b = ExactMatrix._raw(field, _kernel_grid(field, rng, n, n, density))
+            assert [list(r) for r in (a @ b).rows] == _ref_matmul(a, b)
+            vec = [_kernel_entry(field, rng, density) for _ in range(n)]
+            assert a.apply(vec) == _ref_apply(a, vec)
+    # a zero row on the left, a zero column on the right
+    a = _kernel_grid(field, rng, 4, 4)
+    a[2] = [field.zero] * 4
+    b = _kernel_grid(field, rng, 4, 4)
+    for row in b:
+        row[0] = field.zero
+    a, b = ExactMatrix._raw(field, a), ExactMatrix._raw(field, b)
+    assert [list(r) for r in (a @ b).rows] == _ref_matmul(a, b)
+    assert [list(r) for r in (b @ a).rows] == _ref_matmul(b, a)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_kernel_echelon_matches_payload_reference(field):
+    rng = random.Random(2020)
+    for grid in _kernel_shapes(field, rng):
+        assert matrix_module._echelon(field, grid) == _ref_echelon(field, grid)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_kernel_solve_matches_payload_reference(field):
+    rng = random.Random(3030)
+    statuses = set()
+    for grid in _kernel_shapes(field, rng):
+        width = len(grid[0])
+        x = [_kernel_entry(field, rng, 0.8) for _ in range(width)]
+        consistent = [_ref_dot(field, row, x) for row in grid]
+        arbitrary = [_kernel_entry(field, rng, 0.9) for _ in grid]
+        for rhs in (consistent, arbitrary):
+            got = matrix_module._solve_grid(field, grid, rhs)
+            assert got == _ref_solve(field, grid, rhs)
+            if got is None:
+                statuses.add("inconsistent")
+            else:
+                statuses.add("underdetermined" if got[1] else "unique")
+    assert statuses == {"inconsistent", "underdetermined", "unique"}
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_kernel_inverse_matches_payload_reference(field):
+    rng = random.Random(4040)
+    cases = [
+        _kernel_grid(field, rng, 1, 1, density=1.0),
+        [[field.zero]],
+        _kernel_grid(field, rng, 3, 3, rank=2),
+        _kernel_grid(field, rng, 5, 5, rank=4),
+    ]
+    cases += [_kernel_grid(field, rng, n, n, density) for n in (2, 4, 7) for density in (1.0, 0.5)]
+    singular = 0
+    for grid in cases:
+        m = ExactMatrix._raw(field, grid)
+        want = _ref_inverse(m)
+        if want is None:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                inverse(m)
+        else:
+            assert [list(r) for r in inverse(m).rows] == want
+    assert singular >= 3
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_bareiss_last_pivot_is_the_determinant(field):
+    # Bareiss's division by the previous pivot keeps every pivot a minor of
+    # the integer image, the last one its determinant up to sign; without
+    # the division, or without the owed rescaling of skipped rows, the
+    # rows stay proportional but the pivots do not
+    rng = random.Random(5050)
+    one = field.image_one
+    checked = 0
+    for n in (1, 2, 3, 5, 7) * 3:
+        for density in (1.0, 0.6, 0.35):
+            grid = _kernel_grid(field, rng, n, n, density)
+            image = [field.lift(row)[0] for row in grid]
+            as_payloads = [field.quotients(row, one) for row in image]
+            det = _ref_det(field, as_payloads)
+            rows, pivots = matrix_module._bareiss(field, [list(r) for r in image])
+            if len(pivots) < n:
+                assert field.is_zero(det)
+                continue
+            last = field.quotients([rows[n - 1][n - 1]], one)[0]
+            assert last in (det, field.neg(det))
+            checked += 1
+    assert checked >= 5
