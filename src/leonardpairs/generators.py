@@ -790,12 +790,6 @@ def lattice_pair(
     return big_a, big_s, decomposition
 
 
-def lattice_decomposition(n: int, q: int, *, alpha=1, beta=None) -> LatticeDecomposition:
-    """Build the lattice and return just the decomposition."""
-    lat = build_lattice(n, q)
-    return lattice_pair(lat, alpha, beta)[2]
-
-
 def _lowering_coefficients(q_rat, chain, covers, k, counts):
     """c_j with (unscaled lowering) w_j = c_j w_{j-1}, verified entrywise."""
     out = []
@@ -1010,7 +1004,6 @@ __all__ = [
     "build_lattice",
     "example2",
     "gaussian_binomial",
-    "lattice_decomposition",
     "lattice_forbidden_set",
     "lattice_pair",
     "random_nonexample",

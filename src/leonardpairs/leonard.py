@@ -18,6 +18,21 @@ is lower bidiagonal by construction, and the split sequence is read
 straight off A* u_i - theta*_i u_i = phi_i u_{i-1}, each equation checked
 exactly, with no inverse or change of basis formed; the second split
 sequence comes from the same walk with theta reversed.
+
+A Leonard system is determined up to isomorphism by its parameter array,
+and an isomorphism keeps the array (Terwilliger, LAA 330 (2001), Thm
+1.9).  So the report's two construction roundtrips need no second
+recognition: each construction of the array is compared with a change of
+basis the report already holds.  Extraction certified that the split
+basis S carries (A, A*) to the split-form pair; recognition formed
+X = P*^-1 A P*, which is A in the A*-eigenbasis.  An isomorphism of
+systems maps the split basis to the split basis up to one scalar (xi
+spans the theta*_0 eigenspace, and u_{i+1} = (A - theta_i I) u_i
+follows), and the A*-eigenbasis to the A*-eigenbasis up to a diagonal
+matrix.  So the bidiagonal construction realises the system exactly when
+it is the split-form pair up to a diagonal similarity, and the
+tridiagonal one exactly when it is (D^-1 X D, diag(theta*)) for an
+invertible diagonal D; verification_report derives both directions.
 """
 
 from __future__ import annotations
@@ -75,9 +90,12 @@ class LeonardSystem:
         "theta",
         "theta_star",
         "_pa_cache",
+        "_a_dual_cache",
     )
 
-    def __init__(self, a, a_star, eigen: EigenData, dual_eigen: EigenData):
+    def __init__(
+        self, a, a_star, eigen: EigenData, dual_eigen: EigenData, a_in_dual_basis=None
+    ):
         self.field = a.field
         self.a = a
         self.a_star = a_star
@@ -86,6 +104,7 @@ class LeonardSystem:
         self.theta = tuple(v.payload for v in eigen.eigenvalues)
         self.theta_star = tuple(v.payload for v in dual_eigen.eigenvalues)
         self._pa_cache = None
+        self._a_dual_cache = a_in_dual_basis
 
     @property
     def idempotents(self) -> tuple[ExactMatrix, ...]:
@@ -109,6 +128,16 @@ class LeonardSystem:
         if self._pa_cache is None:
             self._pa_cache = extract_parameter_array(self)
         return self._pa_cache
+
+    def a_in_dual_basis(self) -> ExactMatrix:
+        """X = P*^-1 A P*, A acting on the A*-eigenbasis in the theta* order.
+
+        Recognition forms X to read the supports and hands it to the
+        systems it returns; only a system assembled by hand forms it here.
+        """
+        if self._a_dual_cache is None:
+            self._a_dual_cache = _in_eigenbasis(self.a, self.dual_eigen)
+        return self._a_dual_cache
 
     def relative(self, reverse_e: bool = False, reverse_e_star: bool = False) -> "LeonardSystem":
         """The system with one or both eigenvalue orderings reversed."""
@@ -168,15 +197,23 @@ def _structural_check(a: ExactMatrix, a_star: ExactMatrix) -> Field:
     return a.field
 
 
-def _support_matrix(x: ExactMatrix, eigen: EigenData) -> list[list[bool]]:
-    """support[i][j] says whether E_i X E_j is nonzero.
+def _in_eigenbasis(x: ExactMatrix, eigen: EigenData) -> ExactMatrix:
+    """P^-1 X P with P the eigenvectors of eigen: X acting on that eigenbasis."""
+    return eigen.inverse_eigenvectors @ x @ eigen.eigenvectors
+
+
+def _permuted(m: ExactMatrix, order) -> ExactMatrix:
+    """Rows and columns both taken in the given order."""
+    return ExactMatrix._raw(m.field, [[m.rows[i][j] for j in order] for i in order])
+
+
+def _support_matrix(moved: ExactMatrix) -> list[list[bool]]:
+    """support[i][j] says whether E_i X E_j is nonzero, for moved = P^-1 X P.
 
     E_i X E_j = v_i (w_i X v_j) w_j^T with v_i column i of P and w_i row i
-    of P^-1, both nonzero, so it vanishes exactly when (P^-1 X P)[i][j]
-    does.
+    of P^-1, both nonzero, so it vanishes exactly when moved[i][j] does.
     """
-    f = x.field
-    moved = eigen.inverse_eigenvectors @ x @ eigen.eigenvectors
+    f = moved.field
     return [[not f.is_zero(v) for v in row] for row in moved.rows]
 
 
@@ -263,8 +300,8 @@ def is_leonard_pair(
     eigen_star: EigenData = mf_star.eigen
 
     star_labels = [str(v) for v in eigen_star.eigenvalues]
-    support_iv = _support_matrix(a, eigen_star)
-    star_orders, obstruction = _path_orderings(support_iv, star_labels)
+    x = _in_eigenbasis(a, eigen_star)
+    star_orders, obstruction = _path_orderings(_support_matrix(x), star_labels)
     if obstruction:
         return RecognitionResult(
             False,
@@ -275,7 +312,7 @@ def is_leonard_pair(
         )
 
     a_labels = [str(v) for v in eigen_a.eigenvalues]
-    support_v = _support_matrix(a_star, eigen_a)
+    support_v = _support_matrix(_in_eigenbasis(a_star, eigen_a))
     e_orders, obstruction = _path_orderings(support_v, a_labels)
     if obstruction:
         return RecognitionResult(
@@ -286,8 +323,9 @@ def is_leonard_pair(
             None,
         )
 
+    dual = {s: (eigen_star.reordered(s), _permuted(x, s)) for s in star_orders}
     systems = [
-        LeonardSystem(a, a_star, eigen_a.reordered(e), eigen_star.reordered(s))
+        LeonardSystem(a, a_star, eigen_a.reordered(e), *dual[s])
         for e in e_orders
         for s in star_orders
     ]
@@ -656,6 +694,63 @@ def askey_wilson_to_dict(fit: AskeyWilsonFit) -> dict:
     return out
 
 
+def _diagonal_is(m: ExactMatrix, values) -> bool:
+    return all(row[i] == v for i, (row, v) in enumerate(zip(m.rows, values, strict=True)))
+
+
+def _products_are(lower: ExactMatrix, upper: ExactMatrix, products) -> bool:
+    """Whether lower[i][i-1] * upper[i-1][i] = products[i-1], i = 1..d.
+
+    The callers' products are nonzero, so a match also says that
+    lower[i][i-1] is nonzero."""
+    f = lower.field
+    return all(
+        f.mul(lower.rows[i][i - 1], upper.rows[i - 1][i]) == p
+        for i, p in enumerate(products, start=1)
+    )
+
+
+def _is_split_form_of(system: LeonardSystem, b: ExactMatrix, b_star: ExactMatrix) -> bool:
+    """Whether (B, B*) is the system's split-form pair up to a diagonal
+    similarity: B lower and B* upper bidiagonal, with diagonals theta and
+    theta*, and B_{i,i-1} B*_{i-1,i} = varphi_i, which is nonzero.
+
+    Extraction certified that the split-form pair is S^-1 (A, A*) S, with
+    subdiagonal 1 and superdiagonal varphi.
+    """
+    return (
+        shape(b) in (SHAPE_DIAGONAL, SHAPE_LOWER_BIDIAGONAL)
+        and shape(b_star) in (SHAPE_DIAGONAL, SHAPE_UPPER_BIDIAGONAL)
+        and _diagonal_is(b, system.theta)
+        and _diagonal_is(b_star, system.theta_star)
+        and _products_are(b, b_star, system.parameter_array().varphi)
+    )
+
+
+def _is_tridiagonal_form_of(system: LeonardSystem, t: ExactMatrix, t_star: ExactMatrix) -> bool:
+    """Whether T* = diag(theta*) and T = D^-1 X D for an invertible
+    diagonal D, with X = P*^-1 A P* as recognition formed it.
+
+    X is irreducible tridiagonal in the theta* order, so such a D exists
+    exactly when T is tridiagonal with X's diagonal and
+    T_{i-1,i} T_{i,i-1} = X_{i-1,i} X_{i,i-1}, which is nonzero.  Then
+    T_{i,i-1} != 0, and d_0 = 1, d_i = d_{i-1} X_{i,i-1} / T_{i,i-1}
+    match the subdiagonal by construction and the superdiagonal through
+    the products.  Conversely a diagonal similarity keeps the diagonal,
+    the zero pattern and these products.
+    """
+    f = system.field
+    x = system.a_in_dual_basis().rows
+    return (
+        t_star == ExactMatrix.diagonal(f, system.theta_star)
+        and is_tridiagonal(t)
+        and _diagonal_is(t, [row[i] for i, row in enumerate(x)])
+        and _products_are(
+            t, t, [f.mul(x[i - 1][i], x[i][i - 1]) for i in range(1, len(x))]
+        )
+    )
+
+
 def verification_report(a: ExactMatrix, a_star: ExactMatrix) -> dict:
     """Full cross-validation of a pair, as one JSON-ready dictionary.
 
@@ -663,6 +758,40 @@ def verification_report(a: ExactMatrix, a_star: ExactMatrix) -> dict:
     both construction roundtrips, the polynomial characterization, the
     reversal intertwiner, and the Askey-Wilson fit with its beta checked
     against the fingerprint.
+
+    Recognition runs once.  Let Phi be the canonical system and pa =
+    (theta, theta*, varphi, phi) its array.  A roundtrip asks whether a
+    construction of pa, taken as a system with the orderings it is built
+    in, has the array pa again.  Each is decided from a witness of the
+    first recognition, with the same boolean as recognising the
+    construction:
+
+    * bidiagonal: (B, B*) = construct_bidiagonal(pa), ordered by its
+      diagonals.  Extraction certified S^-1 (A, A*) S = (L, U), where L
+      has diagonal theta and subdiagonal 1, and U has diagonal theta* and
+      superdiagonal varphi.  If diag B = theta, diag B* = theta* and
+      B_{i,i-1} B*_{i-1,i} = varphi_i, nonzero by PA2, then
+      D = diag(1, B_{1,0}, B_{1,0} B_{2,1}, ...) is invertible and gives
+      (B, B*) = D (L, U) D^-1: the construction is Phi moved by S D^-1,
+      and an isomorphism keeps the array.  Conversely, let the construction's
+      system Psi have array pa.  Its diagonals are then theta and theta*.
+      B* e_0 = theta*_0 e_0, so Psi's split basis is u_i = B_{1,0} ...
+      B_{i,i-1} e_i.  It is a basis only when every B_{i,i-1} != 0, and
+      in it B* has superdiagonal B_{i,i-1} B*_{i-1,i}, which is Psi's
+      varphi_i and so equals varphi_i.
+    * tridiagonal: (T, T*) = construct_tridiagonal(pa), ordered by
+      (theta, theta*), against X = P*^-1 A P* in Phi's theta* order.  If
+      T* = diag(theta*) and T = D^-1 X D for an invertible diagonal D,
+      then (T, T*) = (P* D)^-1 (A, A*) (P* D), and the array is kept.
+      Conversely, let the construction's system have array pa, with
+      T* = diag(theta*) as construct_tridiagonal builds it.  By the
+      classification theorem (Terwilliger, LAA 330 (2001), Thm 1.9) an
+      isomorphism sigma carries Phi to it.  sigma maps the theta*_i
+      eigenvector P* e_i of A* to a theta*_i eigenvector of diag(theta*),
+      a multiple of e_i.  So sigma P* = E is diagonal and T = E X E^-1.
+
+    Both checks compare bands in O(n) field operations after O(n^2)
+    shape and zero tests (_is_split_form_of, _is_tridiagonal_form_of).
     """
     field = _structural_check(a, a_star)
     rec = is_leonard_pair(a, a_star)
@@ -682,7 +811,8 @@ def verification_report(a: ExactMatrix, a_star: ExactMatrix) -> dict:
         out["fingerprint"] = None
         return out
 
-    pa = rec.canonical.parameter_array()
+    system = rec.canonical
+    pa = system.parameter_array()
     report = validate(pa)
     fp = fingerprint(pa)
     out["parameter_array"] = parameter_array_to_dict(pa)
@@ -697,14 +827,10 @@ def verification_report(a: ExactMatrix, a_star: ExactMatrix) -> dict:
     ]
 
     cross: dict = {}
-    cross["bidiagonal_roundtrip"] = (
-        system_from_parameter_array(pa).parameter_array() == pa
+    cross["bidiagonal_roundtrip"] = _is_split_form_of(system, *construct_bidiagonal(pa))
+    cross["tridiagonal_roundtrip"] = _is_tridiagonal_form_of(
+        system, *construct_tridiagonal(pa)
     )
-    tri_a, tri_star = construct_tridiagonal(pa)
-    tri_system = system_from_pair_with_orderings(
-        tri_a, tri_star, pa.theta, pa.theta_star
-    )
-    cross["tridiagonal_roundtrip"] = tri_system.parameter_array() == pa
     cross["poly_characterization"] = check_poly_characterization(pa)
     g = find_g_matrix(pa)
     cross["g_matrix_found"] = g.found

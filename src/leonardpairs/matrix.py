@@ -774,38 +774,6 @@ def is_multiplicity_free(
     return MultiplicityFreeResult(True, eigen, None)
 
 
-# --- joint intertwiners ---
-
-
-def joint_intertwiner_basis(pairs) -> list[ExactMatrix]:
-    """Deterministic basis of {G : X @ G = G @ Y for every (X, Y) pair}."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one matrix pair")
-    field = pairs[0][0].field
-    n = pairs[0][0].n
-    for x, y in pairs:
-        if x.field != field or y.field != field:
-            raise FieldMismatchError("intertwiner pairs over different fields")
-        if x.n != n or y.n != n:
-            raise ValueError("intertwiner pairs of different sizes")
-    rows = []
-    for x, y in pairs:
-        for i in range(n):
-            for j in range(n):
-                row = [field.zero] * (n * n)
-                for a in range(n):
-                    row[a * n + j] = field.add(row[a * n + j], x.rows[i][a])
-                for b in range(n):
-                    row[i * n + b] = field.sub(row[i * n + b], y.rows[b][j])
-                rows.append(row)
-    basis = _nullspace_grid(field, rows)
-    return [
-        ExactMatrix._raw(field, [vec[i * n : (i + 1) * n] for i in range(n)])
-        for vec in basis
-    ]
-
-
 def matrix_to_dict(matrix: ExactMatrix) -> dict:
     """JSON-ready form: field descriptor plus rows of canonical strings."""
     f = matrix.field
@@ -837,7 +805,6 @@ __all__ = [
     "is_irreducible_tridiagonal",
     "is_multiplicity_free",
     "is_tridiagonal",
-    "joint_intertwiner_basis",
     "matrix_from_dict",
     "matrix_to_dict",
     "nullspace",

@@ -692,10 +692,17 @@ def parameter_array_from_dict(data: dict) -> ParameterArray:
     pa = ParameterArray(
         field, data["theta"], data["theta_star"], data["varphi"], data["phi"]
     )
-    if "d" in data and data["d"] != pa.d:
-        raise InvalidParameterArrayError(
-            f"declared diameter {data['d']} but theta has length {pa.d + 1}"
-        )
+    if "d" in data:
+        declared = data["d"]
+        # bool is an int subclass and 1.0 == 1, so both would pass the comparison
+        if not isinstance(declared, int) or isinstance(declared, bool):
+            raise InvalidParameterArrayError(
+                f"declared diameter {declared!r} is not an integer"
+            )
+        if declared != pa.d:
+            raise InvalidParameterArrayError(
+                f"declared diameter {declared} but theta has length {pa.d + 1}"
+            )
     return pa
 
 

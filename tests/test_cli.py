@@ -211,6 +211,17 @@ def test_json_booleans_and_non_ascii_digits_are_input_errors(tmp_path):
         assert _is_one_error_line(*run_cli("verify", "--pair", pair_file, "--field", flag))
 
 
+def test_declared_diameter_must_be_an_integer(tmp_path):
+    # True == 1 and 1.0 == 1, so both once passed for a diameter-1 array
+    with open(valid_array_file(tmp_path, d=1, seed=7)) as handle:
+        array = json.load(handle)
+    assert array["d"] == 1
+    assert run_cli("validate-array", "--in", write_json(tmp_path, "ok.json", array))[0] == 0
+    for value in (True, 1.0, "1"):
+        path = write_json(tmp_path, "bad_d.json", dict(array, d=value))
+        assert _is_one_error_line(*run_cli("validate-array", "--in", path)), value
+
+
 def test_field_override_changes_verdict(tmp_path):
     pair = gen_file(tmp_path, "ex2.json", "--source", "example2")
     code, report = run_json("verify", "--pair", pair, "--field", "GF(3)")

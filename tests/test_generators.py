@@ -34,7 +34,6 @@ from leonardpairs.generators import (
     build_lattice,
     example2,
     gaussian_binomial,
-    lattice_decomposition,
     lattice_forbidden_set,
     lattice_pair,
     random_nonexample,
@@ -351,7 +350,7 @@ def test_gaussian_binomial_values():
 
 @pytest.mark.parametrize("n,q", sorted(LATTICE_COUNTS))
 def test_lattice_counts_frozen(n, q):
-    dec = lattice_decomposition(n, q)
+    _, _, dec = lattice_pair(build_lattice(n, q))
     assert dec.counts == LATTICE_COUNTS[(n, q)]
     assert dec.total_subspaces == sum(LATTICE_COUNTS[(n, q)])
     assert sum(c.diameter + 1 for c in dec.components) == dec.total_subspaces
@@ -389,13 +388,13 @@ def test_lattice_big_pair_matches_operator_formula():
 
 def test_lattice_components_are_leonard_pairs():
     for n, q in ((2, 2), (3, 2), (4, 2)):
-        dec = lattice_decomposition(n, q)
+        _, _, dec = lattice_pair(build_lattice(n, q))
         for comp in dec.components:
             assert is_leonard_pair(comp.a, comp.a_star), (n, q, comp.grade)
 
 
 def test_lattice_top_component_fingerprint():
-    dec = lattice_decomposition(3, 2)
+    _, _, dec = lattice_pair(build_lattice(3, 2))
     comp = next(c for c in dec.components if c.diameter == 3)
     result = is_leonard_pair(comp.a, comp.a_star)
     pa = extract_parameter_array(result.canonical)
@@ -417,7 +416,7 @@ def test_lattice_top_component_bidiagonal_frozen():
 
 
 def test_lattice_two_two_chain_frozen():
-    dec = lattice_decomposition(2, 2)
+    _, _, dec = lattice_pair(build_lattice(2, 2))
     comp = next(c for c in dec.components if c.diameter == 2)
     chains = [[str(v) for v in vec] for vec in comp.basis]
     assert chains == [
@@ -519,8 +518,6 @@ def test_lattice_guards():
         build_lattice(3, 6)
     with pytest.raises(LatticeSizeError):
         build_lattice(5, 4)
-    with pytest.raises(LatticeSizeError):
-        lattice_decomposition(5, 4)
     with pytest.raises(GeneratorError):
         lattice_pair(build_lattice(2, 2), 0, 1)
 

@@ -16,9 +16,13 @@ from leonardpairs.errors import DegenerateSplitError, FieldMismatchError
 from leonardpairs.field import PrimeField, QuadraticExtension, Rationals
 from leonardpairs.generators import random_nonexample, sl2_pair, uq_pair
 from leonardpairs.matrix import ExactMatrix, conjugate, inverse, is_multiplicity_free
+from leonardpairs import leonard
 from leonardpairs.leonard import (
     AskeyWilsonFit,
     LeonardSystem,
+    _in_eigenbasis,
+    _is_split_form_of,
+    _is_tridiagonal_form_of,
     _split_superdiagonal,
     _support_matrix,
     askey_wilson_residuals,
@@ -40,6 +44,7 @@ from leonardpairs.parray import (
     validate,
 )
 
+import oracles
 from corpusgen import array_from_eigen_data, random_valid_array, theta_by_recurrence
 
 Q = Rationals()
@@ -136,7 +141,7 @@ def test_support_matrix_matches_idempotent_products(field):
             if eigen is None:  # a reducible A need not split over the field
                 continue
             want = _product_support(x, eigen.idempotents)
-            assert _support_matrix(x, eigen) == want, label
+            assert _support_matrix(_in_eigenbasis(x, eigen)) == want, label
             checked += 1
         assert checked == 2 or (label == "reducible" and checked == 1), label
 
@@ -436,7 +441,8 @@ def _band_check(eigen, dual, a, a_star, theta, theta_star):
     eigen, dual = reorder(eigen, theta), reorder(dual, theta_star)
     if eigen is None or dual is None:
         return False
-    for support in (_support_matrix(a, dual), _support_matrix(a_star, eigen)):
+    for x, data in ((a, dual), (a_star, eigen)):
+        support = _support_matrix(_in_eigenbasis(x, data))
         n = len(support)
         for i in range(n):
             for j in range(n):
@@ -515,6 +521,130 @@ def test_prescribed_orderings_are_recognition_systems(field, max_d):
                     assert system in rec.systems
                     accepted.add((theta, theta_star))
             assert accepted == admissible
+
+
+# --- the report's roundtrips against recognising the constructions ---
+
+
+def _changed(m, pos, change):
+    """m with the entry at pos replaced by change(entry)."""
+    rows = [list(row) for row in m.rows]
+    i, j = pos
+    rows[i][j] = change(rows[i][j])
+    return ExactMatrix(m.field, rows)
+
+
+def _realisations(system):
+    """(kind, M, M*, expected) inputs for the two roundtrip checks: the
+    constructions of the system's array, then for each i = 1..d a changed
+    varphi_i, a changed product b_{i-1} c_i of the tridiagonal form, and
+    each form with its off-diagonal pair rescaled by 2 and 1/2."""
+    f = system.field
+    pa = system.parameter_array()
+    b, b_star = construct_bidiagonal(pa)
+    t, t_star = construct_tridiagonal(pa)
+    out = [("split", b, b_star, True), ("tridiagonal", t, t_star, True)]
+    two = f.from_int(2)
+    for i in range(1, pa.d + 1):
+        up, down = (i - 1, i), (i, i - 1)
+
+        def plus_one(v):
+            return f.add(v, f.one)
+
+        out.append(("split", b, _changed(b_star, up, plus_one), False))
+        out.append(("tridiagonal", _changed(t, up, plus_one), t_star, False))
+        if f.is_zero(two):
+            continue
+
+        def double(v):
+            return f.mul(two, v)
+
+        def halve(v):
+            return f.div(v, two)
+
+        out.append(("split", _changed(b, down, double), _changed(b_star, up, halve), True))
+        out.append(("tridiagonal", _changed(_changed(t, up, double), down, halve), t_star, True))
+    return out
+
+
+# GF(2) has no valid array of diameter 1 (PA3 gives varphi_1 = phi_1 + 1)
+# and GF(3) none past diameter 2, which needs four distinct eigenvalues
+WITNESS_FIELDS = [
+    (Q, 6),
+    (PrimeField(2), 0),
+    (PrimeField(3), 2),
+    (PrimeField(101), 6),
+    (QuadraticExtension(5), 6),
+]
+
+
+@pytest.mark.parametrize("field, max_d", WITNESS_FIELDS, ids=lambda v: getattr(v, "name", v))
+def test_report_roundtrips_match_recognition_oracle(field, max_d):
+    """The report's witness checks give the booleans of recognising each
+    construction again, on split-form pairs and on pairs conjugated by a
+    seeded unitriangular matrix, for the constructions and their mutants."""
+    rng = random.Random(17)
+    for d in range(max_d + 1):
+        pa = random_valid_array(field, rng, d)
+        split = construct_bidiagonal(pa)
+        dress = _unitriangular(field, d + 1, rng)
+        for a, a_star in (split, (conjugate(split[0], dress), conjugate(split[1], dress))):
+            report = verification_report(a, a_star)
+            rec = is_leonard_pair(a, a_star)
+            for s in rec.systems:
+                assert s.a_in_dual_basis() == _in_eigenbasis(a, s.dual_eigen)
+            system = rec.canonical
+            canon = system.parameter_array()
+            assert report["parameter_array"]["varphi"] == [
+                field.serialize(v) for v in canon.varphi
+            ]
+            cases = _realisations(system)
+            for kind, m, m_star, expected in cases:
+                if kind == "split":
+                    witness = _is_split_form_of(system, m, m_star)
+                    oracle = oracles.bidiagonal_roundtrip(canon, m, m_star)
+                else:
+                    witness = _is_tridiagonal_form_of(system, m, m_star)
+                    oracle = oracles.tridiagonal_roundtrip(canon, m, m_star)
+                assert witness is oracle is expected, (field.name, d, kind)
+            (_, b, b_star, _), (_, t, t_star, _) = cases[:2]
+            checks = report["cross_checks"]
+            assert checks["bidiagonal_roundtrip"] is oracles.bidiagonal_roundtrip(canon, b, b_star)
+            tri = oracles.tridiagonal_roundtrip(canon, t, t_star)
+            assert checks["tridiagonal_roundtrip"] is tri
+
+
+def test_roundtrip_witnesses_catch_mutants():
+    """A changed varphi or tridiagonal product is refused; a diagonal
+    rescaling of the tridiagonal form is accepted, as is a non-unit
+    subdiagonal in split form that keeps every product."""
+    dress = ExactMatrix(Q, FIXTURE_S)
+    a, a_star = (conjugate(m, dress) for m in fixture_pair())
+    system = is_leonard_pair(a, a_star).canonical
+    cases = _realisations(system)
+    assert len(cases) == 2 + 4 * 3
+    for kind, m, m_star, expected in cases:
+        check = _is_split_form_of if kind == "split" else _is_tridiagonal_form_of
+        assert check(system, m, m_star) is expected, kind
+    # the tridiagonal check also needs T* = diag(theta*) in theta* order
+    t, t_star = construct_tridiagonal(system.parameter_array())
+    backwards = ExactMatrix.diagonal(Q, reversed(system.theta_star))
+    assert not _is_tridiagonal_form_of(system, t, backwards)
+    assert not _is_split_form_of(system, t, t_star)
+
+
+def test_verification_report_recognises_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return is_leonard_pair(*args, **kwargs)
+
+    monkeypatch.setattr(leonard, "is_leonard_pair", counted)
+    a, a_star = sl2_pair(Q, 4)
+    report = verification_report(a, a_star)
+    assert report["all_checks_passed"] is True
+    assert len(calls) == 1
 
 
 # --- Askey-Wilson relations ---

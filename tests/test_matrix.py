@@ -36,11 +36,12 @@ from leonardpairs.matrix import (
     is_irreducible_tridiagonal,
     is_multiplicity_free,
     is_tridiagonal,
-    joint_intertwiner_basis,
     nullspace,
     shape,
     solve_linear,
 )
+
+from oracles import joint_intertwiner_basis
 
 Q = Rationals()
 

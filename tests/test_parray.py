@@ -27,7 +27,6 @@ from leonardpairs.matrix import (
     SHAPE_IRREDUCIBLE_TRIDIAGONAL,
     conjugate,
     is_irreducible_tridiagonal,
-    joint_intertwiner_basis,
     shape,
 )
 from leonardpairs.parray import (
@@ -52,6 +51,7 @@ from leonardpairs.parray import (
 )
 
 from corpusgen import array_from_eigen_data, random_valid_array, theta_by_recurrence
+from oracles import joint_intertwiner_basis
 
 Q = Rationals()
 
