@@ -613,13 +613,20 @@ class QuadraticExtension(Field):
     image_zero = (0, 0)
     image_one = (1, 0)
 
+    # zero entries share one image and one payload, so sparse grids stay small
     def lift(self, payloads):
         ratios = [(a.as_integer_ratio(), b.as_integer_ratio()) for a, b in payloads]
         den = math.lcm(*(d for pair in ratios for _, d in pair))
-        return [(a * (den // da), b * (den // db)) for (a, da), (b, db) in ratios], den
+        zero = self.image_zero
+        return [
+            (a * (den // da), b * (den // db)) if a or b else zero
+            for (a, da), (b, db) in ratios
+        ], den
 
     def lower(self, v, den: int):
         a, b = v
+        if not (a or b):
+            return self.zero
         return (
             Fraction(a, den) if a else _RAT_ZERO,
             Fraction(b, den) if b else _RAT_ZERO,

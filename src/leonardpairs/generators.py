@@ -14,9 +14,11 @@ Structured families, all returned as exact matrix pairs:
   The pair is Leonard exactly when eps alpha beta avoids q^(d-1),
   q^(d-3), ..., q^(1-d); uq_pair reports that membership as a flag.
 * build_lattice / lattice_pair: grading, raising and lowering operators
-  K, R, L on the full subspace lattice of GF(q)^n over Q(sqrt q), with
-  the quantum relations verified exactly; lattice_pair splits the module
-  into irreducible chains, each carrying one Leonard pair in split form.
+  K, R, L on the full subspace lattice of GF(q)^n over Q(sqrt q).  They
+  make it a U_q(sl2)-module at sqrt q, with K, L, R in the roles of k, e,
+  f, and the one exact check of the quantum relations serves both
+  modules; lattice_pair splits the module into irreducible chains, each
+  carrying one Leonard pair in split form.
 
 Plus deterministic random sources for valid parameter arrays and for
 certified non-examples.
@@ -96,9 +98,9 @@ def _verify_sl2_relations(module: Sl2Module) -> None:
     e, f, h = module.e, module.f, module.h
     two = module.field.from_int(2)
     checks = (
-        (h @ e + (e @ h).scale(module.field.from_int(-1)), e.scale(two)),
-        (h @ f + (f @ h).scale(module.field.from_int(-1)), f.scale(module.field.from_int(-2))),
-        (e @ f + (f @ e).scale(module.field.from_int(-1)), h),
+        (h @ e - e @ h, e.scale(two)),
+        (h @ f - f @ h, f.scale(module.field.from_int(-2))),
+        (e @ f - f @ e, h),
     )
     for got, want in checks:
         if got != want:
@@ -238,32 +240,43 @@ def uq_module(field: Field, d: int, q, epsilon=1) -> UqModule:
         epsilon,
         ExactMatrix._raw(field, e_rows),
         ExactMatrix._raw(field, f_rows),
-        ExactMatrix._raw(field, [[k_diag[i] if i == j else z for j in range(n)] for i in range(n)]),
-        ExactMatrix._raw(field, [[k_inv_diag[i] if i == j else z for j in range(n)] for i in range(n)]),
+        ExactMatrix.diagonal(field, k_diag),
+        ExactMatrix.diagonal(field, k_inv_diag),
     )
-    _verify_uq_relations(module)
+    _verify_quantum_relations(module.k, module.e, module.f, q, module.k_inv)
     return module
 
 
-def _verify_uq_relations(module: UqModule) -> None:
-    field = module.field
-    q = module.q
-    e, f, k, k_inv = module.e, module.f, module.k, module.k_inv
-    ident = ExactMatrix.identity(field, module.d + 1)
+def _verify_quantum_relations(k, e, f, q, k_inv=None) -> None:
+    """Check ke = q^2 ek, kf = q^-2 fk and ef - fe = (k - k^-1)/(q - 1/q)
+    exactly, for an invertible diagonal k; and k_inv = k^-1 when given.
+
+    With k diagonal, kx = c xk says k_i = c k_j at every nonzero x_ij, so
+    the first two relations need no product.  The bracket compares the
+    rows of ef and fe: equal off the diagonal, differing on it by
+    (k_i - k_i^-1)/(q - 1/q).
+    """
+    field = k.field
+    weights = [row[i] for i, row in enumerate(k.rows)]
+    if k != ExactMatrix.diagonal(field, weights) or any(field.is_zero(w) for w in weights):
+        raise InternalCheckError("k is not an invertible diagonal matrix")
+    inverses = [field.inv(w) for w in weights]
+    if k_inv is not None and k_inv != ExactMatrix.diagonal(field, inverses):
+        raise InternalCheckError("k k^-1 = 1 fails")
     qsq = field.mul(q, q)
-    neg = field.from_int(-1)
-    ok = (
-        k @ k_inv == ident
-        and k @ e == (e @ k).scale(qsq)
-        and k @ f == (f @ k).scale(field.inv(qsq))
-    )
-    if ok:
-        den = field.sub(q, field.inv(q))
-        lhs = e @ f + (f @ e).scale(neg)
-        rhs = (k + k_inv.scale(neg)).scale(field.inv(den))
-        ok = lhs == rhs
-    if not ok:
-        raise InternalCheckError("quantum relations fail on the module")
+    for name, x, c in (("ke = q^2 ek", e, qsq), ("kf = q^-2 fk", f, field.inv(qsq))):
+        for i, (_, _, support) in enumerate(x._lifted_rows()):
+            if any(weights[i] != field.mul(c, weights[j]) for j in support):
+                raise InternalCheckError(f"{name} fails")
+    den = field.inv(field.sub(q, field.inv(q)))
+    for i, (ef_row, fe_row) in enumerate(zip((e @ f).rows, (f @ e).rows)):
+        bracket = field.mul(field.sub(weights[i], inverses[i]), den)
+        if (
+            ef_row[:i] != fe_row[:i]
+            or ef_row[i + 1:] != fe_row[i + 1:]
+            or field.sub(ef_row[i], fe_row[i]) != bracket
+        ):
+            raise InternalCheckError("ef - fe = (k - k^-1)/(q - 1/q) fails")
 
 
 def uq_forbidden_set(field: Field, d: int, q) -> list:
@@ -539,7 +552,6 @@ def build_lattice(n: int, q: int) -> SubspaceLattice:
     )
 
     field, sq = _sqrt_q_setup(q)
-    den = field.inv(field.sub(sq, field.inv(sq)))
     z = field.zero
     weights = [field.pow(sq, n - 2 * k) for k in range(n + 1)]
     zeros = [z] * (n + 1)
@@ -554,7 +566,7 @@ def build_lattice(n: int, q: int) -> SubspaceLattice:
         _grade_operator(field, offsets, covers, zeros, field.one, z),
         _grade_operator(field, offsets, covers, zeros, z, field.pow(sq, 1 - n)),
     )
-    _verify_lattice_relations(lattice, sq, den)
+    _verify_quantum_relations(lattice.k_op, lattice.l_op, lattice.r_op, sq)
     return lattice
 
 
@@ -589,77 +601,6 @@ def _raise(q_rat, vec, covers_k, size: int) -> list:
         for target in covers_k[col]:
             out[target] = q_rat.add(out[target], coeff)
     return out
-
-
-def _sparse_rows(matrix: ExactMatrix) -> list[dict]:
-    f = matrix.field
-    return [
-        {j: v for j, v in enumerate(row) if not f.is_zero(v)}
-        for row in matrix.rows
-    ]
-
-
-def _sparse_mul(field: Field, a: list[dict], b: list[dict]) -> list[dict]:
-    out = []
-    for row in a:
-        acc: dict = {}
-        for mid, va in row.items():
-            for j, vb in b[mid].items():
-                term = field.mul(va, vb)
-                cur = acc.get(j)
-                acc[j] = term if cur is None else field.add(cur, term)
-        out.append({j: v for j, v in acc.items() if not field.is_zero(v)})
-    return out
-
-
-def _sparse_scale(field: Field, a: list[dict], c) -> list[dict]:
-    return [{j: field.mul(c, v) for j, v in row.items()} for row in a]
-
-
-def _sparse_sub(field: Field, a: list[dict], b: list[dict]) -> list[dict]:
-    out = []
-    for ra, rb in zip(a, b):
-        row = dict(ra)
-        for j, v in rb.items():
-            diff = field.sub(row.get(j, field.zero), v)
-            if field.is_zero(diff):
-                row.pop(j, None)
-            else:
-                row[j] = diff
-        out.append(row)
-    return out
-
-
-def _verify_lattice_relations(lat: SubspaceLattice, sq, den) -> None:
-    """Check the three quantum relations entrywise on the built operators.
-
-    The products are formed sparsely; that skips structural zeros but
-    compares every surviving entry exactly.
-    """
-    field = lat.field
-    q_pay = field.from_int(lat.q)
-    k_sp = _sparse_rows(lat.k_op)
-    r_sp = _sparse_rows(lat.r_op)
-    l_sp = _sparse_rows(lat.l_op)
-    if _sparse_mul(field, k_sp, l_sp) != _sparse_scale(
-        field, _sparse_mul(field, l_sp, k_sp), q_pay
-    ):
-        raise InternalCheckError("KL = qLK fails")
-    if _sparse_mul(field, k_sp, r_sp) != _sparse_scale(
-        field, _sparse_mul(field, r_sp, k_sp), field.inv(q_pay)
-    ):
-        raise InternalCheckError("KR = q^-1 RK fails")
-    lhs = _sparse_sub(
-        field,
-        _sparse_mul(field, l_sp, r_sp),
-        _sparse_mul(field, r_sp, l_sp),
-    )
-    k_inv_sp = [
-        {i: field.inv(row[i])} for i, row in enumerate(k_sp)
-    ]
-    rhs = _sparse_scale(field, _sparse_sub(field, k_sp, k_inv_sp), den)
-    if lhs != rhs:
-        raise InternalCheckError("LR - RL = (K - K^-1)/(sq - 1/sq) fails")
 
 
 @dataclass(frozen=True)
@@ -849,6 +790,8 @@ def random_parameter_array(field: Field, d: int, rng) -> ParameterArray:
     """A valid parameter array drawn from the direct construction: shared
     three-term ratio for the eigenvalue sequences, free phi_1, rejection on
     the nonvanishing axiom."""
+    if d < 0:
+        raise GeneratorError("diameter must be nonnegative")
     for _ in range(RANDOM_ARRAY_DRAWS):
         if d <= 2:
             theta = _distinct(field, rng, d + 1)

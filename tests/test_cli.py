@@ -505,6 +505,12 @@ def test_gen_sizes_are_capped():
     assert code == 0
 
 
+@pytest.mark.parametrize("d", ["-1", "-2"])
+def test_gen_random_array_negative_diameter_exits_two(d):
+    code, out, err = run_cli("gen", "--source", "random-array", "--d", d)
+    assert (code, out, err) == (2, "", "error: diameter must be nonnegative\n")
+
+
 def test_gen_sl2_at_the_cap():
     # d = 32 used to take seconds of root search; d = 50 was refused outright
     code, out, err = run_cli("gen", "--source", "sl2", "--d", str(cli.MAX_GEN_SIZE))

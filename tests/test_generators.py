@@ -13,8 +13,11 @@ beta / sqrt(2)^2 = 4.
 import hashlib
 import json
 import random
-from dataclasses import replace
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -357,6 +360,21 @@ def test_lattice_counts_frozen(n, q):
     assert dec.multiplicities() == LATTICE_MULTIPLICITIES[(n, q)]
 
 
+def test_subspace_counts_script_agrees_with_frozen_counts():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "subspace_counts.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines
+    for line in lines:
+        match = re.fullmatch(r"n=(\d+) q=(\d+): per-dimension \[([\d, ]+)\] total (\d+)", line)
+        assert match, line
+        n, q, cols, total = match.groups()
+        counts = tuple(int(c) for c in cols.split(", "))
+        assert counts == LATTICE_COUNTS[(int(n), int(q))]
+        assert int(total) == sum(counts)
+
+
 def test_lattice_structure_2_2():
     lat = build_lattice(2, 2)
     assert lat.counts == (1, 3, 1)
@@ -496,15 +514,89 @@ def test_lattice_default_beta_is_never_forbidden():
         assert lat.field.coerce(q**n) not in lattice_forbidden_set(lat)
 
 
-def test_lattice_relation_check_catches_tampering():
-    from leonardpairs.generators import _sqrt_q_setup, _verify_lattice_relations
+def _with_entry(matrix, i, j, value):
+    rows = [list(row) for row in matrix.rows]
+    rows[i][j] = value
+    return ExactMatrix(matrix.field, rows)
 
-    lat = build_lattice(2, 2)
-    _, sq = _sqrt_q_setup(2)
-    den = lat.field.inv(lat.field.sub(sq, lat.field.inv(sq)))
-    broken = replace(lat, l_op=lat.l_op.scale(lat.field.from_int(2)))
+
+def _lattice_relation_args():
+    lat = build_lattice(3, 2)
+    return lat, [lat.k_op, lat.l_op, lat.r_op, generators._sqrt_q_setup(2)[1], None]
+
+
+def _uq_relation_args():
+    m = uq_module(Rationals(), 3, 2)
+    return m, [m.k, m.e, m.f, m.q, m.k_inv]
+
+
+def _double_grade_weight(lat, args):
+    f, k = lat.field, args[0]
+    rows = [list(row) for row in k.rows]
+    for i in range(lat.offsets[1], lat.offsets[2]):
+        rows[i][i] = f.mul(f.from_int(2), rows[i][i])
+    args[0] = ExactMatrix(f, rows)
+
+
+def _zero_first_r_entry(lat, args):
+    r, f = args[2], lat.field
+    i, j = next(
+        (i, j) for i, row in enumerate(r.rows) for j, v in enumerate(row) if not f.is_zero(v)
+    )
+    args[2] = _with_entry(r, i, j, 0)
+
+
+def _double_entry(pos, i, j):
+    def mutate(module, args):
+        f = module.field
+        args[pos] = _with_entry(args[pos], i, j, f.mul(f.from_int(2), args[pos].rows[i][j]))
+
+    return mutate
+
+
+def _scale_l(lat, args):
+    args[1] = args[1].scale(lat.field.from_int(2))
+
+
+def _add_k_off_diagonal(lat, args):
+    args[0] = _with_entry(args[0], 0, 1, 1)
+
+
+def _swap_l_and_r(lat, args):
+    args[1], args[2] = args[2], args[1]
+
+
+def _l_entry_outside_covers(lat, args):
+    # a line and a plane not containing it: LR - RL changes off its diagonal only
+    plane = next(j for j in range(lat.counts[2]) if j not in lat.covers[1][0])
+    args[1] = _with_entry(args[1], lat.offsets[1], lat.offsets[2] + plane, 1)
+
+
+def _e_plus_identity(module, args):
+    # [e + 1, f] = [e, f]: only ke = q^2 ek can see it
+    args[1] = args[1] + ExactMatrix.identity(module.field, module.d + 1)
+
+
+@pytest.mark.parametrize(
+    "build,mutate",
+    [
+        pytest.param(_lattice_relation_args, _scale_l, id="L-doubled"),
+        pytest.param(_lattice_relation_args, _double_grade_weight, id="K-grade-weight-doubled"),
+        pytest.param(_lattice_relation_args, _add_k_off_diagonal, id="K-off-diagonal"),
+        pytest.param(_lattice_relation_args, _zero_first_r_entry, id="R-entry-zeroed"),
+        pytest.param(_lattice_relation_args, _swap_l_and_r, id="L-and-R-swapped"),
+        pytest.param(_lattice_relation_args, _l_entry_outside_covers, id="L-entry-outside-covers"),
+        pytest.param(_uq_relation_args, _e_plus_identity, id="uq-e-plus-identity"),
+        pytest.param(_uq_relation_args, _double_entry(1, 0, 1), id="uq-e-entry-doubled"),
+        pytest.param(_uq_relation_args, _double_entry(4, 0, 0), id="uq-k_inv-entry-wrong"),
+    ],
+)
+def test_quantum_relation_check_catches_mutants(build, mutate):
+    module, args = build()
+    generators._verify_quantum_relations(*args)
+    mutate(module, args)
     with pytest.raises(InternalCheckError):
-        _verify_lattice_relations(broken, sq, den)
+        generators._verify_quantum_relations(*args)
 
 
 def test_lattice_guards():
