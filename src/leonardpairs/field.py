@@ -59,24 +59,17 @@ _RAT_ZERO = Fraction(0)
 _RAT_ONE = Fraction(1)
 _RAT_TYPES = (int, Fraction)
 
-# Deterministic Miller-Rabin witnesses, valid for every n < 3.3e24.
+# Deterministic Miller-Rabin witnesses: the first twelve primes decide
+# every n below psi_12 = 318665857834031151167461 = 399165290221 *
+# 798330580441, the least composite that passes all twelve.  Callers stay
+# far below it: PrimeField refuses p > 2^61 - 1 before testing, and the
+# lifting primes are small.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_TRIAL_DIVISION_BOUND = 10**7
 
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n < _TRIAL_DIVISION_BOUND:
-        if n % 2 == 0:
-            return n == 2
-        f = 3
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
-        return True
     for a in _MR_BASES:
         if n % a == 0:
             return n == a

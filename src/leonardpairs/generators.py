@@ -77,18 +77,10 @@ class Sl2Module:
 def sl2_module(field: Field, d: int) -> Sl2Module:
     if d < 0:
         raise GeneratorError("diameter must be nonnegative")
-    n = d + 1
-    z = field.zero
-    e_rows = [[z] * n for _ in range(n)]
-    f_rows = [[z] * n for _ in range(n)]
-    for i in range(n):
-        if i + 1 <= d:
-            f_rows[i + 1][i] = field.from_int(i + 1)
-        if i - 1 >= 0:
-            e_rows[i - 1][i] = field.from_int(d - i + 1)
-    e = ExactMatrix._raw(field, e_rows)
-    f = ExactMatrix._raw(field, f_rows)
-    h = ExactMatrix.diagonal(field, [d - 2 * i for i in range(n)])
+    zeros = [field.zero] * (d + 1)
+    e = ExactMatrix.diagonal(field, zeros, above=range(d, 0, -1))
+    f = ExactMatrix.diagonal(field, zeros, below=range(1, d + 1))
+    h = ExactMatrix.diagonal(field, [d - 2 * i for i in range(d + 1)])
     module = Sl2Module(field, d, e, f, h)
     _verify_sl2_relations(module)
     return module
@@ -220,28 +212,19 @@ def uq_module(field: Field, d: int, q, epsilon=1) -> UqModule:
     if field.characteristic() == 2:
         epsilon = field.one  # the sign set collapses
 
-    n = d + 1
-    z = field.zero
-    e_rows = [[z] * n for _ in range(n)]
-    f_rows = [[z] * n for _ in range(n)]
-    k_diag, k_inv_diag = [], []
-    for i in range(n):
-        weight = field.mul(epsilon, field.pow(q, d - 2 * i))
-        k_diag.append(weight)
-        k_inv_diag.append(field.inv(weight))
-        if i + 1 <= d:
-            f_rows[i + 1][i] = _q_int(field, q, i + 1)
-        if i - 1 >= 0:
-            e_rows[i - 1][i] = field.mul(epsilon, _q_int(field, q, d - i + 1))
+    k_diag = [field.mul(epsilon, field.pow(q, d - 2 * i)) for i in range(d + 1)]
+    e_above = [field.mul(epsilon, _q_int(field, q, d - i)) for i in range(d)]
+    f_below = [_q_int(field, q, i) for i in range(1, d + 1)]
+    zeros = [field.zero] * (d + 1)
     module = UqModule(
         field,
         d,
         q,
         epsilon,
-        ExactMatrix._raw(field, e_rows),
-        ExactMatrix._raw(field, f_rows),
+        ExactMatrix.diagonal(field, zeros, above=e_above),
+        ExactMatrix.diagonal(field, zeros, below=f_below),
         ExactMatrix.diagonal(field, k_diag),
-        ExactMatrix.diagonal(field, k_inv_diag),
+        ExactMatrix.diagonal(field, [field.inv(w) for w in k_diag]),
     )
     _verify_quantum_relations(module.k, module.e, module.f, q, module.k_inv)
     return module
@@ -678,7 +661,6 @@ def lattice_pair(
     big_a = _grade_operator(field, lat.offsets, lat.covers, diag, alpha, z)
     big_s = _grade_operator(field, lat.offsets, lat.covers, diag_s, z, super_pay)
     q_rat = Rationals()
-    l_scale = field.pow(sq, 1 - n)
     components = []
     for k in range(n // 2 + 1):
         d_comp = n - 2 * k
@@ -713,8 +695,21 @@ def lattice_pair(
             basis = tuple(
                 _embed(q_rat, vec, k + j, counts) for j, vec in enumerate(chain)
             )
-            comp = _component_pair(
-                field, sq, den, l_scale, alpha, beta, k, idx, d_comp, c_raw, n, basis
+            # (A, A*) on the chain: its grades' diagonal entries, alpha
+            # from R below, and beta L's super_pay * c_j above
+            comp = LatticeComponent(
+                k,
+                idx,
+                d_comp,
+                ExactMatrix.diagonal(
+                    field, diag[k : k + d_comp + 1], below=[alpha] * d_comp
+                ),
+                ExactMatrix.diagonal(
+                    field,
+                    diag_s[k : k + d_comp + 1],
+                    above=[field.mul(super_pay, field.from_rational(c)) for c in c_raw],
+                ),
+                basis,
             )
             if not is_leonard_pair(comp.a, comp.a_star):
                 raise InternalCheckError(
@@ -759,31 +754,8 @@ def _embed(q_rat, vec, grade, counts):
     return tuple(out)
 
 
-def _component_pair(field, sq, den, l_scale, alpha, beta, k, idx, d_comp, c_raw, n, basis):
-    m = d_comp + 1
-    z = field.zero
-    rows_a = [[z] * m for _ in range(m)]
-    rows_s = [[z] * m for _ in range(m)]
-    for j in range(m):
-        weight = field.pow(sq, n - 2 * (k + j))
-        rows_a[j][j] = field.mul(weight, den)
-        rows_s[j][j] = field.mul(field.inv(weight), den)
-        if j + 1 < m:
-            rows_a[j + 1][j] = alpha
-            rows_s[j][j + 1] = field.mul(
-                field.mul(beta, l_scale), field.from_rational(c_raw[j])
-            )
-    return LatticeComponent(
-        k,
-        idx,
-        d_comp,
-        ExactMatrix._raw(field, rows_a),
-        ExactMatrix._raw(field, rows_s),
-        basis,
-    )
-
-
 RANDOM_ARRAY_DRAWS = 500
+DISTINCT_DRAWS = 60
 
 
 def random_parameter_array(field: Field, d: int, rng) -> ParameterArray:
@@ -814,8 +786,8 @@ def random_parameter_array(field: Field, d: int, rng) -> ParameterArray:
     )
 
 
-def _distinct(field: Field, rng, count: int, tries: int = 60):
-    for _ in range(tries):
+def _distinct(field: Field, rng, count: int):
+    for _ in range(DISTINCT_DRAWS):
         values = [field.random_element(rng).payload for _ in range(count)]
         if len({field.serialize(v) for v in values}) == count:
             return values
@@ -867,43 +839,20 @@ def random_nonexample(field: Field, n: int, rng, kind: "str | None" = None):
         raise GeneratorError(f"unknown non-example kind {kind!r}")
 
     diag = _structural_scalars(field, n, rng)
-    z = field.zero
-    rows = [[z] * n for _ in range(n)]
-
+    ones = [field.one] * (n - 1)
+    dual = diag
     if kind == "repeated-eigenvalue":
-        for i in range(n):
-            rows[i][i] = diag[i]
-            if i + 1 < n:
-                rows[i + 1][i] = field.one
-                rows[i][i + 1] = field.one
-        a = ExactMatrix._raw(field, rows)
-        dup = list(diag)
-        dup[-1] = dup[0]
-        a_star = ExactMatrix.diagonal(field, dup)
+        a = ExactMatrix.diagonal(field, diag, below=ones, above=ones)
+        dual = diag[:-1] + diag[:1]
     elif kind == "reducible":
         cut = rng.randrange(1, n - 1) if n > 2 else 1
-        for i in range(n):
-            rows[i][i] = diag[i]
-            if i + 1 < n and i + 1 != cut:
-                rows[i + 1][i] = field.one
-                rows[i][i + 1] = field.one
-        a = ExactMatrix._raw(field, rows)
-        a_star = ExactMatrix.diagonal(field, diag)
+        band = [field.zero if i + 1 == cut else field.one for i in range(n - 1)]
+        a = ExactMatrix.diagonal(field, diag, below=band, above=band)
     elif kind == "one-sided":
-        for i in range(n):
-            rows[i][i] = diag[i]
-            if i + 1 < n:
-                rows[i + 1][i] = field.one
-        a = ExactMatrix._raw(field, rows)
-        a_star = ExactMatrix.diagonal(field, diag)
+        a = ExactMatrix.diagonal(field, diag, below=ones)
     else:  # defective
-        lam = diag[0]
-        for i in range(n):
-            rows[i][i] = lam
-            if i + 1 < n:
-                rows[i][i + 1] = field.one
-        a = ExactMatrix._raw(field, rows)
-        a_star = ExactMatrix.diagonal(field, diag)
+        a = ExactMatrix.diagonal(field, [diag[0]] * n, above=ones)
+    a_star = ExactMatrix.diagonal(field, dual)
 
     g = _random_invertible(field, n, rng)
     g_inv = inverse(g)

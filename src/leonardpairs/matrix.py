@@ -87,23 +87,33 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "ExactMatrix":
-        z, o = field.zero, field.one
-        return cls._raw(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.diagonal(field, [field.one] * n)
 
     @classmethod
     def zeros(cls, field: Field, n: int) -> "ExactMatrix":
-        z = field.zero
-        return cls._raw(field, [[z] * n for _ in range(n)])
+        return cls.diagonal(field, [field.zero] * n)
 
     @classmethod
-    def diagonal(cls, field: Field, entries) -> "ExactMatrix":
+    def diagonal(cls, field: Field, entries, below=None, above=None) -> "ExactMatrix":
+        """The n x n matrix with these diagonal entries and, when given,
+        the n - 1 entries of `below` just under the diagonal and those of
+        `above` just over it; zero elsewhere.  Every entry is coerced."""
         payloads = [field.coerce(v) for v in entries]
-        z = field.zero
         n = len(payloads)
-        return cls._raw(
-            field,
-            [[payloads[i] if i == j else z for j in range(n)] for i in range(n)],
-        )
+        rows = [[field.zero] * n for _ in range(n)]
+        for i, v in enumerate(payloads):
+            rows[i][i] = v
+        for band, down, right in ((below, 1, 0), (above, 0, 1)):
+            if band is None:
+                continue
+            band = [field.coerce(v) for v in band]
+            if len(band) != n - 1:
+                raise ValueError(
+                    f"a band of a {n}x{n} matrix has {n - 1} entries, got {len(band)}"
+                )
+            for i, v in enumerate(band):
+                rows[i + down][i + right] = v
+        return cls._raw(field, rows)
 
     @property
     def n(self) -> int:

@@ -31,7 +31,6 @@ from .field import (
     ExactPolynomial,
     Field,
     FieldElement,
-    PrimeField,
     QuadraticExtension,
     Rationals,
     field_from_dict,
@@ -49,9 +48,13 @@ FAMILY_CHAR2 = "char2-special"
 
 
 class ParameterArray:
-    """Immutable parameter array over one exact field."""
+    """Immutable parameter array over one exact field.
 
-    __slots__ = ("field", "theta", "theta_star", "varphi", "phi")
+    The ValidityReport that validate computes is kept in _report, so the
+    axioms are evaluated once per array; equality and hashing ignore it.
+    """
+
+    __slots__ = ("field", "theta", "theta_star", "varphi", "phi", "_report")
 
     def __init__(self, field: Field, theta, theta_star, varphi, phi):
         th = tuple(field.coerce(v) for v in theta)
@@ -75,6 +78,7 @@ class ParameterArray:
         self.theta_star = ts
         self.varphi = vp
         self.phi = ph
+        self._report = None
 
     @property
     def d(self) -> int:
@@ -200,8 +204,15 @@ def validate(pa: ParameterArray) -> ValidityReport:
     """Check PA1-PA5 and report per-axiom outcomes.
 
     PA3-PA5 involve divisions guarded by PA1, so they are reported as not
-    evaluated (and not passed) when PA1 fails.
+    evaluated (and not passed) when PA1 fails.  The report is computed on
+    the first call and kept on the array.
     """
+    if pa._report is None:
+        pa._report = _evaluate_axioms(pa)
+    return pa._report
+
+
+def _evaluate_axioms(pa: ParameterArray) -> ValidityReport:
     f = pa.field
     d = pa.d
 
@@ -273,44 +284,19 @@ def validate(pa: ParameterArray) -> ValidityReport:
     return ValidityReport((pa1, pa2, pa3, pa4, _status("PA5", pa5_fail)))
 
 
-def _require_valid(pa: ParameterArray, what: str) -> None:
-    report = validate(pa)
-    if not report.valid:
+def _require(pa: ParameterArray, what: str, *, pa12_only: bool = False) -> None:
+    """Raise unless pa satisfies every axiom, or PA1 and PA2 when
+    pa12_only, as the report that validate keeps on the array says."""
+    failing = validate(pa).failing()
+    if pa12_only:
+        failing = [n for n in failing if n in ("PA1", "PA2")]
+        need = "PA1 and PA2; failing: "
+    else:
+        need = "a valid parameter array; failing axioms: "
+    if failing:
         raise InvalidParameterArrayError(
-            f"{what} requires a valid parameter array; failing axioms: "
-            + ", ".join(report.failing())
+            f"{what} requires {need}" + ", ".join(failing)
         )
-
-
-def _require_pa12(pa: ParameterArray, what: str) -> None:
-    report = validate(pa)
-    bad = [n for n in report.failing() if n in ("PA1", "PA2")]
-    if bad:
-        raise InvalidParameterArrayError(
-            f"{what} requires PA1 and PA2; failing: " + ", ".join(bad)
-        )
-
-
-def _lower_bidiagonal(field: Field, diag, sub) -> ExactMatrix:
-    n = len(diag)
-    z = field.zero
-    rows = [[z] * n for _ in range(n)]
-    for i, v in enumerate(diag):
-        rows[i][i] = v
-    for i, v in enumerate(sub):
-        rows[i + 1][i] = v
-    return ExactMatrix._raw(field, rows)
-
-
-def _upper_bidiagonal(field: Field, diag, sup) -> ExactMatrix:
-    n = len(diag)
-    z = field.zero
-    rows = [[z] * n for _ in range(n)]
-    for i, v in enumerate(diag):
-        rows[i][i] = v
-    for i, v in enumerate(sup):
-        rows[i][i + 1] = v
-    return ExactMatrix._raw(field, rows)
 
 
 def construct_bidiagonal(pa: ParameterArray) -> tuple[ExactMatrix, ExactMatrix]:
@@ -319,10 +305,10 @@ def construct_bidiagonal(pa: ParameterArray) -> tuple[ExactMatrix, ExactMatrix]:
     A is lower bidiagonal with diagonal theta and subdiagonal all 1; A* is
     upper bidiagonal with diagonal theta* and superdiagonal varphi.
     """
-    _require_valid(pa, "construct_bidiagonal")
+    _require(pa, "construct_bidiagonal")
     f = pa.field
-    a = _lower_bidiagonal(f, pa.theta, [f.one] * pa.d)
-    a_star = _upper_bidiagonal(f, pa.theta_star, pa.varphi)
+    a = ExactMatrix.diagonal(f, pa.theta, below=[f.one] * pa.d)
+    a_star = ExactMatrix.diagonal(f, pa.theta_star, above=pa.varphi)
     return a, a_star
 
 
@@ -368,7 +354,7 @@ def construct_tridiagonal(
     """
     if split not in ("unit", "symmetric"):
         raise ValueError(f"unknown split {split!r}; expected 'unit' or 'symmetric'")
-    _require_valid(pa, "construct_tridiagonal")
+    _require(pa, "construct_tridiagonal")
     f = pa.field
     d = pa.d
     ts = pa.theta_star
@@ -395,15 +381,7 @@ def construct_tridiagonal(
                 )
             sub.append(root)
         sup = sub
-    z = f.zero
-    n = d + 1
-    rows = [[z] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = diag[i]
-    for i in range(d):
-        rows[i + 1][i] = sub[i]
-        rows[i][i + 1] = sup[i]
-    a = ExactMatrix._raw(f, rows)
+    a = ExactMatrix.diagonal(f, diag, below=sub, above=sup)
     a_star = ExactMatrix.diagonal(f, pa.theta_star)
     return a, a_star
 
@@ -424,11 +402,12 @@ def reversal_intertwiner_systems(
     """The two matrix pairs (B1, B2), (C1, C2) that G must intertwine."""
     f = pa.field
     ones = [f.one] * pa.d
-    b1 = _lower_bidiagonal(f, pa.theta, ones)
-    b2 = _lower_bidiagonal(f, tuple(reversed(pa.theta)), ones)
-    c1 = _upper_bidiagonal(f, pa.theta_star, pa.varphi)
-    c2 = _upper_bidiagonal(f, pa.theta_star, pa.phi)
-    return b1, b2, c1, c2
+    return (
+        ExactMatrix.diagonal(f, pa.theta, below=ones),
+        ExactMatrix.diagonal(f, pa.theta[::-1], below=ones),
+        ExactMatrix.diagonal(f, pa.theta_star, above=pa.varphi),
+        ExactMatrix.diagonal(f, pa.theta_star, above=pa.phi),
+    )
 
 
 def find_g_matrix(pa: ParameterArray) -> GMatrixResult:
@@ -455,7 +434,7 @@ def find_g_matrix(pa: ParameterArray) -> GMatrixResult:
     operations.  g_j ends in a 1 in row j, so G is upper unitriangular,
     hence invertible; multiplying out both identities certifies it.
     """
-    _require_pa12(pa, "find_g_matrix")
+    _require(pa, "find_g_matrix", pa12_only=True)
     f = pa.field
     d = pa.d
     theta, theta_star = pa.theta, pa.theta_star
@@ -501,14 +480,14 @@ def poly_u(pa: ParameterArray, i: int) -> ExactPolynomial:
     there).  Requires PA1 and PA2.
     """
     _check_index(pa, i)
-    _require_pa12(pa, "poly_u")
+    _require(pa, "poly_u", pa12_only=True)
     return _u_sequence(pa, pa.theta, pa.varphi)[i]
 
 
 def poly_u_dual(pa: ParameterArray, i: int) -> ExactPolynomial:
     """The mirror of poly_u: theta reversed and phi in place of varphi."""
     _check_index(pa, i)
-    _require_pa12(pa, "poly_u")
+    _require(pa, "poly_u", pa12_only=True)
     return _u_sequence(pa, tuple(reversed(pa.theta)), pa.phi)[i]
 
 
@@ -525,7 +504,7 @@ def poly_u_sequences(
     Every u_i combines the same running products prod_{h<n}(x - theta_h),
     so each sequence builds them once: O(d^3) field operations in all.
     """
-    _require_pa12(pa, "poly_u")
+    _require(pa, "poly_u", pa12_only=True)
     return (
         _u_sequence(pa, pa.theta, pa.varphi),
         _u_sequence(pa, tuple(reversed(pa.theta)), pa.phi),
@@ -643,7 +622,7 @@ def fingerprint(pa: ParameterArray) -> ClassificationFingerprint:
     determined for d >= 3 (one instance at d = 3, all equal by PA5 beyond)
     and equals beta + 1; below that the family is "small-diameter".
     """
-    _require_valid(pa, "fingerprint")
+    _require(pa, "fingerprint")
     f = pa.field
     if pa.d <= 2:
         return ClassificationFingerprint(FAMILY_SMALL_DIAMETER, None, None)

@@ -24,6 +24,7 @@ from leonardpairs.field import (
     Rationals,
     field_from_dict,
     field_to_dict,
+    _is_prime,
     roots_in_field,
     squarefree_part,
     verify_root_multiset,
@@ -105,6 +106,22 @@ def test_bad_field_parameters():
     assert QuadraticExtension(6).m == 6
     assert QuadraticExtension(-5).m == -5
     assert PrimeField(2**61 - 1).p == 2**61 - 1
+
+
+def test_is_prime_is_miller_rabin_exact_below_psi12():
+    n = 10**5
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(range(i * i, n, i))
+    assert [k for k in range(n) if _is_prime(k)] == [k for k in range(n) if sieve[k]]
+    # the least strong pseudoprimes to the first 1, 2, ..., 8 prime bases
+    for composite in (
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321,
+    ):
+        assert not _is_prime(composite)
+    assert _is_prime(2**61 - 1)
 
 
 def test_squarefree_part():

@@ -116,6 +116,47 @@ def test_constructor_checks():
         A4 + ExactMatrix.identity(PrimeField(5), 4)
 
 
+BAND_FIELDS = [Q, PrimeField(2), PrimeField(101), QuadraticExtension(5)]
+
+
+@pytest.mark.parametrize("field", BAND_FIELDS, ids=lambda f: f.name)
+def test_diagonal_builds_bands(field):
+    diag, below, above = [1, "2", -3, "4"], ["5", 6, "-7"], [8, "9", 10]
+    grid = [
+        [
+            diag[i] if i == j
+            else below[j] if i == j + 1
+            else above[i] if j == i + 1
+            else 0
+            for j in range(4)
+        ]
+        for i in range(4)
+    ]
+    banded = ExactMatrix.diagonal(field, diag, below=below, above=above)
+    assert banded == ExactMatrix(field, grid)
+    assert banded.rows[1][0] == field.coerce("5") and banded.rows[0][1] == field.coerce(8)
+    assert ExactMatrix.diagonal(
+        field, reversed(diag[::-1]), below=reversed(below[::-1]), above=iter(above)
+    ) == banded
+    assert ExactMatrix.diagonal(field, diag, below=below) == ExactMatrix(
+        field, [[v if j <= i else 0 for j, v in enumerate(row)] for i, row in enumerate(grid)]
+    )
+    assert ExactMatrix.diagonal(field, diag, above=above) == ExactMatrix(
+        field, [[v if j >= i else 0 for j, v in enumerate(row)] for i, row in enumerate(grid)]
+    )
+    assert ExactMatrix.diagonal(field, ["7"]) == ExactMatrix(field, [[7]])
+    assert ExactMatrix.diagonal(field, [7], below=[], above=()) == ExactMatrix(field, [[7]])
+    assert ExactMatrix.identity(field, 3) == ExactMatrix(field, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert ExactMatrix.zeros(field, 2) == ExactMatrix(field, [[0, 0], [0, 0]])
+    for bad in ([], [1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            ExactMatrix.diagonal(field, diag, below=bad)
+        with pytest.raises(ValueError):
+            ExactMatrix.diagonal(field, diag, above=bad)
+    with pytest.raises(ValueError):
+        ExactMatrix.diagonal(field, [7], below=[1])
+
+
 def test_basic_algebra():
     eye = ExactMatrix.identity(Q, 4)
     assert A4 @ eye == A4

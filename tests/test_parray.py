@@ -6,12 +6,17 @@ hand: the split products (3, 4, 3), the change-of-basis S to split form,
 and the u_i(theta_j) table matching the eigenvector matrix P columnwise.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leonardpairs import cli
+from leonardpairs import parray as parray_module
 from leonardpairs.errors import (
     InvalidParameterArrayError,
     UnsupportedFieldOperationError,
@@ -22,6 +27,8 @@ from leonardpairs.field import (
     QuadraticExtension,
     Rationals,
 )
+from leonardpairs.generators import sl2_pair
+from leonardpairs.leonard import verification_report
 from leonardpairs.matrix import (
     ExactMatrix,
     SHAPE_IRREDUCIBLE_TRIDIAGONAL,
@@ -43,6 +50,7 @@ from leonardpairs.parray import (
     construct_tridiagonal,
     find_g_matrix,
     fingerprint,
+    parameter_array_to_dict,
     poly_u,
     poly_u_dual,
     reversal_intertwiner_systems,
@@ -101,6 +109,48 @@ def test_pa1_failure_gates_pa3_to_pa5():
     # duplicate in the dual sequence alone also trips PA1
     dual = ParameterArray(Q, THETA, (3, 1, 1, -3), VARPHI, PHI)
     assert "theta*[1] == theta*[2]" in validate(dual).axiom("PA1").detail
+
+
+def test_axioms_are_evaluated_once_per_array(monkeypatch, tmp_path):
+    """validate keeps its report on the array: one verification report and
+    one CLI construct each evaluate PA3 and PA4 once, two _split_rhs calls."""
+    calls = []
+    real = parray_module._split_rhs
+    monkeypatch.setattr(
+        parray_module, "_split_rhs", lambda *args: calls.append(args) or real(*args)
+    )
+    verification_report(*sl2_pair(Q, 6))
+    assert len(calls) == 2
+
+    calls.clear()
+    path = tmp_path / "pa.json"
+    path.write_text(json.dumps(parameter_array_to_dict(krawtchouk_array())))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["construct", "--in", str(path)]) == 0
+    assert len(calls) == 2
+
+    pa = krawtchouk_array()
+    report = validate(pa)
+    assert validate(pa) is report
+    fresh = krawtchouk_array()
+    assert fresh == pa and hash(fresh) == hash(pa)
+
+
+def test_guards_name_the_failing_axioms():
+    bad_split = ParameterArray(Q, THETA, THETA, (-7, -8, -6), PHI)
+    with pytest.raises(InvalidParameterArrayError) as err:
+        construct_bidiagonal(bad_split)
+    assert str(err.value) == (
+        "construct_bidiagonal requires a valid parameter array; failing axioms: PA3, PA4"
+    )
+    zero_split = ParameterArray(Q, THETA, THETA, (-6, 0, -6), PHI)
+    with pytest.raises(InvalidParameterArrayError) as err:
+        find_g_matrix(zero_split)
+    assert str(err.value) == "find_g_matrix requires PA1 and PA2; failing: PA2"
+    with pytest.raises(InvalidParameterArrayError) as err:
+        poly_u(zero_split, 1)
+    assert str(err.value) == "poly_u requires PA1 and PA2; failing: PA2"
+    assert find_g_matrix(bad_split).found is False
 
 
 def test_pa2_failure_reported_with_index():
