@@ -46,7 +46,7 @@ from .leonard import (
     system_from_parameter_array,
     verification_report,
 )
-from .matrix import ExactMatrix, matrix_from_dict, matrix_to_dict
+from .matrix import ExactMatrix, _json_rows, matrix_from_dict, matrix_to_dict
 from .parray import (
     ParameterArray,
     construct_bidiagonal,
@@ -148,7 +148,7 @@ def _matrix_from_obj(obj, override: "Field | None", label: str) -> ExactMatrix:
         )
     field = _field_from_obj(obj, override, label)
     try:
-        return ExactMatrix(field, rows)
+        return ExactMatrix(field, _json_rows(rows))
     except (LeonardPairsError, TypeError, ValueError) as exc:
         raise _InputError(f"{label}: {exc}") from exc
 

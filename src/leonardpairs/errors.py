@@ -36,7 +36,7 @@ class InvalidParameterArrayError(LeonardPairsError, ValueError):
 
 
 class DegenerateSplitError(LeonardPairsError):
-    """The split-basis intersections do not have the expected dimensions."""
+    """A system's split or tridiagonal form fails a check of extraction."""
 
 
 class GeneratorError(LeonardPairsError, ValueError):

@@ -1283,6 +1283,14 @@ def field_from_dict(data: dict) -> Field:
     raise ParseError(f"unknown field kind {kind!r}")
 
 
+def _json_list(value, key: str) -> list:
+    """value if JSON gave a list there: a string would be read as its
+    characters, and null as no sequence at all."""
+    if not isinstance(value, list):
+        raise ParseError(f"{key!r} must be a JSON list")
+    return value
+
+
 __all__ = [
     "BACKEND",
     "ExactPolynomial",

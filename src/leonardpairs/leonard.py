@@ -11,27 +11,19 @@ must be a Hamiltonian path with both directions present on every edge.
 A system with prescribed orderings is picked from the systems that
 recognition finds; there is no second support check.
 
-Extraction walks a system down to its parameter array through the split
-basis u_i = (A - theta_{i-1} I) ... (A - theta_0 I) xi with xi the
-theta*_0 eigenvector of A*, which spans the E*_0 image.  In that basis A
-is lower bidiagonal by construction, and the split sequence is read
-straight off A* u_i - theta*_i u_i = phi_i u_{i-1}, each equation checked
-exactly, with no inverse or change of basis formed; the second split
-sequence comes from the same walk with theta reversed.
+Extraction reads a system's parameter array off X = P*^-1 A P*, the
+tridiagonal that recognition formed, by two running sums over its
+diagonal; comparing X with the tridiagonal construction of that array
+certifies it.  No split basis is formed (split_basis builds one).
 
 A Leonard system is determined up to isomorphism by its parameter array,
 and an isomorphism keeps the array (Terwilliger, LAA 330 (2001), Thm
 1.9).  So the report's two construction roundtrips need no second
-recognition: each construction of the array is compared with a change of
-basis the report already holds.  Extraction certified that the split
-basis S carries (A, A*) to the split-form pair; recognition formed
-X = P*^-1 A P*, which is A in the A*-eigenbasis.  An isomorphism of
-systems maps the split basis to the split basis up to one scalar (xi
-spans the theta*_0 eigenspace, and u_{i+1} = (A - theta_i I) u_i
-follows), and the A*-eigenbasis to the A*-eigenbasis up to a diagonal
-matrix.  So the bidiagonal construction realises the system exactly when
-it is the split-form pair up to a diagonal similarity, and the
-tridiagonal one exactly when it is (D^-1 X D, diag(theta*)) for an
+recognition.  The split-form pair with subdiagonal 1 realises the array,
+and an isomorphism of systems maps the A*-eigenbasis to itself up to a
+diagonal matrix.  So the bidiagonal construction realises the system
+exactly when it is the split-form pair up to a diagonal similarity, and
+the tridiagonal one exactly when it is (D^-1 X D, diag(theta*)) for an
 invertible diagonal D; verification_report derives both directions.
 """
 
@@ -51,7 +43,6 @@ from .matrix import (
     SHAPE_UPPER_BIDIAGONAL,
     ExactMatrix,
     EigenData,
-    _is_invertible,
     _solve_grid,
     is_irreducible_tridiagonal,
     is_multiplicity_free,
@@ -421,61 +412,44 @@ def _shifted_apply(x: ExactMatrix, shift, vector) -> list:
 
 
 def extract_parameter_array(system: LeonardSystem) -> ParameterArray:
-    """Parameter array of a system: theta, theta*, and both split sequences.
+    """Parameter array of a system, read off X = P*^-1 A P* in O(d).
 
-    varphi is the superdiagonal of A* in the split basis; phi is the same
-    reading after reversing theta.  The result is checked against the
-    axioms, so a malformed system cannot slip through.
+    X has diagonal a_i = theta_i + varphi_i/(theta*_i - theta*_{i-1}) +
+    varphi_{i+1}/(theta*_i - theta*_{i+1}) (construct_tridiagonal), which
+    telescopes to varphi_i = (theta*_i - theta*_{i-1}) sum_{h<i} (theta_h -
+    a_h); reversing theta swaps varphi and phi and keeps X, so phi_i has
+    theta_{d-h} in place of theta_h.  Certified in three steps: the axioms
+    hold, X is tridiagonal, and T = D^-1 X D for T of construct_tridiagonal
+    and an invertible diagonal D.  is_multiplicity_free certified
+    P*^-1 A* P* = diag(theta*), so P* D carries the system to that
+    construction, which has the array (Thm 1.9).  A failed step raises
+    DegenerateSplitError.
     """
-    field = system.field
-    varphi = _split_superdiagonal(system, reverse_theta=False)
-    phi = _split_superdiagonal(system, reverse_theta=True)
-    pa = ParameterArray(field, system.theta, system.theta_star, varphi, phi)
-    report = validate(pa)
-    if not report.valid:
-        raise InternalCheckError(
-            "extracted data violates the parameter array axioms: "
-            + ", ".join(report.failing())
+    f = system.field
+    x = system.a_in_dual_basis()
+    theta, theta_star, d = system.theta, system.theta_star, system.d
+    varphi, phi = [], []
+    up = down = f.zero
+    for i in range(1, d + 1):
+        a = x.rows[i - 1][i - 1]
+        up = f.add(up, f.sub(theta[i - 1], a))
+        down = f.add(down, f.sub(theta[d - i + 1], a))
+        gap = f.sub(theta_star[i], theta_star[i - 1])
+        varphi.append(f.mul(gap, up))
+        phi.append(f.mul(gap, down))
+    pa = ParameterArray(f, theta, theta_star, varphi, phi)
+    failing = validate(pa).failing()
+    if failing:
+        raise DegenerateSplitError(
+            "extracted data violates the parameter array axioms: " + ", ".join(failing)
+        )
+    if not is_tridiagonal(x):
+        raise DegenerateSplitError("A is not tridiagonal in the theta* eigenbasis")
+    if not _is_tridiagonal_form_of(system, *construct_tridiagonal(pa)):
+        raise DegenerateSplitError(
+            "A in the theta* eigenbasis is not the tridiagonal form of the extracted array"
         )
     return pa
-
-
-def _split_superdiagonal(system: LeonardSystem, *, reverse_theta: bool) -> list:
-    """The superdiagonal phi of A* in the split basis u_0, ..., u_d.
-
-    A u_i = theta_i u_i + u_{i+1} holds for i < d by construction, so the
-    split form is certified by three exact checks: the u_i are independent
-    (full rank on forward elimination), (A - theta_d I) u_d = 0, and
-    A* u_i - theta*_i u_i = phi_i u_{i-1} for each i (0 for i = 0), which
-    is also where phi_i is read.  No inverse or change of basis is formed.
-    """
-    field = system.field
-    n = system.d + 1
-    theta = tuple(reversed(system.theta)) if reverse_theta else system.theta
-    s = split_basis(system, reverse_theta=reverse_theta)
-    if not _is_invertible(s):
-        raise DegenerateSplitError("split basis is singular")
-    cols = [s.column(i) for i in range(n)]
-    if any(not field.is_zero(v) for v in _shifted_apply(system.a, theta[-1], cols[-1])):
-        raise DegenerateSplitError(
-            f"split form of A: A u_{n - 1} != theta_{n - 1} u_{n - 1}"
-        )
-    phi = []
-    for i in range(n):
-        rest = _shifted_apply(system.a_star, system.theta_star[i], cols[i])
-        if i == 0:
-            want = [field.zero] * n
-        else:
-            prev = cols[i - 1]
-            lead = next(k for k, v in enumerate(prev) if not field.is_zero(v))
-            phi.append(field.div(rest[lead], prev[lead]))
-            want = [field.mul(phi[-1], v) for v in prev]
-        if rest != want:
-            raise DegenerateSplitError(
-                f"split form of A* is not upper bidiagonal with diagonal theta* "
-                f"(column {i})"
-            )
-    return phi
 
 
 AW_COEFFICIENT_NAMES = (
@@ -713,10 +687,8 @@ def _products_are(lower: ExactMatrix, upper: ExactMatrix, products) -> bool:
 def _is_split_form_of(system: LeonardSystem, b: ExactMatrix, b_star: ExactMatrix) -> bool:
     """Whether (B, B*) is the system's split-form pair up to a diagonal
     similarity: B lower and B* upper bidiagonal, with diagonals theta and
-    theta*, and B_{i,i-1} B*_{i-1,i} = varphi_i, which is nonzero.
-
-    Extraction certified that the split-form pair is S^-1 (A, A*) S, with
-    subdiagonal 1 and superdiagonal varphi.
+    theta*, and B_{i,i-1} B*_{i-1,i} = varphi_i, which is nonzero; the
+    split-form pair has subdiagonal 1 and superdiagonal varphi.
     """
     return (
         shape(b) in (SHAPE_DIAGONAL, SHAPE_LOWER_BIDIAGONAL)
@@ -767,12 +739,13 @@ def verification_report(a: ExactMatrix, a_star: ExactMatrix) -> dict:
     construction:
 
     * bidiagonal: (B, B*) = construct_bidiagonal(pa), ordered by its
-      diagonals.  Extraction certified S^-1 (A, A*) S = (L, U), where L
-      has diagonal theta and subdiagonal 1, and U has diagonal theta* and
-      superdiagonal varphi.  If diag B = theta, diag B* = theta* and
+      diagonals.  The split-form pair (L, U), with L of diagonal theta and
+      subdiagonal 1 and U of diagonal theta* and superdiagonal varphi, is a
+      system with array pa: the classification theorem realises each valid
+      array so.  If diag B = theta, diag B* = theta* and
       B_{i,i-1} B*_{i-1,i} = varphi_i, nonzero by PA2, then
       D = diag(1, B_{1,0}, B_{1,0} B_{2,1}, ...) is invertible and gives
-      (B, B*) = D (L, U) D^-1: the construction is Phi moved by S D^-1,
+      (B, B*) = D (L, U) D^-1: the construction is (L, U) moved by D^-1,
       and an isomorphism keeps the array.  Conversely, let the construction's
       system Psi have array pa.  Its diagonals are then theta and theta*.
       B* e_0 = theta*_0 e_0, so Psi's split basis is u_i = B_{1,0} ...

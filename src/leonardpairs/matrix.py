@@ -35,6 +35,7 @@ from .field import (
     ExactPolynomial,
     Field,
     FieldElement,
+    _json_list,
     field_from_dict,
     field_to_dict,
     roots_in_field,
@@ -47,6 +48,8 @@ SHAPE_UPPER_BIDIAGONAL = "upper-bidiagonal"
 SHAPE_IRREDUCIBLE_TRIDIAGONAL = "irreducible-tridiagonal"
 SHAPE_TRIDIAGONAL = "tridiagonal"
 SHAPE_OTHER = "other"
+
+_NOT_SQUARE = "matrix must be square and nonempty"
 
 
 class ExactMatrix:
@@ -62,7 +65,7 @@ class ExactMatrix:
         grid = tuple(tuple(field.coerce(v) for v in row) for row in rows)
         n = len(grid)
         if n == 0 or any(len(row) != n for row in grid):
-            raise ValueError("matrix must be square and nonempty")
+            raise ValueError(_NOT_SQUARE)
         self.field = field
         self.rows = grid
         self._row_images = self._column_images = None
@@ -100,6 +103,8 @@ class ExactMatrix:
         `above` just over it; zero elsewhere.  Every entry is coerced."""
         payloads = [field.coerce(v) for v in entries]
         n = len(payloads)
+        if n == 0:
+            raise ValueError(_NOT_SQUARE)
         rows = [[field.zero] * n for _ in range(n)]
         for i, v in enumerate(payloads):
             rows[i][i] = v
@@ -728,6 +733,7 @@ def is_multiplicity_free(
     One Hessenberg reduction H = Q^-1 M Q serves both the characteristic
     polynomial, read off H, and the eigenvectors Q ker(H - theta I), each
     kernel taken by forward elimination and back-substitution in O(n^2).
+    The witness is certified by M P = P diag(theta) and P P^-1 = I.
     """
     field = matrix.field
     n = matrix.n
@@ -770,6 +776,8 @@ def is_multiplicity_free(
     moved = q @ ExactMatrix._raw(field, zip(*kernels))
     columns = [_normalize_leading(field, col) for col in zip(*moved.rows)]
     vectors = ExactMatrix._raw(field, zip(*columns))
+    if matrix @ vectors != vectors @ ExactMatrix.diagonal(field, eigenvalues):
+        raise InternalCheckError("eigenvectors must satisfy M P = P diag(theta)")
     try:
         inv = inverse(vectors)
     except SingularMatrixError as exc:
@@ -795,7 +803,12 @@ def matrix_to_dict(matrix: ExactMatrix) -> dict:
 
 def matrix_from_dict(data: dict) -> ExactMatrix:
     field = field_from_dict(data["field"])
-    return ExactMatrix(field, data["rows"])
+    return ExactMatrix(field, _json_rows(data["rows"]))
+
+
+def _json_rows(rows) -> list:
+    """The rows of a JSON matrix, each required to be a JSON list."""
+    return [_json_list(row, f"rows[{i}]") for i, row in enumerate(_json_list(rows, "rows"))]
 
 
 __all__ = [

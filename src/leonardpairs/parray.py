@@ -33,6 +33,7 @@ from .field import (
     FieldElement,
     QuadraticExtension,
     Rationals,
+    _json_list,
     field_from_dict,
     field_to_dict,
     roots_in_field,
@@ -669,7 +670,8 @@ def parameter_array_to_dict(pa: ParameterArray) -> dict:
 def parameter_array_from_dict(data: dict) -> ParameterArray:
     field = field_from_dict(data["field"])
     pa = ParameterArray(
-        field, data["theta"], data["theta_star"], data["varphi"], data["phi"]
+        field,
+        *(_json_list(data[key], key) for key in ("theta", "theta_star", "varphi", "phi")),
     )
     if "d" in data:
         declared = data["d"]

@@ -20,6 +20,7 @@ from leonardpairs import cli
 from leonardpairs.errors import LeonardPairsError
 from leonardpairs.field import Rationals
 from leonardpairs.generators import _complete_array, _recurrence
+from leonardpairs.matrix import matrix_from_dict
 from leonardpairs.parray import parameter_array_from_dict, parameter_array_to_dict
 
 
@@ -220,6 +221,51 @@ def test_declared_diameter_must_be_an_integer(tmp_path):
     for value in (True, 1.0, "1"):
         path = write_json(tmp_path, "bad_d.json", dict(array, d=value))
         assert _is_one_error_line(*run_cli("validate-array", "--in", path)), value
+
+
+def test_schema_lists_must_be_json_lists(tmp_path):
+    # a string is iterable, so "rows": ["03", "10"] once verified as
+    # [[0, 3], [1, 0]] and "theta": "12" read as [1, 2]; null was a
+    # TypeError about NoneType
+    q = {"kind": "rationals"}
+    good_a = {"field": q, "rows": [[0, 3], [1, 0]]}
+    good_star = {"field": q, "rows": [[1, 0], [0, -1]]}
+    assert run_cli("verify", "--pair", write_json(
+        tmp_path, "ok.json", {"a": good_a, "astar": good_star}))[0] == 0
+    for rows, key in (
+        (["03", "10"], "'rows[0]'"),
+        ([[0, 3], "10"], "'rows[1]'"),
+        ([[0, 3], None], "'rows[1]'"),
+        ("0310", "'rows'"),
+        (None, "'rows'"),
+        ({"0": [0, 3]}, "'rows'"),
+    ):
+        a = dict(good_a, rows=rows)
+        path = write_json(tmp_path, "bad_pair.json", {"a": a, "astar": good_star})
+        code, out, err = run_cli("verify", "--pair", path)
+        assert _is_one_error_line(code, out, err), rows
+        assert f"{key} must be a JSON list" in err, err
+        a_path = write_json(tmp_path, "bad_a.json", a)
+        star_path = write_json(tmp_path, "star.json", good_star)
+        code, out, err = run_cli("extract", "--a", a_path, "--astar", star_path)
+        assert _is_one_error_line(code, out, err) and key in err, rows
+        with pytest.raises(LeonardPairsError, match="must be a JSON list"):
+            matrix_from_dict(a)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_json(batch, "bad.json", {"a": dict(good_a, rows="0310"), "astar": good_star})
+    code, _, err = run_cli("verify", "--batch", str(batch))
+    assert code == 2 and "'rows' must be a JSON list" in err
+    with open(valid_array_file(tmp_path, d=1, seed=7)) as handle:
+        array = json.load(handle)
+    for key in ("theta", "theta_star", "varphi", "phi"):
+        for value in ("".join(array[key]), None, 5, {"0": array[key][0]}):
+            path = write_json(tmp_path, "bad_array.json", dict(array, **{key: value}))
+            code, out, err = run_cli("validate-array", "--in", path)
+            assert _is_one_error_line(code, out, err), (key, value)
+            assert f"'{key}' must be a JSON list" in err, err
+            with pytest.raises(LeonardPairsError, match=f"'{key}' must be a JSON list"):
+                parameter_array_from_dict(dict(array, **{key: value}))
 
 
 def test_field_override_changes_verdict(tmp_path):

@@ -5,9 +5,12 @@ U_q(sl2) modules, the lattice chains, the non-examples) and every
 command that builds from a parameter array are run over Q, GF(7),
 GF(101) and Q(sqrt 5).  The exit code, standard output and standard
 error of each invocation go into one SHA-256 digest, so any change in
-any byte of any of them shows.  The digest was recorded from the same
-invocations on an earlier tree; when an output is meant to change,
-rerun this file as a script to print the new digest.
+any byte of any of them shows.  A second digest covers extraction and
+the Askey-Wilson fit: `extract` and `awfit` on every generated pair, and
+`extract` on every pair that `construct` and `tdconstruct` build from a
+valid array.  Both digests were recorded from the same invocations on an
+earlier tree; when an output is meant to change, rerun this file as a
+script to print the new digests.
 """
 
 import contextlib
@@ -18,6 +21,7 @@ import json
 from leonardpairs import cli
 
 GOLDEN_DIGEST = "d656beb6690a6ad016db9a37bb4d12ffd2c3cfccab662aa79914196d34f331bd"
+EXTRACTION_DIGEST = "36cdccd192af6888860cb45a4c6339566cc0320f21fe86f27791b1eac4cd66ad"
 
 FIELDS = ("Q", "GF(7)", "GF(101)", "Q(sqrt 5)")
 NONEXAMPLE_KINDS = ("repeated-eigenvalue", "reducible", "one-sided", "defective")
@@ -31,6 +35,8 @@ ARRAY_COMMANDS = (
     ("polys",),
     ("validate-array",),
 )
+# the array commands whose output, when they construct, is a pair
+PAIR_COMMANDS = ("construct", "tdconstruct")
 
 
 def _run(argv):
@@ -51,13 +57,14 @@ def _tampered(pa: dict) -> list[tuple[str, dict]]:
     return [("repeated", repeated), ("changed", changed)]
 
 
-def transcript(workdir) -> list[str]:
-    """Label, exit code, stdout and stderr of every invocation, in order."""
-    lines = []
+def transcripts(workdir) -> tuple[list[str], list[str]]:
+    """Label, exit code, stdout and stderr of every invocation, in order:
+    the golden invocations, then the extraction ones."""
+    lines, extraction = [], []
 
-    def record(label, argv):
+    def record(label, argv, into=lines):
         code, out, err = _run(argv)
-        lines.append(f"{label}\n{code}\n{out}\n{err.replace(str(workdir), '<dir>')}")
+        into.append(f"{label}\n{code}\n{out}\n{err.replace(str(workdir), '<dir>')}")
         return code, out
 
     def write(name, doc):
@@ -87,6 +94,8 @@ def transcript(workdir) -> list[str]:
             if code == 0:
                 path = write(f"pair{fi}.json", json.loads(out))
                 record(f"verify {label}", ["verify", "--pair", path])
+                for command in ("extract", "awfit"):
+                    record(f"{command} {label}", [command, "--pair", path], extraction)
         for d in (0, 1, 2, 3, 4):
             argv = ["gen", "--source", "random-array", "--d", str(d), "--seed", "1",
                     "--field", field]
@@ -97,17 +106,24 @@ def transcript(workdir) -> list[str]:
             for tag, doc in [("valid", pa)] + _tampered(pa):
                 path = write(f"array{fi}.json", doc)
                 for command in ARRAY_COMMANDS:
-                    record(f"{' '.join(command)} {tag} {field} d={d}",
-                           [command[0], "--in", path, *command[1:]])
-    return lines
+                    label = f"{' '.join(command)} {tag} {field} d={d}"
+                    code, out = record(label, [command[0], "--in", path, *command[1:]])
+                    built = json.loads(out) if code == 0 else {}
+                    if tag == "valid" and command[0] in PAIR_COMMANDS and "astar" in built:
+                        pair = write(f"built{fi}.json", built)
+                        record(f"extract {label}", ["extract", "--pair", pair], extraction)
+    return lines, extraction
 
 
-def digest(workdir) -> str:
-    return hashlib.sha256("\x00".join(transcript(workdir)).encode()).hexdigest()
+def digests(workdir) -> tuple[str, str]:
+    return tuple(
+        hashlib.sha256("\x00".join(lines).encode()).hexdigest()
+        for lines in transcripts(workdir)
+    )
 
 
 def test_cli_outputs_match_golden_digest(tmp_path):
-    assert digest(tmp_path) == GOLDEN_DIGEST
+    assert digests(tmp_path) == (GOLDEN_DIGEST, EXTRACTION_DIGEST)
 
 
 if __name__ == "__main__":
@@ -115,4 +131,4 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        print(digest(pathlib.Path(tmp)))
+        print(*digests(pathlib.Path(tmp)), sep="\n")

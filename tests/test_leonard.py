@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from leonardpairs.errors import DegenerateSplitError, FieldMismatchError
 from leonardpairs.field import PrimeField, QuadraticExtension, Rationals
-from leonardpairs.generators import random_nonexample, sl2_pair, uq_pair
+from leonardpairs.generators import _random_invertible, random_nonexample, sl2_pair, uq_pair
 from leonardpairs.matrix import ExactMatrix, conjugate, inverse, is_multiplicity_free
 from leonardpairs import leonard
 from leonardpairs.leonard import (
@@ -23,7 +23,6 @@ from leonardpairs.leonard import (
     _in_eigenbasis,
     _is_split_form_of,
     _is_tridiagonal_form_of,
-    _split_superdiagonal,
     _support_matrix,
     askey_wilson_residuals,
     check_converse_preconditions,
@@ -398,7 +397,7 @@ def test_with_orderings_verifies_support():
         system_from_pair_with_orderings(a_star, a_star, THETA, THETA)
 
     # assembled directly, a loose system goes through, but extraction then
-    # refuses the malformed split
+    # refuses the array it reads, and so does the split walk
     loose = LeonardSystem(
         a, a_star, _eigen_in_order(a, bad), _eigen_in_order(a_star, THETA)
     )
@@ -407,14 +406,17 @@ def test_with_orderings_verifies_support():
     loose_dual = LeonardSystem(
         a, a_star, _eigen_in_order(a, THETA), _eigen_in_order(a_star, bad)
     )
-    with pytest.raises(DegenerateSplitError, match="upper bidiagonal"):
+    with pytest.raises(DegenerateSplitError, match="parameter array axioms"):
         extract_parameter_array(loose_dual)
+    with pytest.raises(DegenerateSplitError, match="upper bidiagonal"):
+        oracles.split_walk_array(loose_dual)
 
 
 def test_split_needs_an_independent_basis():
     # xi = (1, 0, 1) meets only two A-eigenspaces, so u_1 and u_2 are
     # parallel, yet every bidiagonal relation of the forward walk holds:
-    # only the rank of the split basis tells it apart
+    # only the rank of the split basis tells it apart in the split walk;
+    # extraction reads varphi_2 = 0 off the diagonal of P*^-1 A P*
     a = ExactMatrix.diagonal(Q, [1, 2, 3])
     p = ExactMatrix(Q, [[1, 0, 0], [0, 0, 1], [1, 1, 0]])
     a_star = p @ ExactMatrix.diagonal(Q, [10, 20, 30]) @ inverse(p)
@@ -424,7 +426,73 @@ def test_split_needs_an_independent_basis():
     s = split_basis(loose)
     assert s.column(1) == s.column(2) == (0, 0, 2)
     with pytest.raises(DegenerateSplitError, match="singular"):
-        _split_superdiagonal(loose, reverse_theta=False)
+        oracles.split_superdiagonal(loose, reverse_theta=False)
+    with pytest.raises(DegenerateSplitError, match="PA2"):
+        extract_parameter_array(loose)
+
+
+SPLIT_WALK_FIELDS = [
+    (Q, 6),
+    (PrimeField(3), 2),
+    (PrimeField(101), 6),
+    (QuadraticExtension(5), 6),
+]
+
+
+@pytest.mark.parametrize(
+    "field, max_d", SPLIT_WALK_FIELDS, ids=lambda v: getattr(v, "name", v)
+)
+def test_extraction_matches_split_walk(field, max_d):
+    """Reading the array off P*^-1 A P* gives what the split walk reads
+    off A* in the split bases, on every system of seeded split-form pairs
+    and of the same pairs conjugated by a seeded dense matrix."""
+    rng = random.Random(23)
+    for d in range(max_d + 1):
+        pa = random_valid_array(field, rng, d)
+        split = construct_bidiagonal(pa)
+        dress = _random_invertible(field, d + 1, rng)
+        for a, a_star in (split, (conjugate(split[0], dress), conjugate(split[1], dress))):
+            rec = is_leonard_pair(a, a_star)
+            assert rec.is_pair and len(rec.systems) == (4 if d else 1)
+            for s in rec.systems:
+                assert extract_parameter_array(s) == oracles.split_walk_array(s), (field.name, d)
+            assert pa in {s.parameter_array() for s in rec.systems}
+
+
+def test_extraction_refuses_a_tampered_dual_basis_matrix():
+    """A hand-built system whose X = P*^-1 A P* is not A's: an entry off the
+    band fails the tridiagonal check, a changed band entry the comparison
+    with the tridiagonal construction; the diagonal, and so the array read
+    off it, is the same in both."""
+    dress = ExactMatrix(Q, FIXTURE_S)
+    a, a_star = (conjugate(m, dress) for m in fixture_pair())
+    system = is_leonard_pair(a, a_star).canonical
+    x = system.a_in_dual_basis()
+
+    def with_x(m):
+        return LeonardSystem(a, a_star, system.eigen, system.dual_eigen, a_in_dual_basis=m)
+
+    assert extract_parameter_array(with_x(x)) == system.parameter_array()
+    with pytest.raises(DegenerateSplitError, match="not tridiagonal"):
+        extract_parameter_array(with_x(_changed(x, (0, 2), lambda v: Q.add(v, 1))))
+    with pytest.raises(DegenerateSplitError, match="not the tridiagonal form"):
+        extract_parameter_array(with_x(_changed(x, (1, 0), lambda v: Q.mul(v, 2))))
+
+
+def test_extraction_costs_quadratic_field_multiplications(counting_field):
+    # the split walk's two rank checks and 2(d + 1) dense applies are
+    # O(d^3): its ratio from d = 8 to d = 16 was 6.3; reading X's diagonal
+    # and comparing bands is O(d^2), at most (17/9)^2 < 3.6
+    field = counting_field(1009)
+    counts = []
+    for d in (8, 16):
+        a, a_star = sl2_pair(field, d)
+        dress = _random_invertible(field, d + 1, random.Random(d))
+        rec = is_leonard_pair(conjugate(a, dress), conjugate(a_star, dress))
+        field.muls = 0
+        extract_parameter_array(rec.canonical)
+        counts.append(field.muls)
+    assert counts[1] <= 4.5 * counts[0], counts
 
 
 def _band_check(eigen, dual, a, a_star, theta, theta_star):

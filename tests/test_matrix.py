@@ -155,6 +155,14 @@ def test_diagonal_builds_bands(field):
             ExactMatrix.diagonal(field, diag, above=bad)
     with pytest.raises(ValueError):
         ExactMatrix.diagonal(field, [7], below=[1])
+    for empty in (
+        lambda: ExactMatrix.diagonal(field, []),
+        lambda: ExactMatrix.diagonal(field, [], below=[], above=[]),
+        lambda: ExactMatrix.identity(field, 0),
+        lambda: ExactMatrix.zeros(field, 0),
+    ):
+        with pytest.raises(ValueError, match="square and nonempty"):
+            empty()
 
 
 def test_basic_algebra():
@@ -477,6 +485,35 @@ def test_char_poly_certificates_catch_mutants(monkeypatch, mutation, matrices):
             char_poly(m)
         with pytest.raises(InternalCheckError):
             is_multiplicity_free(m)
+
+
+def _one_wrong_kernel_vector(kernels):
+    """_nullspace_grid whose first answer has 1 added to its last
+    coordinate: P stays invertible, so P P^-1 = I still holds."""
+    calls = []
+
+    def wrong(field, grid):
+        basis = kernels(field, grid)
+        if calls:
+            return basis
+        calls.append(grid)
+        vec = list(basis[0])
+        vec[-1] = field.add(vec[-1], field.one)
+        return [tuple(vec)] + basis[1:]
+
+    return wrong
+
+
+@pytest.mark.parametrize("m", [A4, _DENSE4], ids=["tridiagonal", "dense"])
+def test_multiplicity_free_certifies_eigenvectors(monkeypatch, m):
+    kernels = matrix_module._nullspace_grid
+    monkeypatch.setattr(matrix_module, "_nullspace_grid", _one_wrong_kernel_vector(kernels))
+    with pytest.raises(InternalCheckError, match=r"M P = P diag\(theta\)"):
+        is_multiplicity_free(m)
+    monkeypatch.setattr(matrix_module, "_nullspace_grid", kernels)
+    eigen = is_multiplicity_free(m).eigen
+    p = eigen.eigenvectors
+    assert m @ p == p @ ExactMatrix.diagonal(Q, [v.payload for v in eigen.eigenvalues])
 
 
 def test_multiplicity_free_costs_cubic_field_operations(counting_field):
