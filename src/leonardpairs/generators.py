@@ -634,8 +634,12 @@ def lattice_pair(
     K^(-1)/(sqrt q - 1/sqrt q), plus the decomposition into chains.
 
     Each grade-k kernel vector of L generates a chain of diameter n - 2k
-    on which the pair restricts to a split bidiagonal Leonard pair; every
-    component is certified by recognition before returning.  alpha beta
+    on which the pair restricts to a split bidiagonal Leonard pair.  Every
+    component is certified before returning.  A chain pair not seen before
+    in this call is recognised; one equal (as ExactMatrix) to a pair
+    already recognised is certified by that equality, since recognition is
+    deterministic.  The chains of one grade carry one pair, so a lattice
+    takes n//2 + 1 recognitions, not one per chain.  alpha beta
     must avoid sqrt(q)^(n-1), ..., sqrt(q)^(1-n); beta defaults to q^n,
     which is always safe.
     """
@@ -662,6 +666,7 @@ def lattice_pair(
     big_s = _grade_operator(field, lat.offsets, lat.covers, diag_s, z, super_pay)
     q_rat = Rationals()
     components = []
+    certified = set()
     for k in range(n // 2 + 1):
         d_comp = n - 2 * k
         if k == 0:
@@ -711,11 +716,14 @@ def lattice_pair(
                 ),
                 basis,
             )
-            if not is_leonard_pair(comp.a, comp.a_star):
-                raise InternalCheckError(
-                    f"grade-{k} component failed recognition despite an "
-                    f"allowed alpha * beta"
-                )
+            pair = (comp.a, comp.a_star)
+            if pair not in certified:
+                if not is_leonard_pair(*pair):
+                    raise InternalCheckError(
+                        f"grade-{k} component failed recognition despite an "
+                        f"allowed alpha * beta"
+                    )
+                certified.add(pair)
             components.append(comp)
     dim_sum = sum(c.diameter + 1 for c in components)
     if dim_sum != sum(counts):

@@ -405,10 +405,67 @@ def test_lattice_big_pair_matches_operator_formula():
 
 
 def test_lattice_components_are_leonard_pairs():
-    for n, q in ((2, 2), (3, 2), (4, 2)):
+    for n, q in ((2, 2), (3, 2), (4, 2), (3, 3)):
         _, _, dec = lattice_pair(build_lattice(n, q))
         for comp in dec.components:
             assert is_leonard_pair(comp.a, comp.a_star), (n, q, comp.grade)
+
+
+def _count_recognitions(monkeypatch):
+    calls = []
+
+    def counted(a, a_star):
+        calls.append((a, a_star))
+        return is_leonard_pair(a, a_star)
+
+    monkeypatch.setattr(generators, "is_leonard_pair", counted)
+    return calls
+
+
+def _perturb_second_grade_one_chain(monkeypatch):
+    """Double the first lowering coefficient of the second grade-1 chain."""
+    real = generators._lowering_coefficients
+    seen = []
+
+    def perturbed(q_rat, chain, covers, k, counts):
+        out = real(q_rat, chain, covers, k, counts)
+        if k == 1:
+            seen.append(k)
+            if len(seen) == 2:
+                out = [q_rat.mul(out[0], q_rat.from_int(2))] + out[1:]
+        return out
+
+    monkeypatch.setattr(generators, "_lowering_coefficients", perturbed)
+
+
+@pytest.mark.parametrize("n,q,distinct", [(4, 2, 3), (3, 3, 2), (5, 2, 3)])
+def test_lattice_recognises_each_distinct_chain_pair_once(monkeypatch, n, q, distinct):
+    calls = _count_recognitions(monkeypatch)
+    _, _, dec = lattice_pair(build_lattice(n, q))
+    assert len(calls) == distinct == n // 2 + 1
+    assert len(set(calls)) == distinct
+    assert {(c.a, c.a_star) for c in dec.components} == set(calls)
+
+
+def test_lattice_recognises_a_chain_with_other_coefficients(monkeypatch):
+    # on (3,3) the grade-1 chains have diameter 1, where any nonzero
+    # coefficient keeps a Leonard pair: the changed chain is recognised
+    # on its own, and certified
+    calls = _count_recognitions(monkeypatch)
+    _perturb_second_grade_one_chain(monkeypatch)
+    _, _, dec = lattice_pair(build_lattice(3, 3))
+    assert len(calls) == 3
+    grade_one = [(c.a, c.a_star) for c in dec.components if c.grade == 1]
+    assert grade_one[1] != grade_one[0] == grade_one[2]
+    assert grade_one[1] in calls
+
+
+def test_lattice_refuses_a_chain_with_a_broken_coefficient(monkeypatch):
+    # on (4,2) a grade-1 chain has diameter 2, where one changed
+    # coefficient breaks the array; a pair equal to its grade's would pass
+    _perturb_second_grade_one_chain(monkeypatch)
+    with pytest.raises(InternalCheckError, match="grade-1 component failed recognition"):
+        lattice_pair(build_lattice(4, 2))
 
 
 def test_lattice_top_component_fingerprint():

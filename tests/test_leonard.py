@@ -459,6 +459,30 @@ def test_extraction_matches_split_walk(field, max_d):
             assert pa in {s.parameter_array() for s in rec.systems}
 
 
+@pytest.mark.parametrize(
+    "field, max_d", SPLIT_WALK_FIELDS, ids=lambda v: getattr(v, "name", v)
+)
+def test_relatives_keep_the_dual_basis_matrix(field, max_d, monkeypatch):
+    """Each relative of a recognised system carries X = P*^-1 A P* in its
+    own theta* order, read off its parent's X without a triple product,
+    and extracts what the split walk reads."""
+    rng = random.Random(29)
+    cases = []
+    for d in range(max_d + 1):
+        split = construct_bidiagonal(random_valid_array(field, rng, d))
+        dress = _random_invertible(field, d + 1, rng)
+        for a, a_star in (split, (conjugate(split[0], dress), conjugate(split[1], dress))):
+            canonical = is_leonard_pair(a, a_star).canonical
+            for flags in itertools.product((False, True), repeat=2):
+                cases.append((a, canonical.relative(*flags)))
+    with monkeypatch.context() as m:
+        m.setattr(leonard, "_in_eigenbasis", None)
+        kept = [rel.a_in_dual_basis() for _, rel in cases]
+    for x, (a, rel) in zip(kept, cases):
+        assert x == _in_eigenbasis(a, rel.dual_eigen), (field.name, rel)
+        assert extract_parameter_array(rel) == oracles.split_walk_array(rel), (field.name, rel)
+
+
 def test_extraction_refuses_a_tampered_dual_basis_matrix():
     """A hand-built system whose X = P*^-1 A P* is not A's: an entry off the
     band fails the tridiagonal check, a changed band entry the comparison
@@ -711,6 +735,23 @@ def test_verification_report_recognises_once(monkeypatch):
     monkeypatch.setattr(leonard, "is_leonard_pair", counted)
     a, a_star = sl2_pair(Q, 4)
     report = verification_report(a, a_star)
+    assert report["all_checks_passed"] is True
+    assert len(calls) == 1
+
+
+def test_verification_report_constructs_the_tridiagonal_form_once(monkeypatch):
+    """Extraction's certificate is the report's tridiagonal roundtrip, so
+    one report builds construct_tridiagonal(pa) once."""
+    calls = []
+
+    def counted(pa):
+        calls.append(pa)
+        return construct_tridiagonal(pa)
+
+    monkeypatch.setattr(leonard, "construct_tridiagonal", counted)
+    a, a_star = sl2_pair(Q, 4)
+    report = verification_report(a, a_star)
+    assert report["cross_checks"]["tridiagonal_roundtrip"] is True
     assert report["all_checks_passed"] is True
     assert len(calls) == 1
 
