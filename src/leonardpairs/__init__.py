@@ -28,7 +28,6 @@ from .leonard import (
     extract_parameter_array,
     fit_askey_wilson,
     is_leonard_pair,
-    split_basis,
     verification_report,
 )
 from .generators import (
@@ -73,7 +72,6 @@ __all__ = [
     "roots_in_field",
     "shape",
     "sl2_pair",
-    "split_basis",
     "uq_pair",
     "validate",
     "verification_report",

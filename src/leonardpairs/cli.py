@@ -6,11 +6,17 @@ byte-identical outputs.  Standard error carries diagnostics only.
 Exit codes: 0 for success, 1 for a domain-level negative result (not a
 Leonard pair, invalid array, no fit) when --strict is set, 2 for
 malformed input.
+
+run(argv) may be called any number of times in one process.  It builds
+its argument parser on the first call and reuses it afterwards; parsing
+writes only to the fresh namespace each call returns, so no call sees
+another's arguments.  build_parser returns a new parser every time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -76,6 +82,9 @@ GEN_SOURCES = (
 # generated pair can be verified.  Generation and recognition both confirm
 # matrices multiplicity-free, at a cost that grows faster than cubically.
 MAX_GEN_SIZE = 32
+
+# Largest --jobs that verify --batch accepts: one worker thread each.
+MAX_JOBS = 32
 
 _FIELD_FLAG = re.compile(
     r"^\s*(?:Q|QQ)\s*$|^\s*GF\(\s*([0-9]+)\s*\)\s*$|^\s*Q\(\s*sqrt\s*(-?[0-9]+)\s*\)\s*$"
@@ -229,6 +238,8 @@ def _cmd_verify(args):
 def _cmd_verify_batch(args):
     if args.jobs < 1:
         raise _InputError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs > MAX_JOBS:
+        raise _InputError(f"--jobs {args.jobs} exceeds the limit of {MAX_JOBS}")
     directory = args.batch
     if not os.path.isdir(directory):
         raise _InputError(f"{directory}: not a directory")
@@ -663,10 +674,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     args.field_obj = None
@@ -697,6 +712,7 @@ def main() -> None:
 __all__ = [
     "GEN_SOURCES",
     "MAX_GEN_SIZE",
+    "MAX_JOBS",
     "build_parser",
     "main",
     "parse_field_flag",

@@ -14,7 +14,8 @@ recognition finds; there is no second support check.
 Extraction reads a system's parameter array off X = P*^-1 A P*, the
 tridiagonal that recognition formed, by two running sums over its
 diagonal; comparing X with the tridiagonal construction of that array
-certifies it.  No split basis is formed (split_basis builds one).
+certifies it.  No split basis is formed; the split-basis walk is the
+test oracle for extraction.
 
 A Leonard system is determined up to isomorphism by its parameter array,
 and an isomorphism keeps the array (Terwilliger, LAA 330 (2001), Thm
@@ -389,33 +390,6 @@ def system_from_parameter_array(pa: ParameterArray) -> LeonardSystem:
     """Realize a valid array as the system of its split-form pair."""
     a, a_star = construct_bidiagonal(pa)
     return system_from_bidiagonal_pair(a, a_star)
-
-
-def split_basis(system: LeonardSystem, *, reverse_theta: bool = False) -> ExactMatrix:
-    """Columns u_i = (A - theta_{i-1} I) ... (A - theta_0 I) xi.
-
-    xi is the theta*_0 eigenvector of A*, which spans the image of E*_0;
-    its leading coordinate is 1, which makes the basis deterministic.  In
-    this basis A is lower bidiagonal with subdiagonal 1 and A* is upper
-    bidiagonal; passing reverse_theta walks the thetas backwards, which
-    swaps the two split sequences.
-    """
-    field = system.field
-    n = system.d + 1
-    theta = tuple(reversed(system.theta)) if reverse_theta else system.theta
-    cols = [list(system.dual_eigen.eigenvectors.column(0))]
-    for i in range(n - 1):
-        nxt = _shifted_apply(system.a, theta[i], cols[-1])
-        if all(field.is_zero(v) for v in nxt):
-            raise DegenerateSplitError(f"split vector u_{i + 1} vanishes")
-        cols.append(nxt)
-    return ExactMatrix._raw(field, zip(*cols))
-
-
-def _shifted_apply(x: ExactMatrix, shift, vector) -> list:
-    """(X - shift I) vector."""
-    f = x.field
-    return [f.sub(v, f.mul(shift, w)) for v, w in zip(x.apply(vector), vector)]
 
 
 def extract_parameter_array(system: LeonardSystem) -> ParameterArray:
@@ -840,7 +814,6 @@ __all__ = [
     "extract_parameter_array",
     "fit_askey_wilson",
     "is_leonard_pair",
-    "split_basis",
     "system_from_bidiagonal_pair",
     "system_from_pair_with_orderings",
     "system_from_parameter_array",

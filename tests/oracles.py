@@ -2,12 +2,12 @@
 checked against.
 
 joint_intertwiner_basis solves X G = G Y for every pair at once as one
-dense n^2 x n^2 kernel.  split_walk_array extracts a system's parameter
-array by the paper's definition, reading both split sequences off A* in
-the two split bases.  The two roundtrip oracles decide
-verification_report's cross-checks the direct way: recognise the
-construction again with the orderings it was built in and extract its
-parameter array by the split walk.
+dense n^2 x n^2 kernel.  split_basis builds a system's split basis, and
+split_walk_array extracts its parameter array by the paper's definition,
+reading both split sequences off A* in the two split bases.  The two
+roundtrip oracles decide verification_report's cross-checks the direct
+way: recognise the construction again with the orderings it was built in
+and extract its parameter array by the split walk.
 """
 
 from leonardpairs.errors import (
@@ -17,8 +17,7 @@ from leonardpairs.errors import (
     LeonardPairsError,
 )
 from leonardpairs.leonard import (
-    _shifted_apply,
-    split_basis,
+    LeonardSystem,
     system_from_bidiagonal_pair,
     system_from_pair_with_orderings,
 )
@@ -53,6 +52,33 @@ def joint_intertwiner_basis(pairs) -> list[ExactMatrix]:
         ExactMatrix._raw(field, [vec[i * n : (i + 1) * n] for i in range(n)])
         for vec in basis
     ]
+
+
+def split_basis(system: LeonardSystem, *, reverse_theta: bool = False) -> ExactMatrix:
+    """Columns u_i = (A - theta_{i-1} I) ... (A - theta_0 I) xi.
+
+    xi is the theta*_0 eigenvector of A*, which spans the image of E*_0;
+    its leading coordinate is 1, which makes the basis deterministic.  In
+    this basis A is lower bidiagonal with subdiagonal 1 and A* is upper
+    bidiagonal; passing reverse_theta walks the thetas backwards, which
+    swaps the two split sequences.
+    """
+    field = system.field
+    n = system.d + 1
+    theta = tuple(reversed(system.theta)) if reverse_theta else system.theta
+    cols = [list(system.dual_eigen.eigenvectors.column(0))]
+    for i in range(n - 1):
+        nxt = _shifted_apply(system.a, theta[i], cols[-1])
+        if all(field.is_zero(v) for v in nxt):
+            raise DegenerateSplitError(f"split vector u_{i + 1} vanishes")
+        cols.append(nxt)
+    return ExactMatrix._raw(field, zip(*cols))
+
+
+def _shifted_apply(x: ExactMatrix, shift, vector) -> list:
+    """(X - shift I) vector."""
+    f = x.field
+    return [f.sub(v, f.mul(shift, w)) for v, w in zip(x.apply(vector), vector)]
 
 
 def split_superdiagonal(system, *, reverse_theta: bool) -> list:

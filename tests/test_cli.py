@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,10 +19,28 @@ import pytest
 
 from leonardpairs import cli
 from leonardpairs.errors import LeonardPairsError
-from leonardpairs.field import Rationals
-from leonardpairs.generators import _complete_array, _recurrence
-from leonardpairs.matrix import matrix_from_dict
-from leonardpairs.parray import parameter_array_from_dict, parameter_array_to_dict
+from leonardpairs.field import PrimeField, QuadraticExtension, Rationals
+from leonardpairs.generators import (
+    NONEXAMPLE_KINDS,
+    _complete_array,
+    _random_invertible,
+    _recurrence,
+    random_nonexample,
+)
+from leonardpairs.matrix import (
+    ExactMatrix,
+    _hessenberg,
+    conjugate,
+    matrix_from_dict,
+    matrix_to_dict,
+)
+from leonardpairs.parray import (
+    construct_bidiagonal,
+    parameter_array_from_dict,
+    parameter_array_to_dict,
+)
+
+from corpusgen import random_valid_array
 
 
 def run_cli(*argv):
@@ -726,6 +745,125 @@ def test_batch_jobs_must_be_positive(tmp_path):
         assert code == 2 and out == ""
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
     assert not (tmp_path / "sl2.report.json").exists()
+
+
+def test_batch_jobs_are_capped_before_any_thread_starts(tmp_path, monkeypatch):
+    gen_file(tmp_path, "sl2.json", "--source", "sl2", "--d", "2")
+    gen_file(tmp_path, "ex2.json", "--source", "example2")
+    pools = []
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", lambda **kw: pools.append(kw))
+    jobs = str(cli.MAX_JOBS + 1)
+    code, out, err = run_cli("verify", "--batch", str(tmp_path), "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err == f"error: --jobs {jobs} exceeds the limit of {cli.MAX_JOBS}\n"
+    assert pools == []
+    assert not list(tmp_path.glob("*.report.json"))
+    # at the cap it runs; a pool starts at most one thread per file, so two
+    monkeypatch.undo()
+    code, summary = run_json("verify", "--batch", str(tmp_path), "--jobs", str(cli.MAX_JOBS))
+    assert code == 0 and summary["checked"] == 2 and summary["errors"] == 0
+
+
+def _dense_reduced_pair(field, d, seed):
+    """A split-form pair conjugated by S, a _random_invertible matrix whose
+    first column is replaced by e_d.  The lower bidiagonal A has A e_d =
+    theta_d e_d, so S^-1 A S maps e_0 to theta_d e_0: dense, but its
+    Hessenberg form splits after the first row."""
+    rng = random.Random(seed)
+    b, b_star = construct_bidiagonal(random_valid_array(field, rng, d))
+    rows = [list(row) for row in _random_invertible(field, d + 1, rng).rows]
+    for i, row in enumerate(rows):
+        row[0] = field.one if i == d else field.zero
+    s = ExactMatrix._raw(field, rows)
+    return conjugate(b, s), conjugate(b_star, s)
+
+
+def test_batch_output_does_not_depend_on_jobs(tmp_path):
+    fields = (Rationals(), PrimeField(101), QuadraticExtension(5))
+    for k, field in enumerate(fields):
+        for d in (3, 4):
+            a, a_star = _dense_reduced_pair(field, d, seed=10 * k + d)
+            h, _ = _hessenberg(a)
+            assert field.is_zero(h.rows[1][0])
+            pair = {"a": matrix_to_dict(a), "astar": matrix_to_dict(a_star)}
+            write_json(tmp_path, f"dense-{k}-{d}.json", pair)
+    for k, kind in enumerate(NONEXAMPLE_KINDS):
+        field = fields[k % len(fields)]
+        a, a_star, _ = random_nonexample(field, 4, random.Random(k), kind)
+        pair = {"a": matrix_to_dict(a), "astar": matrix_to_dict(a_star)}
+        write_json(tmp_path, f"non-{kind}.json", pair)
+
+    def batch(jobs):
+        code, out, err = run_cli("verify", "--batch", str(tmp_path), "--jobs", jobs)
+        reports = {p.name: p.read_bytes() for p in sorted(tmp_path.glob("*.report.json"))}
+        return code, out, err, reports
+
+    sequential = batch("1")
+    code, out, err, reports = sequential
+    assert code == 0 and err == "" and len(reports) == 10
+    verdicts = {
+        name: row["is_leonard_pair"] for name, row in json.loads(out)["results"].items()
+    }
+    assert verdicts == {name: name.startswith("dense") for name in verdicts}
+    # a short switch interval makes the two workers interleave often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for _ in range(3):
+            assert batch("2") == sequential
+    finally:
+        sys.setswitchinterval(interval)
+
+
+REPEATED_ARGV = (
+    ("nosuchcmd",),
+    ("--help",),
+    ("gen", "--source", "uq", "--d", "2"),
+    ("gen", "--source", "lattice", "--n", "2"),
+    ("gen", "--source", "random-array", "--d", "2", "--field", "GF(7)"),
+    ("gen", "--source", "random-array", "--d", "2"),
+)
+
+
+def test_run_builds_its_parser_once(monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for argv in REPEATED_ARGV[1:]:
+            run_cli(*argv)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_repeated_runs_in_one_process_give_identical_output():
+    first = [run_cli(*argv) for argv in REPEATED_ARGV]
+    assert [code for code, _, _ in first] == [2, 0, 0, 0, 0, 0]
+    assert first[0][2].startswith("usage: leonardpairs") and first[1][1].startswith(
+        "usage: leonardpairs"
+    )
+    for _ in range(2):
+        assert [run_cli(*argv) for argv in REPEATED_ARGV] == first
+    # the gen beta default and the --field override do not leak between calls
+    params = [json.loads(out)["params"] for _, out, _ in first[2:]]
+    assert params[0]["beta"] == "1" and params[1]["beta"] == "4"
+    assert params[2]["field"] == {"kind": "prime_field", "p": 7}
+    assert params[3]["field"] == {"kind": "rationals"}
+
+
+def test_build_parser_returns_a_parser_of_its_own():
+    mine = cli.build_parser()
+    assert mine is not cli.build_parser() and mine is not cli._parser()
+    mine.prog = "edited"
+    code, out, _ = run_cli("--help")
+    assert code == 0 and out.startswith("usage: leonardpairs")
 
 
 def test_pair_of_large_height_verifies_and_classifies(tmp_path):
