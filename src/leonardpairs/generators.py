@@ -23,9 +23,10 @@ Structured families, all returned as exact matrix pairs:
 Plus deterministic random sources for valid parameter arrays and for
 certified non-examples.
 
-All module relations and decompositions are re-verified at construction
-time; a failure there raises InternalCheckError and means a bug, not bad
-input.
+All module relations are re-verified at construction time.  The lattice
+decompositions follow from the certified relations; recognition
+certifies each grade's pair.  A failure there raises InternalCheckError
+and means a bug, not bad input.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .field import Field, QuadraticExtension, Rationals
 from .leonard import is_leonard_pair
-from .matrix import ExactMatrix, _nullspace_grid, inverse, is_multiplicity_free
+from .matrix import ExactMatrix, inverse, is_multiplicity_free
 from .parray import ParameterArray, _split_rhs, validate
 
 EXAMPLE2_NAME = "example2"
@@ -310,9 +311,9 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return int(value)
 
 
-# monic irreducibles (coefficients low to high, leading 1 omitted is not:
-# full tuples) used to realize GF(p^k); each table is re-verified by
-# checking every nonzero element is invertible
+# monic irreducible moduli realizing GF(p^k), as full coefficient tuples
+# from the constant term up to the leading 1; _TinyField re-verifies each
+# by checking that every nonzero element has an inverse
 _TINY_MODULI = {
     4: (1, 1, 1),
     8: (1, 1, 0, 1),
@@ -325,7 +326,7 @@ _TINY_MODULI = {
     25: (3, 0, 1),
     125: (1, 1, 0, 1),
     49: (1, 0, 1),
-    343: (2, 1, 0, 1),
+    343: (5, 0, 0, 1),
 }
 
 
@@ -575,29 +576,17 @@ def _grade_operator(field: Field, offsets, covers, diagonal, below, above):
     return ExactMatrix._raw(field, rows)
 
 
-def _raise(q_rat, vec, covers_k, size: int) -> list:
-    """R on a grade-k vector: each coefficient added to each cover."""
-    out = [q_rat.zero] * size
-    for col, coeff in enumerate(vec):
-        if q_rat.is_zero(coeff):
-            continue
-        for target in covers_k[col]:
-            out[target] = q_rat.add(out[target], coeff)
-    return out
-
-
 @dataclass(frozen=True)
 class LatticeComponent:
-    """One irreducible chain: grade of its lowest vector, diameter, the
-    split-form pair carried on it, and the chain vectors in grade-sorted
-    vertex coordinates (rational payloads)."""
+    """One irreducible chain: grade of its lowest vector, its index among
+    that grade's chains, diameter, and the split-form pair carried on it.
+    The chains of one grade share one pair."""
 
     grade: int
     index: int
     diameter: int
     a: ExactMatrix
     a_star: ExactMatrix
-    basis: tuple[tuple, ...]
 
 
 @dataclass(frozen=True)
@@ -633,15 +622,17 @@ def lattice_pair(
     """A = alpha R + K/(sqrt q - 1/sqrt q) and A* = beta L +
     K^(-1)/(sqrt q - 1/sqrt q), plus the decomposition into chains.
 
-    Each grade-k kernel vector of L generates a chain of diameter n - 2k
-    on which the pair restricts to a split bidiagonal Leonard pair.  Every
-    component is certified before returning.  A chain pair not seen before
-    in this call is recognised; one equal (as ExactMatrix) to a pair
-    already recognised is certified by that equality, since recognition is
-    deterministic.  The chains of one grade carry one pair, so a lattice
-    takes n//2 + 1 recognitions, not one per chain.  alpha beta
-    must avoid sqrt(q)^(n-1), ..., sqrt(q)^(1-n); beta defaults to q^n,
-    which is always safe.
+    The module is completely reducible (characteristic 0, sqrt q not a
+    root of unity): for each grade k <= n/2 it holds counts[k] -
+    counts[k-1] chains w_j = R^j w_0 of diameter n - 2k, each grown from
+    a grade-k kernel vector w_0 of L.  On every chain of grade k the pair
+    is the same split bidiagonal pair: A has its grades' K-weights over
+    sqrt q - 1/sqrt q on the diagonal and alpha below it, A* the inverse
+    weights on the diagonal and beta sqrt(q)^(1-n) c_j above it, with c_j
+    from _lowering_scalars.  Each grade's pair is built and recognised
+    once, so a lattice takes n//2 + 1 recognitions.  alpha beta must
+    avoid sqrt(q)^(n-1), ..., sqrt(q)^(1-n); beta defaults to q^n, which
+    is always safe.
     """
     field = lat.field
     n, q = lat.n, lat.q
@@ -664,67 +655,20 @@ def lattice_pair(
     z = field.zero
     big_a = _grade_operator(field, lat.offsets, lat.covers, diag, alpha, z)
     big_s = _grade_operator(field, lat.offsets, lat.covers, diag_s, z, super_pay)
-    q_rat = Rationals()
     components = []
-    certified = set()
     for k in range(n // 2 + 1):
         d_comp = n - 2 * k
-        if k == 0:
-            kernel = [[q_rat.one]]
-        else:
-            rows = [[q_rat.zero] * counts[k] for _ in range(counts[k - 1])]
-            for j_low in range(counts[k - 1]):
-                for j_up in lat.covers[k - 1][j_low]:
-                    rows[j_low][j_up] = q_rat.one
-            kernel = _nullspace_grid(q_rat, rows)
-        expected = counts[k] - (counts[k - 1] if k >= 1 else 0)
-        if len(kernel) != expected:
+        grades = slice(k, k + d_comp + 1)
+        above = [field.mul(super_pay, field.from_int(c)) for c in _lowering_scalars(n, q, k)]
+        a = ExactMatrix.diagonal(field, diag[grades], below=[alpha] * d_comp)
+        a_star = ExactMatrix.diagonal(field, diag_s[grades], above=above)
+        if not is_leonard_pair(a, a_star):
             raise InternalCheckError(
-                f"grade {k} kernel has dimension {len(kernel)}, expected {expected}"
+                f"grade-{k} component failed recognition despite an "
+                f"allowed alpha * beta"
             )
-        for idx, low in enumerate(kernel):
-            chain = [list(low)]
-            # R walks the chain up; above its top it must vanish, and the
-            # top grade n has no covers to walk
-            for here in range(k, min(k + d_comp + 1, n)):
-                nxt = _raise(q_rat, chain[-1], lat.covers[here], counts[here + 1])
-                nonzero = any(not q_rat.is_zero(v) for v in nxt)
-                if here == k + d_comp:
-                    if nonzero:
-                        raise InternalCheckError("R does not kill the top of the chain")
-                elif not nonzero:
-                    raise InternalCheckError("chain ended before its diameter")
-                else:
-                    chain.append(nxt)
-            c_raw = _lowering_coefficients(q_rat, chain, lat.covers, k, counts)
-            basis = tuple(
-                _embed(q_rat, vec, k + j, counts) for j, vec in enumerate(chain)
-            )
-            # (A, A*) on the chain: its grades' diagonal entries, alpha
-            # from R below, and beta L's super_pay * c_j above
-            comp = LatticeComponent(
-                k,
-                idx,
-                d_comp,
-                ExactMatrix.diagonal(
-                    field, diag[k : k + d_comp + 1], below=[alpha] * d_comp
-                ),
-                ExactMatrix.diagonal(
-                    field,
-                    diag_s[k : k + d_comp + 1],
-                    above=[field.mul(super_pay, field.from_rational(c)) for c in c_raw],
-                ),
-                basis,
-            )
-            pair = (comp.a, comp.a_star)
-            if pair not in certified:
-                if not is_leonard_pair(*pair):
-                    raise InternalCheckError(
-                        f"grade-{k} component failed recognition despite an "
-                        f"allowed alpha * beta"
-                    )
-                certified.add(pair)
-            components.append(comp)
+        chains = counts[k] - (counts[k - 1] if k >= 1 else 0)
+        components += [LatticeComponent(k, i, d_comp, a, a_star) for i in range(chains)]
     dim_sum = sum(c.diameter + 1 for c in components)
     if dim_sum != sum(counts):
         raise InternalCheckError(
@@ -734,32 +678,23 @@ def lattice_pair(
     return big_a, big_s, decomposition
 
 
-def _lowering_coefficients(q_rat, chain, covers, k, counts):
-    """c_j with (unscaled lowering) w_j = c_j w_{j-1}, verified entrywise."""
-    out = []
-    for j in range(1, len(chain)):
-        here = k + j
-        image = [q_rat.zero] * counts[here - 1]
-        for j_low in range(counts[here - 1]):
-            acc = q_rat.zero
-            for j_up in covers[here - 1][j_low]:
-                acc = q_rat.add(acc, chain[j][j_up])
-            image[j_low] = acc
-        prev = chain[j - 1]
-        lead = next(i for i, v in enumerate(prev) if not q_rat.is_zero(v))
-        c = q_rat.div(image[lead], prev[lead])
-        for a, b in zip(image, prev):
-            if a != q_rat.mul(c, b):
-                raise InternalCheckError("L does not act by a scalar on the chain")
+def _lowering_scalars(n: int, q: int, k: int) -> list[int]:
+    """c_1, ..., c_(n-2k) with L' w_j = c_j w_(j-1) on a grade-k chain,
+    where L' = sqrt(q)^(n-1) L sends a vertex to the sum of those it covers.
+
+    On grade m the relation LR - RL = (K - K^-1)/(sqrt q - 1/sqrt q) that
+    build_lattice certifies reads L'R - RL' = [n-m]_q - [m]_q, with
+    [m]_q = (q^m - 1)/(q - 1).  As L' w_0 = 0 and w_j = R w_(j-1),
+    c_j = sum over t < j of [n-k-t]_q - [k+t]_q.
+    """
+    def bracket(m: int) -> int:
+        return (q**m - 1) // (q - 1)
+
+    out, c = [], 0
+    for t in range(n - 2 * k):
+        c += bracket(n - k - t) - bracket(k + t)
         out.append(c)
     return out
-
-
-def _embed(q_rat, vec, grade, counts):
-    out = []
-    for k, size in enumerate(counts):
-        out.extend(vec if k == grade else [q_rat.zero] * size)
-    return tuple(out)
 
 
 RANDOM_ARRAY_DRAWS = 500

@@ -572,49 +572,6 @@ def conjugate(matrix: ExactMatrix, g: ExactMatrix) -> ExactMatrix:
     return inverse(g) @ matrix @ g
 
 
-@dataclass(frozen=True)
-class LinearSolution:
-    """Outcome of solve_linear: status plus witnesses."""
-
-    status: str  # "unique" | "underdetermined" | "inconsistent"
-    solution: "tuple[FieldElement, ...] | None"
-    nullspace: tuple
-
-    @property
-    def is_consistent(self) -> bool:
-        return self.status != "inconsistent"
-
-
-def solve_linear(matrix: ExactMatrix, rhs) -> LinearSolution:
-    """Solve matrix @ x = rhs with exact tri-state reporting.
-
-    The particular solution sets every free variable to zero; the nullspace
-    basis (nonempty only in the underdetermined case) uses the same
-    deterministic normalization as _nullspace_grid.
-    """
-    field = matrix.field
-    n = matrix.n
-    b = [field.coerce(v) for v in rhs]
-    if len(b) != n:
-        raise ValueError(f"right-hand side has length {len(b)}, expected {n}")
-    solved = _solve_grid(field, matrix.rows, b)
-    if solved is None:
-        return LinearSolution("inconsistent", None, ())
-    x, nullity = solved
-    solution = tuple(FieldElement(field, v) for v in x)
-    if nullity == 0:
-        return LinearSolution("unique", solution, ())
-    basis = _nullspace_grid(field, matrix.rows)
-    wrapped = tuple(tuple(FieldElement(field, v) for v in vec) for vec in basis)
-    return LinearSolution("underdetermined", solution, wrapped)
-
-
-def nullspace(matrix: ExactMatrix) -> list[tuple[FieldElement, ...]]:
-    """Deterministic basis of the kernel of matrix."""
-    basis = _nullspace_grid(matrix.field, [list(row) for row in matrix.rows])
-    return [tuple(FieldElement(matrix.field, v) for v in vec) for vec in basis]
-
-
 # --- shape taxonomy ---
 
 
@@ -814,7 +771,6 @@ def _json_rows(rows) -> list:
 __all__ = [
     "EigenData",
     "ExactMatrix",
-    "LinearSolution",
     "MultiplicityFreeResult",
     "SHAPE_DIAGONAL",
     "SHAPE_IRREDUCIBLE_TRIDIAGONAL",
@@ -830,7 +786,5 @@ __all__ = [
     "is_tridiagonal",
     "matrix_from_dict",
     "matrix_to_dict",
-    "nullspace",
     "shape",
-    "solve_linear",
 ]

@@ -7,8 +7,13 @@ split_walk_array extracts its parameter array by the paper's definition,
 reading both split sequences off A* in the two split bases.  The two
 roundtrip oracles decide verification_report's cross-checks the direct
 way: recognise the construction again with the orderings it was built in
-and extract its parameter array by the split walk.
+and extract its parameter array by the split walk.  lattice_chains walks
+every irreducible chain of a subspace lattice by hand, against which the
+closed-form chain pairs of lattice_pair are checked.  solve_linear and
+nullspace are the tri-state solve and kernel basis on an ExactMatrix.
 """
+
+from dataclasses import dataclass
 
 from leonardpairs.errors import (
     DegenerateSplitError,
@@ -21,7 +26,13 @@ from leonardpairs.leonard import (
     system_from_bidiagonal_pair,
     system_from_pair_with_orderings,
 )
-from leonardpairs.matrix import ExactMatrix, _is_invertible, _nullspace_grid
+from leonardpairs.field import FieldElement, Rationals
+from leonardpairs.matrix import (
+    ExactMatrix,
+    _is_invertible,
+    _nullspace_grid,
+    _solve_grid,
+)
 from leonardpairs.parray import ParameterArray, validate
 
 
@@ -155,3 +166,145 @@ def tridiagonal_roundtrip(pa, t, t_star) -> bool:
         return split_walk_array(system) == pa
     except (LeonardPairsError, ValueError):
         return False
+
+
+@dataclass(frozen=True)
+class LinearSolution:
+    """Outcome of solve_linear: status plus witnesses."""
+
+    status: str  # "unique" | "underdetermined" | "inconsistent"
+    solution: "tuple[FieldElement, ...] | None"
+    nullspace: tuple
+
+    @property
+    def is_consistent(self) -> bool:
+        return self.status != "inconsistent"
+
+
+def solve_linear(matrix: ExactMatrix, rhs) -> LinearSolution:
+    """Solve matrix @ x = rhs with exact tri-state reporting.
+
+    The particular solution sets every free variable to zero; the nullspace
+    basis (nonempty only in the underdetermined case) uses the same
+    deterministic normalization as _nullspace_grid.
+    """
+    field = matrix.field
+    n = matrix.n
+    b = [field.coerce(v) for v in rhs]
+    if len(b) != n:
+        raise ValueError(f"right-hand side has length {len(b)}, expected {n}")
+    solved = _solve_grid(field, matrix.rows, b)
+    if solved is None:
+        return LinearSolution("inconsistent", None, ())
+    x, nullity = solved
+    solution = tuple(FieldElement(field, v) for v in x)
+    if nullity == 0:
+        return LinearSolution("unique", solution, ())
+    basis = _nullspace_grid(field, matrix.rows)
+    wrapped = tuple(tuple(FieldElement(field, v) for v in vec) for vec in basis)
+    return LinearSolution("underdetermined", solution, wrapped)
+
+
+def nullspace(matrix: ExactMatrix) -> list[tuple[FieldElement, ...]]:
+    """Deterministic basis of the kernel of matrix."""
+    basis = _nullspace_grid(matrix.field, [list(row) for row in matrix.rows])
+    return [tuple(FieldElement(matrix.field, v) for v in vec) for vec in basis]
+
+
+@dataclass(frozen=True)
+class LatticeChain:
+    """One walked chain: the grade of its lowest vector, the chain vectors
+    w_j = R^j w_0 in grade-sorted vertex coordinates, and the scalars c_j
+    with L' w_j = c_j w_(j-1), L' the lowering map without its
+    sqrt(q)^(1-n); all rational payloads."""
+
+    grade: int
+    basis: tuple[tuple, ...]
+    coefficients: tuple
+
+
+def lattice_chains(lat) -> list[LatticeChain]:
+    """Every irreducible chain of the lattice module, found by hand.
+
+    For each grade k <= n/2 the lowest vectors are a basis of the kernel
+    of L' on grade k, from the incidence grid of grades k-1 and k; R walks
+    each up to its top and must vanish just above it, and L' must act on
+    it by one scalar per step, checked entrywise.
+    """
+    q_rat = Rationals()
+    n, counts = lat.n, lat.counts
+    chains = []
+    for k in range(n // 2 + 1):
+        d_comp = n - 2 * k
+        if k == 0:
+            kernel = [[q_rat.one]]
+        else:
+            rows = [[q_rat.zero] * counts[k] for _ in range(counts[k - 1])]
+            for j_low in range(counts[k - 1]):
+                for j_up in lat.covers[k - 1][j_low]:
+                    rows[j_low][j_up] = q_rat.one
+            kernel = _nullspace_grid(q_rat, rows)
+        expected = counts[k] - (counts[k - 1] if k >= 1 else 0)
+        if len(kernel) != expected:
+            raise InternalCheckError(
+                f"grade {k} kernel has dimension {len(kernel)}, expected {expected}"
+            )
+        for low in kernel:
+            chain = [list(low)]
+            # R walks the chain up; above its top it must vanish, and the
+            # top grade n has no covers to walk
+            for here in range(k, min(k + d_comp + 1, n)):
+                nxt = _raise(q_rat, chain[-1], lat.covers[here], counts[here + 1])
+                nonzero = any(not q_rat.is_zero(v) for v in nxt)
+                if here == k + d_comp:
+                    if nonzero:
+                        raise InternalCheckError("R does not kill the top of the chain")
+                elif not nonzero:
+                    raise InternalCheckError("chain ended before its diameter")
+                else:
+                    chain.append(nxt)
+            c_raw = _lowering_coefficients(q_rat, chain, lat.covers, k, counts)
+            basis = tuple(
+                _embed(q_rat, vec, k + j, counts) for j, vec in enumerate(chain)
+            )
+            chains.append(LatticeChain(k, basis, tuple(c_raw)))
+    return chains
+
+
+def _raise(q_rat, vec, covers_k, size: int) -> list:
+    """R on a grade-k vector: each coefficient added to each cover."""
+    out = [q_rat.zero] * size
+    for col, coeff in enumerate(vec):
+        if q_rat.is_zero(coeff):
+            continue
+        for target in covers_k[col]:
+            out[target] = q_rat.add(out[target], coeff)
+    return out
+
+
+def _lowering_coefficients(q_rat, chain, covers, k, counts):
+    """c_j with (unscaled lowering) w_j = c_j w_{j-1}, verified entrywise."""
+    out = []
+    for j in range(1, len(chain)):
+        here = k + j
+        image = [q_rat.zero] * counts[here - 1]
+        for j_low in range(counts[here - 1]):
+            acc = q_rat.zero
+            for j_up in covers[here - 1][j_low]:
+                acc = q_rat.add(acc, chain[j][j_up])
+            image[j_low] = acc
+        prev = chain[j - 1]
+        lead = next(i for i, v in enumerate(prev) if not q_rat.is_zero(v))
+        c = q_rat.div(image[lead], prev[lead])
+        for a, b in zip(image, prev):
+            if a != q_rat.mul(c, b):
+                raise InternalCheckError("L does not act by a scalar on the chain")
+        out.append(c)
+    return out
+
+
+def _embed(q_rat, vec, grade, counts):
+    out = []
+    for k, size in enumerate(counts):
+        out.extend(vec if k == grade else [q_rat.zero] * size)
+    return tuple(out)

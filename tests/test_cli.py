@@ -544,6 +544,13 @@ def test_gen_lattice_counts_and_default_beta():
     }
 
 
+def test_gen_lattice_over_gf_343():
+    code, payload = run_json("gen", "--source", "lattice", "--n", "2", "--q", "343")
+    assert code == 0
+    assert payload["counts"] == [1, 344, 1]
+    assert payload["multiplicities"] == {"0": 343, "2": 1}
+
+
 def test_gen_lattice_forbidden_scalars_exit_two():
     code, _, err = run_cli(
         "gen", "--source", "lattice", "--n", "3", "--q", "2",

@@ -61,6 +61,8 @@ from leonardpairs.parray import (
     validate,
 )
 
+from oracles import lattice_chains
+
 Q = Rationals()
 
 EX2_A = [
@@ -375,6 +377,13 @@ def test_subspace_counts_script_agrees_with_frozen_counts():
         assert int(total) == sum(counts)
 
 
+@pytest.mark.parametrize("q", sorted(generators._TINY_MODULI))
+def test_tiny_moduli_build_their_fields(q):
+    # _TinyField raises InternalCheckError on a reducible modulus
+    tiny = generators._TinyField(q)
+    assert all(tiny.mul_table[a][tiny.inv_table[a]] == 1 for a in range(1, q))
+
+
 def test_lattice_structure_2_2():
     lat = build_lattice(2, 2)
     assert lat.counts == (1, 3, 1)
@@ -422,22 +431,6 @@ def _count_recognitions(monkeypatch):
     return calls
 
 
-def _perturb_second_grade_one_chain(monkeypatch):
-    """Double the first lowering coefficient of the second grade-1 chain."""
-    real = generators._lowering_coefficients
-    seen = []
-
-    def perturbed(q_rat, chain, covers, k, counts):
-        out = real(q_rat, chain, covers, k, counts)
-        if k == 1:
-            seen.append(k)
-            if len(seen) == 2:
-                out = [q_rat.mul(out[0], q_rat.from_int(2))] + out[1:]
-        return out
-
-    monkeypatch.setattr(generators, "_lowering_coefficients", perturbed)
-
-
 @pytest.mark.parametrize("n,q,distinct", [(4, 2, 3), (3, 3, 2), (5, 2, 3)])
 def test_lattice_recognises_each_distinct_chain_pair_once(monkeypatch, n, q, distinct):
     calls = _count_recognitions(monkeypatch)
@@ -447,23 +440,16 @@ def test_lattice_recognises_each_distinct_chain_pair_once(monkeypatch, n, q, dis
     assert {(c.a, c.a_star) for c in dec.components} == set(calls)
 
 
-def test_lattice_recognises_a_chain_with_other_coefficients(monkeypatch):
-    # on (3,3) the grade-1 chains have diameter 1, where any nonzero
-    # coefficient keeps a Leonard pair: the changed chain is recognised
-    # on its own, and certified
-    calls = _count_recognitions(monkeypatch)
-    _perturb_second_grade_one_chain(monkeypatch)
-    _, _, dec = lattice_pair(build_lattice(3, 3))
-    assert len(calls) == 3
-    grade_one = [(c.a, c.a_star) for c in dec.components if c.grade == 1]
-    assert grade_one[1] != grade_one[0] == grade_one[2]
-    assert grade_one[1] in calls
-
-
 def test_lattice_refuses_a_chain_with_a_broken_coefficient(monkeypatch):
-    # on (4,2) a grade-1 chain has diameter 2, where one changed
-    # coefficient breaks the array; a pair equal to its grade's would pass
-    _perturb_second_grade_one_chain(monkeypatch)
+    # on (4,2) the grade-1 chains have diameter 2, where doubling the first
+    # lowering scalar breaks the array, and recognition must refuse it
+    real = generators._lowering_scalars
+
+    def broken(n, q, k):
+        out = real(n, q, k)
+        return [2 * out[0]] + out[1:] if k == 1 else out
+
+    monkeypatch.setattr(generators, "_lowering_scalars", broken)
     with pytest.raises(InternalCheckError, match="grade-1 component failed recognition"):
         lattice_pair(build_lattice(4, 2))
 
@@ -491,9 +477,8 @@ def test_lattice_top_component_bidiagonal_frozen():
 
 
 def test_lattice_two_two_chain_frozen():
-    _, _, dec = lattice_pair(build_lattice(2, 2))
-    comp = next(c for c in dec.components if c.diameter == 2)
-    chains = [[str(v) for v in vec] for vec in comp.basis]
+    top = next(c for c in lattice_chains(build_lattice(2, 2)) if c.grade == 0)
+    chains = [[str(v) for v in vec] for vec in top.basis]
     assert chains == [
         ["1", "0", "0", "0", "0"],
         ["0", "1", "1", "1", "0"],
@@ -501,16 +486,19 @@ def test_lattice_two_two_chain_frozen():
     ]
 
 
-@pytest.mark.parametrize("n,q", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (3, 3), (4, 2)])
 def test_lattice_restriction_matches_full_operators(n, q):
-    """Cross-check the analytic restriction: applying the full-module
-    operator to each chain vector must reproduce the column of the small
-    pair expanded back in the chain."""
+    """Cross-check the closed-form pairs: applying the full-module
+    operator to each walked chain vector must reproduce the column of the
+    component's pair expanded back in the chain."""
     lat = build_lattice(n, q)
     big_a, big_s, dec = lattice_pair(lat)
     ext = lat.field
-    for comp in dec.components:
-        cols = [[ext.from_rational(v) for v in vec] for vec in comp.basis]
+    chains = lattice_chains(lat)
+    assert len(chains) == len(dec.components)
+    for comp, chain in zip(dec.components, chains):
+        assert chain.grade == comp.grade
+        cols = [[ext.from_rational(v) for v in vec] for vec in chain.basis]
         for small, big in ((comp.a, big_a), (comp.a_star, big_s)):
             for j in range(comp.diameter + 1):
                 image = big.apply(cols[j])
@@ -524,6 +512,29 @@ def test_lattice_restriction_matches_full_operators(n, q):
                         for e, w in zip(expected, cols[i])
                     ]
                 assert image == expected, (n, q, comp.grade, j)
+
+
+# 250 chains in all; (5,2) alone has 155
+WALKED_LATTICES = (
+    (1, 2), (2, 2), (3, 2), (2, 3), (2, 4), (3, 3), (4, 2), (2, 5), (3, 4), (5, 2),
+)
+
+
+def test_lattice_closed_form_matches_the_chain_walk():
+    walked = 0
+    for n, q in WALKED_LATTICES:
+        lat = build_lattice(n, q)
+        _, _, dec = lattice_pair(lat)
+        chains = lattice_chains(lat)
+        assert [(c.grade, c.diameter) for c in dec.components] == [
+            (chain.grade, len(chain.basis) - 1) for chain in chains
+        ], (n, q)
+        for chain in chains:
+            assert list(chain.coefficients) == generators._lowering_scalars(
+                n, q, chain.grade
+            ), (n, q, chain.grade)
+        walked += len(chains)
+    assert walked == 250
 
 
 def test_lattice_full_module_is_not_a_pair():

@@ -10,9 +10,10 @@ the Askey-Wilson fit: `extract` and `awfit` on every generated pair, and
 `extract` on every pair that `construct` and `tdconstruct` build from a
 valid array.  A third covers `gen lattice` on the (4,2) and (3,3)
 lattices, the two that the benchmark builds beyond the small ones in the
-first digest.  The digests were recorded from the same invocations on an
-earlier tree; when an output is meant to change, rerun this file as a
-script to print the new digests.
+first digest, and a fourth `gen lattice` on the larger (5,2) and (4,3)
+lattices, of 374 and 212 subspaces.  The digests were recorded from the
+same invocations on an earlier tree; when an output is meant to change,
+rerun this file as a script to print the new digests.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from leonardpairs import cli
 GOLDEN_DIGEST = "d656beb6690a6ad016db9a37bb4d12ffd2c3cfccab662aa79914196d34f331bd"
 EXTRACTION_DIGEST = "36cdccd192af6888860cb45a4c6339566cc0320f21fe86f27791b1eac4cd66ad"
 LATTICE_DIGEST = "6cf37287f0dbfe4516d42766578d0166811799ac7faa119864e07a435d45637e"
+LARGE_LATTICE_DIGEST = "1fb750a4e2ca2cb45094c0fe93e434cab07149009010f396833e000adbbad4b5"
 
 FIELDS = ("Q", "GF(7)", "GF(101)", "Q(sqrt 5)")
 NONEXAMPLE_KINDS = ("repeated-eigenvalue", "reducible", "one-sided", "defective")
@@ -60,10 +62,11 @@ def _tampered(pa: dict) -> list[tuple[str, dict]]:
     return [("repeated", repeated), ("changed", changed)]
 
 
-def transcripts(workdir) -> tuple[list[str], list[str], list[str]]:
+def transcripts(workdir) -> tuple[list[str], list[str], list[str], list[str]]:
     """Label, exit code, stdout and stderr of every invocation, in order:
-    the golden invocations, the extraction ones, then the large lattices."""
-    lines, extraction, lattices = [], [], []
+    the golden invocations, the extraction ones, then the two sets of
+    larger lattices."""
+    lines, extraction, lattices, large = [], [], [], []
 
     def record(label, argv, into=lines):
         code, out, err = _run(argv)
@@ -81,6 +84,9 @@ def transcripts(workdir) -> tuple[list[str], list[str], list[str]]:
     for n, q in ((4, 2), (3, 3)):
         argv = ["gen", "--source", "lattice", "--n", str(n), "--q", str(q)]
         record(f"lattice {n} {q}", argv, lattices)
+    for n, q in ((5, 2), (4, 3)):
+        argv = ["gen", "--source", "lattice", "--n", str(n), "--q", str(q)]
+        record(f"lattice {n} {q}", argv, large)
     for fi, field in enumerate(FIELDS):
         pairs = []
         for d in (1, 2, 3, 4):
@@ -118,10 +124,10 @@ def transcripts(workdir) -> tuple[list[str], list[str], list[str]]:
                     if tag == "valid" and command[0] in PAIR_COMMANDS and "astar" in built:
                         pair = write(f"built{fi}.json", built)
                         record(f"extract {label}", ["extract", "--pair", pair], extraction)
-    return lines, extraction, lattices
+    return lines, extraction, lattices, large
 
 
-def digests(workdir) -> tuple[str, str, str]:
+def digests(workdir) -> tuple[str, str, str, str]:
     return tuple(
         hashlib.sha256("\x00".join(lines).encode()).hexdigest()
         for lines in transcripts(workdir)
@@ -129,7 +135,9 @@ def digests(workdir) -> tuple[str, str, str]:
 
 
 def test_cli_outputs_match_golden_digest(tmp_path):
-    assert digests(tmp_path) == (GOLDEN_DIGEST, EXTRACTION_DIGEST, LATTICE_DIGEST)
+    assert digests(tmp_path) == (
+        GOLDEN_DIGEST, EXTRACTION_DIGEST, LATTICE_DIGEST, LARGE_LATTICE_DIGEST
+    )
 
 
 if __name__ == "__main__":

@@ -36,12 +36,10 @@ from leonardpairs.matrix import (
     is_irreducible_tridiagonal,
     is_multiplicity_free,
     is_tridiagonal,
-    nullspace,
     shape,
-    solve_linear,
 )
 
-from oracles import joint_intertwiner_basis
+from oracles import joint_intertwiner_basis, nullspace, solve_linear
 
 Q = Rationals()
 
