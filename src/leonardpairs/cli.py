@@ -77,10 +77,12 @@ GEN_SOURCES = (
     "random-nonexample",
 )
 
-# Largest --d and --size that gen accepts, and the largest diameter (rows
+# Largest --d and --size that gen accepts, the largest diameter (rows
 # minus one) of a matrix that verify, extract or awfit read, so that every
-# generated pair can be verified.  Generation and recognition both confirm
-# matrices multiplicity-free, at a cost that grows faster than cubically.
+# generated pair can be verified, and the largest diameter of a parameter
+# array that the array commands read.  Generation and recognition both
+# confirm matrices multiplicity-free, at a cost that grows faster than
+# cubically.
 MAX_GEN_SIZE = 32
 
 # Largest --jobs that verify --batch accepts: one worker thread each.
@@ -197,6 +199,11 @@ def _parray_from_args(args) -> ParameterArray:
     obj = _read_json(args.infile)
     if not isinstance(obj, dict):
         raise _InputError(f"{args.infile}: expected a parameter-array object")
+    theta = obj.get("theta")
+    if isinstance(theta, list) and len(theta) > MAX_GEN_SIZE + 1:
+        raise _InputError(
+            f"{args.infile}: diameter {len(theta) - 1} exceeds the limit of {MAX_GEN_SIZE}"
+        )
     try:
         if args.field_obj is not None:
             data = dict(obj)

@@ -473,9 +473,9 @@ def fit_askey_wilson(a: ExactMatrix, a_star: ExactMatrix) -> AskeyWilsonFit:
         - gamma* A^2 - omega A - eta I = 0
       A*^2 A - beta A* A A* + A A*^2 - gamma* (A* A + A A*) - rho* A
         - gamma A*^2 - omega A* - eta* I = 0
-    Each matrix entry of each relation contributes one linear equation.
-    The products are formed once, for the equations and for the residual
-    certificate alike.
+    Each matrix entry of each relation contributes one linear equation,
+    read as target = sum of coefficient * matrix.  The products are formed
+    once, for the equations and for the residual certificate alike.
     """
     field = _structural_check(a, a_star)
     n = a.n
@@ -485,8 +485,8 @@ def fit_askey_wilson(a: ExactMatrix, a_star: ExactMatrix) -> AskeyWilsonFit:
     for mats, target in relations:
         for i in range(n):
             for j in range(n):
-                rows.append([field.neg(m.entry(i, j)) for m in mats])
-                rhs.append(field.neg(target.entry(i, j)))
+                rows.append([m.entry(i, j) for m in mats])
+                rhs.append(target.entry(i, j))
 
     solution = _solve_grid(field, rows, rhs)
     if solution is None:

@@ -7,14 +7,15 @@ integer kernel.  Products and matrix-vector products are dot products of
 the images over the positions where both sides are nonzero, lowered to
 payloads once per entry.  Elimination is Bareiss's fraction-free forward
 pass with first-nonzero pivoting, so identical inputs always produce
-identical outputs; its rows are proportional to the unit-pivot ones and
-are divided by their pivots only when emitted.  Kernels and solutions are
-read off it by back-substitution, and the inverse's upward pass stays on
-integers, with one division per entry.  The Hessenberg reduction works on
-payloads, since only dense input reaches it.  One Hessenberg
-reduction H = Q^-1 M Q per matrix gives both the characteristic polynomial,
-by the Hessenberg recurrence, and the eigenvectors Q ker(H - theta I);
-diagonal, bidiagonal and tridiagonal matrices are already Hessenberg.
+identical outputs; its rows are proportional to the unit-pivot ones.
+Inverses, kernels and solutions all finish it with one fraction-free
+upward pass on the integers (Nakos, Turner and Williams, SIGSAM Bull. 31,
+1997), and each entry they emit is divided once.  The Hessenberg
+reduction works on payloads, since only dense input reaches it.  One
+Hessenberg reduction H = Q^-1 M Q per matrix gives both the characteristic
+polynomial, by the Hessenberg recurrence, and the eigenvectors
+Q ker(H - theta I); diagonal, bidiagonal and tridiagonal matrices are
+already Hessenberg.
 Eigenvectors are normalized to leading coordinate 1 and eigenvalues are
 listed in the canonical shortlex order of their serialized form; the
 primitive idempotent E_i is the outer product of eigenvector i with row i
@@ -315,70 +316,54 @@ def _bareiss(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
     return rows, pivots
 
 
-def _echelon(field: Field, grid) -> tuple[list[list], list[int]]:
-    """Row echelon form by first-nonzero pivoting; returns it and the pivots.
+def _upward(field: Field, rows, pivots: list[int], width: int, columns) -> tuple:
+    """Fraction-free back-substitution on _bareiss's pivot rows.
 
-    The payload rows are lifted to their integer images and reduced by
-    _bareiss, which clears the rows below each pivot, never those above,
-    so upper Hessenberg input costs O(n^2).  Each pivot row is divided by
-    its pivot only when it is emitted, one normalisation per entry; the
-    rows, leading 1s and pivots are those of unit-pivot elimination.
+    For each right-hand column index b in columns, returns the image Y of
+    length width with U Y = D U_b on the pivot rows, Y zero off the pivot
+    columns, and D the last pivot (image_one when there is none).  Each
+    division is exact: on the pivot columns Y = D M_pp^-1 M_b, with M_pp
+    the pivot block of the lifted input, an adjugate image.  Returns
+    (ys, D).
     """
-    rows, pivots = _bareiss(field, [field.lift(row)[0] for row in grid])
-    zero, quotients = field.zero, field.quotients
-    ncols = len(rows[0]) if rows else 0
-    out = [[zero] * c + quotients(rows[r][c:], rows[r][c]) for r, c in enumerate(pivots)]
-    out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
-    return out, pivots
-
-
-def _back_substitute(field: Field, rows, pivots: list[int], x: list) -> list:
-    """Fill the pivot coordinates of x from unit-pivot echelon rows, in place.
-
-    The other coordinates are read as given.  A row longer than x carries
-    its right-hand side in its last column; otherwise the right side is 0.
-    """
-    is_zero, mul, sub = field.is_zero, field.mul, field.sub
-    width = len(x)
+    zero, one = field.image_zero, field.image_one
+    dot, combine = field.dot, field.combine
+    det = rows[len(pivots) - 1][pivots[-1]] if pivots else one
+    ys = [[zero] * width for _ in columns]
     for r in range(len(pivots) - 1, -1, -1):
-        row = rows[r]
-        acc = row[width] if len(row) > width else field.zero
-        for j in range(pivots[r] + 1, width):
-            if not is_zero(row[j]) and not is_zero(x[j]):
-                acc = sub(acc, mul(row[j], x[j]))
-        x[pivots[r]] = acc
-    return x
+        row, c = rows[r], pivots[r]
+        support = [j for j in pivots[r + 1 :] if row[j] != zero]
+        sums = [dot(row, y, support) for y in ys]
+        for y, v in zip(ys, combine([row[b] for b in columns], det, row[c], one, sums)):
+            y[c] = v
+    return ys, det
 
 
-def _normalize_leading(field: Field, vec: list) -> tuple:
-    image, _ = field.lift(vec)
+def _leading_one(field: Field, image: list) -> tuple:
+    """The payloads of a nonzero image vector scaled to leading coordinate 1."""
     zero = field.image_zero
-    for v in image:
-        if v != zero:
-            return tuple(field.quotients(image, v))
-    return tuple(vec)
+    return tuple(field.quotients(image, next(v for v in image if v != zero)))
 
 
 def _nullspace_grid(field: Field, grid) -> list[tuple]:
     """Basis of the right nullspace, leading coordinates normalized to 1.
 
     Basis vectors are emitted in increasing order of their free column, so
-    the result is deterministic.  Each is the back-substituted solution
-    with that free coordinate 1 and the others 0, which is also what the
-    reduced echelon form would give.
+    the result is deterministic.  Each is the solution with that free
+    coordinate 1 and the others 0, which is also what the reduced echelon
+    form would give: _upward solves for the free column f on integers, the
+    image vector is Y with -D at f, and it is scaled to leading 1 at once.
     """
     ncols = len(grid[0])
-    rows, pivots = _echelon(field, grid)
+    rows, pivots = _bareiss(field, [field.lift(row)[0] for row in grid])
     pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [field.zero] * ncols
-        vec[free] = field.one
-        _back_substitute(field, rows, pivots, vec)
-        basis.append(_normalize_leading(field, vec))
-    return basis
+    free = [f for f in range(ncols) if f not in pivot_set]
+    ys, det = _upward(field, rows, pivots, ncols, free)
+    one = field.image_one
+    (neg_det,) = field.combine([field.image_zero], one, one, one, [det])  # (0 - D) / 1
+    for f, y in zip(free, ys):
+        y[f] = neg_det
+    return [_leading_one(field, y) for y in ys]
 
 
 def _is_invertible(matrix: ExactMatrix) -> bool:
@@ -390,14 +375,17 @@ def _solve_grid(field: Field, rows, rhs) -> "tuple[list, int] | None":
     """Exact solve of rows @ x = rhs, rectangular allowed.
 
     Returns (x, nullity) with every free variable set to zero, or None
-    when the system is inconsistent.
+    when the system is inconsistent, that is when [rows | rhs] has a pivot
+    on its last column.  _upward reads D x off that column, and each entry
+    of x is divided by D once.
     """
     width = len(rows[0])
-    echelon, pivots = _echelon(field, [list(r) + [b] for r, b in zip(rows, rhs)])
+    grid = [field.lift(list(r) + [b])[0] for r, b in zip(rows, rhs)]
+    echelon, pivots = _bareiss(field, grid)
     if pivots and pivots[-1] == width:
         return None
-    x = _back_substitute(field, echelon, pivots, [field.zero] * width)
-    return x, width - len(pivots)
+    (y,), det = _upward(field, echelon, pivots, width, [width])
+    return field.quotients(y, det), width - len(pivots)
 
 
 # --- Hessenberg form and the characteristic polynomial ---
@@ -541,14 +529,12 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix:
 
     [M | I] is lifted row by row and reduced by _bareiss to [U | R], with
     last pivot D = U[n-1][n-1], up to sign the determinant of the lifted
-    M.  The upward pass solves U Y = D R on integers, each division exact
-    because Y = D M^-1 is the image of an adjugate, and each entry of
-    M^-1 = Y / D is normalised once.
+    M.  _upward solves U Y = D R on integers, each division exact because
+    Y = D M^-1 is the image of an adjugate, and each entry of M^-1 = Y / D
+    is normalised once.
     """
     field = matrix.field
     n = matrix.n
-    zero, one = field.image_zero, field.image_one
-    dot, combine = field.dot, field.combine
     aug = [
         field.lift(list(row) + [field.one if i == j else field.zero for j in range(n)])[0]
         for i, row in enumerate(matrix.rows)
@@ -556,14 +542,7 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix:
     rows, pivots = _bareiss(field, aug)
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is not invertible")
-    det = rows[n - 1][n - 1]
-    y_columns = [[zero] * n for _ in range(n)]
-    for r in range(n - 1, -1, -1):
-        row = rows[r]
-        support = [j for j in range(r + 1, n) if row[j] != zero]
-        sums = [dot(row, col, support) for col in y_columns]
-        for col, v in zip(y_columns, combine(row[n:], det, row[r], one, sums)):
-            col[r] = v
+    y_columns, det = _upward(field, rows, pivots, n, range(n, 2 * n))
     return ExactMatrix._raw(field, zip(*(field.quotients(col, det) for col in y_columns)))
 
 
@@ -731,7 +710,7 @@ def is_multiplicity_free(
             )
         kernels.append(kernel[0])
     moved = q @ ExactMatrix._raw(field, zip(*kernels))
-    columns = [_normalize_leading(field, col) for col in zip(*moved.rows)]
+    columns = [_leading_one(field, image) for image, _, _ in moved._lifted_columns()]
     vectors = ExactMatrix._raw(field, zip(*columns))
     if matrix @ vectors != vectors @ ExactMatrix.diagonal(field, eigenvalues):
         raise InternalCheckError("eigenvectors must satisfy M P = P diag(theta)")

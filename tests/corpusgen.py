@@ -6,12 +6,17 @@ phi_1, then define varphi_i by the PA3 right-hand side and phi_i by the
 PA4 right-hand side.  PA3 only reads phi_1 and PA4 only reads varphi_1,
 so both hold by construction; the only axiom left to chance is PA2.
 array_from_eigen_data is the library's own completion, which returns None
-when the result breaks PA2.
+when the result breaks PA2.  dense_reduced_pair dresses the split form of
+such an array as a dense pair whose Hessenberg form splits.
 """
+
+import random
 
 from leonardpairs.field import Field
 from leonardpairs.generators import _complete_array as array_from_eigen_data
-from leonardpairs.parray import validate
+from leonardpairs.generators import _random_invertible
+from leonardpairs.matrix import ExactMatrix, conjugate
+from leonardpairs.parray import construct_bidiagonal, validate
 
 
 def theta_by_recurrence(field: Field, starts, r, d):
@@ -70,3 +75,17 @@ def _distinct_sample(field: Field, rng, count, tries: int = 50):
         if len({field.serialize(v) for v in values}) == count:
             return values
     return None
+
+
+def dense_reduced_pair(field: Field, d, seed):
+    """A split-form pair conjugated by S, a _random_invertible matrix whose
+    first column is replaced by e_d.  The lower bidiagonal A has A e_d =
+    theta_d e_d, so S^-1 A S maps e_0 to theta_d e_0: dense, but its
+    Hessenberg form splits after the first row."""
+    rng = random.Random(seed)
+    b, b_star = construct_bidiagonal(random_valid_array(field, rng, d))
+    rows = [list(row) for row in _random_invertible(field, d + 1, rng).rows]
+    for i, row in enumerate(rows):
+        row[0] = field.one if i == d else field.zero
+    s = ExactMatrix._raw(field, rows)
+    return conjugate(b, s), conjugate(b_star, s)

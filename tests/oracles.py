@@ -11,6 +11,11 @@ and extract its parameter array by the split walk.  lattice_chains walks
 every irreducible chain of a subspace lattice by hand, against which the
 closed-form chain pairs of lattice_pair are checked.  solve_linear and
 nullspace are the tri-state solve and kernel basis on an ExactMatrix.
+
+Every kernel and solve here runs on payloads, by unit-pivot elimination
+(echelon) and back-substitution (back_substitute), and shares nothing
+with the library's integer kernel: nullspace_grid and solve_grid are the
+references that _nullspace_grid and _solve_grid are checked against.
 """
 
 from dataclasses import dataclass
@@ -26,13 +31,8 @@ from leonardpairs.leonard import (
     system_from_bidiagonal_pair,
     system_from_pair_with_orderings,
 )
-from leonardpairs.field import FieldElement, Rationals
-from leonardpairs.matrix import (
-    ExactMatrix,
-    _is_invertible,
-    _nullspace_grid,
-    _solve_grid,
-)
+from leonardpairs.field import Field, FieldElement, Rationals
+from leonardpairs.matrix import ExactMatrix, _is_invertible
 from leonardpairs.parray import ParameterArray, validate
 
 
@@ -58,7 +58,7 @@ def joint_intertwiner_basis(pairs) -> list[ExactMatrix]:
                 for b in range(n):
                     row[i * n + b] = field.sub(row[i * n + b], y.rows[b][j])
                 rows.append(row)
-    basis = _nullspace_grid(field, rows)
+    basis = nullspace_grid(field, rows)
     return [
         ExactMatrix._raw(field, [vec[i * n : (i + 1) * n] for i in range(n)])
         for vec in basis
@@ -168,6 +168,86 @@ def tridiagonal_roundtrip(pa, t, t_star) -> bool:
         return False
 
 
+def subtract_multiple(f, row, lead, factor, start):
+    row[start:] = [
+        v if f.is_zero(w) else f.sub(v, f.mul(factor, w))
+        for v, w in zip(row[start:], lead[start:])
+    ]
+
+
+def echelon(f, grid) -> tuple[list, list]:
+    """Row echelon form of a payload grid by unit-pivot elimination with
+    first-nonzero pivoting; returns the rows and the pivot columns."""
+    rows = [list(r) for r in grid]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if not f.is_zero(rows[i][c])), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        lead = rows[r]
+        inv = f.inv(lead[c])
+        lead[c:] = [v if f.is_zero(v) else f.mul(inv, v) for v in lead[c:]]
+        for i in range(r + 1, nrows):
+            if not f.is_zero(rows[i][c]):
+                subtract_multiple(f, rows[i], lead, rows[i][c], c)
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def back_substitute(field: Field, rows, pivots: list[int], x: list) -> list:
+    """Fill the pivot coordinates of x from unit-pivot echelon rows, in place.
+
+    The other coordinates are read as given.  A row longer than x carries
+    its right-hand side in its last column; otherwise the right side is 0.
+    """
+    is_zero, mul, sub = field.is_zero, field.mul, field.sub
+    width = len(x)
+    for r in range(len(pivots) - 1, -1, -1):
+        row = rows[r]
+        acc = row[width] if len(row) > width else field.zero
+        for j in range(pivots[r] + 1, width):
+            if not is_zero(row[j]) and not is_zero(x[j]):
+                acc = sub(acc, mul(row[j], x[j]))
+        x[pivots[r]] = acc
+    return x
+
+
+def nullspace_grid(field: Field, grid) -> list[tuple]:
+    """Basis of the right nullspace, one vector per free column in
+    increasing order: that coordinate 1, the other free ones 0, the pivot
+    ones back-substituted, then scaled to leading coordinate 1."""
+    ncols = len(grid[0])
+    rows, pivots = echelon(field, grid)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [field.zero] * ncols
+        vec[free] = field.one
+        back_substitute(field, rows, pivots, vec)
+        lead = next(v for v in vec if not field.is_zero(v))
+        basis.append(tuple(v if field.is_zero(v) else field.div(v, lead) for v in vec))
+    return basis
+
+
+def solve_grid(field: Field, rows, rhs) -> "tuple[list, int] | None":
+    """(x, nullity) for rows @ x = rhs with every free variable zero, or
+    None when the system is inconsistent."""
+    width = len(rows[0])
+    rows, pivots = echelon(field, [list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == width:
+        return None
+    x = back_substitute(field, rows, pivots, [field.zero] * width)
+    return x, width - len(pivots)
+
+
 @dataclass(frozen=True)
 class LinearSolution:
     """Outcome of solve_linear: status plus witnesses."""
@@ -186,28 +266,28 @@ def solve_linear(matrix: ExactMatrix, rhs) -> LinearSolution:
 
     The particular solution sets every free variable to zero; the nullspace
     basis (nonempty only in the underdetermined case) uses the same
-    deterministic normalization as _nullspace_grid.
+    deterministic normalization as nullspace_grid.
     """
     field = matrix.field
     n = matrix.n
     b = [field.coerce(v) for v in rhs]
     if len(b) != n:
         raise ValueError(f"right-hand side has length {len(b)}, expected {n}")
-    solved = _solve_grid(field, matrix.rows, b)
+    solved = solve_grid(field, matrix.rows, b)
     if solved is None:
         return LinearSolution("inconsistent", None, ())
     x, nullity = solved
     solution = tuple(FieldElement(field, v) for v in x)
     if nullity == 0:
         return LinearSolution("unique", solution, ())
-    basis = _nullspace_grid(field, matrix.rows)
+    basis = nullspace_grid(field, matrix.rows)
     wrapped = tuple(tuple(FieldElement(field, v) for v in vec) for vec in basis)
     return LinearSolution("underdetermined", solution, wrapped)
 
 
 def nullspace(matrix: ExactMatrix) -> list[tuple[FieldElement, ...]]:
     """Deterministic basis of the kernel of matrix."""
-    basis = _nullspace_grid(matrix.field, [list(row) for row in matrix.rows])
+    basis = nullspace_grid(matrix.field, [list(row) for row in matrix.rows])
     return [tuple(FieldElement(matrix.field, v) for v in vec) for vec in basis]
 
 
@@ -243,7 +323,7 @@ def lattice_chains(lat) -> list[LatticeChain]:
             for j_low in range(counts[k - 1]):
                 for j_up in lat.covers[k - 1][j_low]:
                     rows[j_low][j_up] = q_rat.one
-            kernel = _nullspace_grid(q_rat, rows)
+            kernel = nullspace_grid(q_rat, rows)
         expected = counts[k] - (counts[k - 1] if k >= 1 else 0)
         if len(kernel) != expected:
             raise InternalCheckError(

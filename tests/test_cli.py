@@ -23,24 +23,20 @@ from leonardpairs.field import PrimeField, QuadraticExtension, Rationals
 from leonardpairs.generators import (
     NONEXAMPLE_KINDS,
     _complete_array,
-    _random_invertible,
     _recurrence,
     random_nonexample,
 )
 from leonardpairs.matrix import (
-    ExactMatrix,
     _hessenberg,
-    conjugate,
     matrix_from_dict,
     matrix_to_dict,
 )
 from leonardpairs.parray import (
-    construct_bidiagonal,
     parameter_array_from_dict,
     parameter_array_to_dict,
 )
 
-from corpusgen import random_valid_array
+from corpusgen import dense_reduced_pair
 
 
 def run_cli(*argv):
@@ -617,6 +613,30 @@ def test_verify_sizes_are_capped(tmp_path):
     assert list(summary["results"]) == ["small.json"]
 
 
+ARRAY_COMMANDS = (
+    "construct", "tdconstruct", "gmatrix", "polys", "classify", "validate-array", "roundtrip",
+)
+
+
+def test_array_sizes_are_capped(tmp_path):
+    cap = cli.MAX_GEN_SIZE
+    code, out, err = run_cli("gen", "--source", "random-array", "--d", str(cap), "--seed", "1")
+    assert code == 0, err
+    fits = write_json(tmp_path, "fits.json", json.loads(out)["parameter_array"])
+    code, out, err = run_cli("validate-array", "--in", fits)
+    assert code == 0 and err == ""
+    assert json.loads(out)["valid"] is True
+    # the refusal comes before any parsing or axiom check
+    values = [str(i) for i in range(cap + 2)]
+    over = write_json(tmp_path, "over.json", {
+        "field": {"kind": "rationals"}, "d": cap + 1, "theta": values,
+        "theta_star": values, "varphi": values[1:], "phi": values[1:],
+    })
+    line = f"error: {over}: diameter {cap + 1} exceeds the limit of {cap}\n"
+    for command in ARRAY_COMMANDS:
+        assert run_cli(command, "--in", over) == (2, "", line), command
+
+
 def test_gen_seed_echo_and_byte_determinism():
     code, first, _ = run_cli("gen", "--source", "random-array", "--d", "4", "--seed", "9")
     code2, second, _ = run_cli("gen", "--source", "random-array", "--d", "4", "--seed", "9")
@@ -771,25 +791,11 @@ def test_batch_jobs_are_capped_before_any_thread_starts(tmp_path, monkeypatch):
     assert code == 0 and summary["checked"] == 2 and summary["errors"] == 0
 
 
-def _dense_reduced_pair(field, d, seed):
-    """A split-form pair conjugated by S, a _random_invertible matrix whose
-    first column is replaced by e_d.  The lower bidiagonal A has A e_d =
-    theta_d e_d, so S^-1 A S maps e_0 to theta_d e_0: dense, but its
-    Hessenberg form splits after the first row."""
-    rng = random.Random(seed)
-    b, b_star = construct_bidiagonal(random_valid_array(field, rng, d))
-    rows = [list(row) for row in _random_invertible(field, d + 1, rng).rows]
-    for i, row in enumerate(rows):
-        row[0] = field.one if i == d else field.zero
-    s = ExactMatrix._raw(field, rows)
-    return conjugate(b, s), conjugate(b_star, s)
-
-
 def test_batch_output_does_not_depend_on_jobs(tmp_path):
     fields = (Rationals(), PrimeField(101), QuadraticExtension(5))
     for k, field in enumerate(fields):
         for d in (3, 4):
-            a, a_star = _dense_reduced_pair(field, d, seed=10 * k + d)
+            a, a_star = dense_reduced_pair(field, d, seed=10 * k + d)
             h, _ = _hessenberg(a)
             assert field.is_zero(h.rows[1][0])
             pair = {"a": matrix_to_dict(a), "astar": matrix_to_dict(a_star)}

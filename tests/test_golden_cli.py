@@ -11,7 +11,12 @@ the Askey-Wilson fit: `extract` and `awfit` on every generated pair, and
 valid array.  A third covers `gen lattice` on the (4,2) and (3,3)
 lattices, the two that the benchmark builds beyond the small ones in the
 first digest, and a fourth `gen lattice` on the larger (5,2) and (4,3)
-lattices, of 374 and 212 subspaces.  The digests were recorded from the
+lattices, of 374 and 212 subspaces.  A fifth covers `verify`, `extract`
+and `awfit` on dense pairs over Q, GF(101) and Q(sqrt 5): the split forms
+of seeded arrays of diameter 2 to 6, each conjugated by a seeded
+invertible matrix, and one pair per field whose Hessenberg form splits.
+These are the inputs on which the Hessenberg reduction, the eigenvector
+kernels and the inverse all run.  The digests were recorded from the
 same invocations on an earlier tree; when an output is meant to change,
 rerun this file as a script to print the new digests.
 """
@@ -20,13 +25,21 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 
 from leonardpairs import cli
+from leonardpairs.field import PrimeField, QuadraticExtension, Rationals
+from leonardpairs.generators import _random_invertible
+from leonardpairs.matrix import conjugate, matrix_to_dict
+from leonardpairs.parray import construct_bidiagonal
+
+from corpusgen import dense_reduced_pair, random_valid_array
 
 GOLDEN_DIGEST = "d656beb6690a6ad016db9a37bb4d12ffd2c3cfccab662aa79914196d34f331bd"
 EXTRACTION_DIGEST = "36cdccd192af6888860cb45a4c6339566cc0320f21fe86f27791b1eac4cd66ad"
 LATTICE_DIGEST = "6cf37287f0dbfe4516d42766578d0166811799ac7faa119864e07a435d45637e"
 LARGE_LATTICE_DIGEST = "1fb750a4e2ca2cb45094c0fe93e434cab07149009010f396833e000adbbad4b5"
+DENSE_DIGEST = "bfb93612c776f21e7da2317f77fed12221646e06eea51568ef2339049423d632"
 
 FIELDS = ("Q", "GF(7)", "GF(101)", "Q(sqrt 5)")
 NONEXAMPLE_KINDS = ("repeated-eigenvalue", "reducible", "one-sided", "defective")
@@ -42,6 +55,20 @@ ARRAY_COMMANDS = (
 )
 # the array commands whose output, when they construct, is a pair
 PAIR_COMMANDS = ("construct", "tdconstruct")
+DENSE_FIELDS = (Rationals(), PrimeField(101), QuadraticExtension(5))
+
+
+def _dense_pairs():
+    """(label, A, A*) for each dense pair: split forms of seeded arrays of
+    diameter 2..6 conjugated by seeded invertible matrices, then one pair
+    per field with a split Hessenberg form."""
+    for k, field in enumerate(DENSE_FIELDS):
+        rng = random.Random(1900 + k)
+        for d in range(2, 7):
+            b, b_star = construct_bidiagonal(random_valid_array(field, rng, d))
+            s = _random_invertible(field, d + 1, rng)
+            yield f"dense {field.name} d={d}", conjugate(b, s), conjugate(b_star, s)
+        yield (f"reduced {field.name} d=4", *dense_reduced_pair(field, 4, seed=1910 + k))
 
 
 def _run(argv):
@@ -62,11 +89,11 @@ def _tampered(pa: dict) -> list[tuple[str, dict]]:
     return [("repeated", repeated), ("changed", changed)]
 
 
-def transcripts(workdir) -> tuple[list[str], list[str], list[str], list[str]]:
+def transcripts(workdir) -> tuple[list[str], ...]:
     """Label, exit code, stdout and stderr of every invocation, in order:
-    the golden invocations, the extraction ones, then the two sets of
-    larger lattices."""
-    lines, extraction, lattices, large = [], [], [], []
+    the golden invocations, the extraction ones, the two sets of larger
+    lattices, then the dense pairs."""
+    lines, extraction, lattices, large, dense = [], [], [], [], []
 
     def record(label, argv, into=lines):
         code, out, err = _run(argv)
@@ -124,10 +151,14 @@ def transcripts(workdir) -> tuple[list[str], list[str], list[str], list[str]]:
                     if tag == "valid" and command[0] in PAIR_COMMANDS and "astar" in built:
                         pair = write(f"built{fi}.json", built)
                         record(f"extract {label}", ["extract", "--pair", pair], extraction)
-    return lines, extraction, lattices, large
+    for label, a, a_star in _dense_pairs():
+        path = write("dense.json", {"a": matrix_to_dict(a), "astar": matrix_to_dict(a_star)})
+        for command in ("verify", "extract", "awfit"):
+            record(f"{command} {label}", [command, "--pair", path], dense)
+    return lines, extraction, lattices, large, dense
 
 
-def digests(workdir) -> tuple[str, str, str, str]:
+def digests(workdir) -> tuple[str, ...]:
     return tuple(
         hashlib.sha256("\x00".join(lines).encode()).hexdigest()
         for lines in transcripts(workdir)
@@ -136,7 +167,7 @@ def digests(workdir) -> tuple[str, str, str, str]:
 
 def test_cli_outputs_match_golden_digest(tmp_path):
     assert digests(tmp_path) == (
-        GOLDEN_DIGEST, EXTRACTION_DIGEST, LATTICE_DIGEST, LARGE_LATTICE_DIGEST
+        GOLDEN_DIGEST, EXTRACTION_DIGEST, LATTICE_DIGEST, LARGE_LATTICE_DIGEST, DENSE_DIGEST
     )
 
 

@@ -39,7 +39,15 @@ from leonardpairs.matrix import (
     shape,
 )
 
-from oracles import joint_intertwiner_basis, nullspace, solve_linear
+from oracles import (
+    echelon,
+    joint_intertwiner_basis,
+    nullspace,
+    nullspace_grid,
+    solve_grid,
+    solve_linear,
+    subtract_multiple,
+)
 
 Q = Rationals()
 
@@ -624,37 +632,6 @@ def _ref_apply(m: ExactMatrix, vector) -> list:
     return [_ref_dot(m.field, row, vector) for row in m.rows]
 
 
-def _ref_subtract_multiple(f, row, lead, factor, start):
-    row[start:] = [
-        v if f.is_zero(w) else f.sub(v, f.mul(factor, w))
-        for v, w in zip(row[start:], lead[start:])
-    ]
-
-
-def _ref_echelon(f, grid) -> tuple[list, list]:
-    rows = [list(r) for r in grid]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if not f.is_zero(rows[i][c])), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        lead = rows[r]
-        inv = f.inv(lead[c])
-        lead[c:] = [v if f.is_zero(v) else f.mul(inv, v) for v in lead[c:]]
-        for i in range(r + 1, nrows):
-            if not f.is_zero(rows[i][c]):
-                _ref_subtract_multiple(f, rows[i], lead, rows[i][c], c)
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
 def _ref_inverse(m: ExactMatrix) -> "list | None":
     f = m.field
     n = m.n
@@ -662,23 +639,14 @@ def _ref_inverse(m: ExactMatrix) -> "list | None":
         list(row) + [f.one if i == j else f.zero for j in range(n)]
         for i, row in enumerate(m.rows)
     ]
-    rows, pivots = _ref_echelon(f, aug)
+    rows, pivots = echelon(f, aug)
     if pivots != list(range(n)):
         return None
     for r in range(n - 1, -1, -1):
         for i in range(r):
             if not f.is_zero(rows[i][r]):
-                _ref_subtract_multiple(f, rows[i], rows[r], rows[i][r], r)
+                subtract_multiple(f, rows[i], rows[r], rows[i][r], r)
     return [row[n:] for row in rows]
-
-
-def _ref_solve(f, rows, rhs) -> "tuple | None":
-    width = len(rows[0])
-    echelon, pivots = _ref_echelon(f, [list(r) + [b] for r, b in zip(rows, rhs)])
-    if pivots and pivots[-1] == width:
-        return None
-    x = matrix_module._back_substitute(f, echelon, pivots, [f.zero] * width)
-    return x, width - len(pivots)
 
 
 def _ref_det(f, grid):
@@ -697,7 +665,7 @@ def _ref_det(f, grid):
         inv = f.inv(rows[c][c])
         for i in range(c + 1, n):
             if not f.is_zero(rows[i][c]):
-                _ref_subtract_multiple(f, rows[i], rows[c], f.mul(rows[i][c], inv), c)
+                subtract_multiple(f, rows[i], rows[c], f.mul(rows[i][c], inv), c)
     return det
 
 
@@ -773,9 +741,23 @@ def test_kernel_products_match_payload_reference(field):
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
 def test_kernel_echelon_matches_payload_reference(field):
+    # _bareiss's pivots are the unit elimination's, each pivot row is its
+    # unit row times the pivot, and the rows past the rank are zero
     rng = random.Random(2020)
     for grid in _kernel_shapes(field, rng):
-        assert matrix_module._echelon(field, grid) == _ref_echelon(field, grid)
+        rows, pivots = matrix_module._bareiss(field, [field.lift(row)[0] for row in grid])
+        unit_rows, unit_pivots = echelon(field, grid)
+        assert pivots == unit_pivots
+        for row, c, unit in zip(rows, pivots, unit_rows):
+            assert field.quotients(row, row[c]) == unit
+        assert all(v == field.image_zero for row in rows[len(pivots) :] for v in row)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_kernel_nullspace_matches_payload_reference(field):
+    rng = random.Random(2525)
+    for grid in _kernel_shapes(field, rng):
+        assert matrix_module._nullspace_grid(field, grid) == nullspace_grid(field, grid)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
@@ -789,7 +771,7 @@ def test_kernel_solve_matches_payload_reference(field):
         arbitrary = [_kernel_entry(field, rng, 0.9) for _ in grid]
         for rhs in (consistent, arbitrary):
             got = matrix_module._solve_grid(field, grid, rhs)
-            assert got == _ref_solve(field, grid, rhs)
+            assert got == solve_grid(field, grid, rhs)
             if got is None:
                 statuses.add("inconsistent")
             else:
