@@ -190,6 +190,8 @@ def _pair_from_args(args) -> tuple[ExactMatrix, ExactMatrix]:
         return _pair_from_file(args.pair, args.field_obj)
     if args.a is None or args.astar is None:
         raise _InputError("need --a and --astar (or a combined --pair file)")
+    if args.a == args.astar == "-":
+        raise _InputError("--a and --astar cannot both read standard input")
     a = _matrix_from_obj(_read_json(args.a), args.field_obj, args.a)
     a_star = _matrix_from_obj(_read_json(args.astar), args.field_obj, args.astar)
     return _checked_pair(a, a_star, f"{args.a}, {args.astar}")
@@ -210,7 +212,7 @@ def _parray_from_args(args) -> ParameterArray:
             data["field"] = field_to_dict(args.field_obj)
             return parameter_array_from_dict(data)
         return parameter_array_from_dict(obj)
-    except (LeonardPairsError, TypeError, ValueError, KeyError) as exc:
+    except (LeonardPairsError, TypeError, ValueError) as exc:
         raise _InputError(f"{args.infile}: {exc}") from exc
 
 

@@ -1239,7 +1239,7 @@ def verify_root_multiset(poly: ExactPolynomial, candidates) -> "list[tuple] | No
 
     Returns (root, multiplicity) pairs when repeated deflation by the
     candidates reduces poly to a nonzero constant, None otherwise.  Used to
-    certify externally supplied eigenvalue hints without trusting them.
+    certify a triangular matrix's diagonal as its spectrum.
     """
     if poly.is_zero:
         return None

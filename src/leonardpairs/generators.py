@@ -45,8 +45,6 @@ from .leonard import is_leonard_pair
 from .matrix import ExactMatrix, inverse, is_multiplicity_free
 from .parray import ParameterArray, _split_rhs, validate
 
-EXAMPLE2_NAME = "example2"
-
 
 def example2(field: Field) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     """The classical 4x4 pair and its transition matrix, embedded in field.
@@ -828,7 +826,6 @@ def _random_invertible(field: Field, n: int, rng) -> ExactMatrix:
 
 
 __all__ = [
-    "EXAMPLE2_NAME",
     "LatticeComponent",
     "LatticeDecomposition",
     "MAX_LATTICE_SUBSPACES",

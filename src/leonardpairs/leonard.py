@@ -266,23 +266,17 @@ def _path_orderings(support, labels):
     return (tuple(walk), tuple(reversed(walk))), None
 
 
-def is_leonard_pair(
-    a: ExactMatrix,
-    a_star: ExactMatrix,
-    *,
-    eigenvalue_hints=None,
-    dual_eigenvalue_hints=None,
-) -> RecognitionResult:
+def is_leonard_pair(a: ExactMatrix, a_star: ExactMatrix) -> RecognitionResult:
     """Recognize a Leonard pair and enumerate its systems.
 
-    Hints are optional candidate eigenvalues for A and A*; they are
-    certified before use and cannot change the verdict.  On failure the
+    The verdict reads the two maps alone, as conditions (i) and (ii) do:
+    each side's eigenvalues come from its own matrix.  On failure the
     reason strings name the first obstruction on each side.
     """
     _structural_check(a, a_star)
 
-    mf_a = is_multiplicity_free(a, eigenvalue_hints=eigenvalue_hints)
-    mf_star = is_multiplicity_free(a_star, eigenvalue_hints=dual_eigenvalue_hints)
+    mf_a = is_multiplicity_free(a)
+    mf_star = is_multiplicity_free(a_star)
     clauses = []
     if not mf_a:
         clauses.append(f"A is not multiplicity-free: {mf_a.reason}")
@@ -346,17 +340,14 @@ def system_from_pair_with_orderings(
     """The system of (A, A*) with prescribed eigenvalue orderings.
 
     theta and theta_star list the eigenvalues of A and A* in the desired
-    order.  They are passed to recognition as hints, certified there, and
-    the system is the one among recognition's systems with exactly these
-    orderings; a ValueError gives recognition's failure reason or says
-    that the orderings are not admissible.
+    order.  The system is the one among recognition's systems with exactly
+    these orderings; a ValueError gives recognition's failure reason or
+    says that the orderings are not admissible.
     """
     field = _structural_check(a, a_star)
     theta = tuple(field.coerce(v) for v in theta)
     theta_star = tuple(field.coerce(v) for v in theta_star)
-    rec = is_leonard_pair(
-        a, a_star, eigenvalue_hints=theta, dual_eigenvalue_hints=theta_star
-    )
+    rec = is_leonard_pair(a, a_star)
     if not rec.is_pair:
         raise ValueError(rec.failure_reason)
     for system in rec.systems:
@@ -796,9 +787,7 @@ def verification_report(a: ExactMatrix, a_star: ExactMatrix) -> dict:
     else:
         cross["askey_wilson_beta_matches"] = None
     out["cross_checks"] = cross
-    out["all_checks_passed"] = all(
-        v is True or v is None for v in cross.values() if not isinstance(v, str)
-    ) and report.valid
+    out["all_checks_passed"] = all(v is True or v is None for v in cross.values()) and report.valid
     return out
 
 

@@ -655,16 +655,14 @@ def _is_triangular(matrix: ExactMatrix) -> bool:
     return all(f.is_zero(matrix.rows[i][j]) for i in range(n) for j in range(i))
 
 
-def is_multiplicity_free(
-    matrix: ExactMatrix, eigenvalue_hints=None
-) -> MultiplicityFreeResult:
+def is_multiplicity_free(matrix: ExactMatrix) -> MultiplicityFreeResult:
     """Decide whether matrix has n distinct eigenvalues in its own field.
 
     On success the witness carries eigenvalues in shortlex order, the
-    leading-1 eigenvectors, and their inverse matrix.  Hints are candidate
-    eigenvalues; they are certified by exact deflation of the
-    characteristic polynomial before use, so wrong hints cost time but
-    cannot change the verdict.
+    leading-1 eigenvectors, and their inverse matrix.  The eigenvalues
+    come from the matrix alone: a triangular matrix's diagonal, certified
+    by exact deflation of the characteristic polynomial, and otherwise
+    the roots of that polynomial in the field.
 
     One Hessenberg reduction H = Q^-1 M Q serves both the characteristic
     polynomial, read off H, and the eigenvectors Q ker(H - theta I), each
@@ -675,14 +673,11 @@ def is_multiplicity_free(
     n = matrix.n
     h, q = _similar_hessenberg(matrix)
     chi = char_poly(h)
-    mults = None
-    if eigenvalue_hints is not None:
-        mults = verify_root_multiset(chi, eigenvalue_hints)
-    if mults is None and _is_triangular(matrix):
+    if _is_triangular(matrix):
         mults = verify_root_multiset(chi, [row[i] for i, row in enumerate(matrix.rows)])
         if mults is None:
             raise InternalCheckError("triangular diagonal must exhaust the spectrum")
-    if mults is None:
+    else:
         mults = [(r.payload, m) for r, m in roots_in_field(chi)]
     total = sum(m for _, m in mults)
     for payload, mult in mults:

@@ -668,10 +668,16 @@ def parameter_array_to_dict(pa: ParameterArray) -> dict:
 
 
 def parameter_array_from_dict(data: dict) -> ParameterArray:
-    field = field_from_dict(data["field"])
+    def entry(key: str):
+        # looked up in reading order, so the first fault is the one reported
+        if key not in data:
+            raise InvalidParameterArrayError(f"parameter array has no {key!r} key")
+        return data[key]
+
+    field = field_from_dict(entry("field"))
     pa = ParameterArray(
         field,
-        *(_json_list(data[key], key) for key in ("theta", "theta_star", "varphi", "phi")),
+        *(_json_list(entry(key), key) for key in ("theta", "theta_star", "varphi", "phi")),
     )
     if "d" in data:
         declared = data["d"]

@@ -283,6 +283,28 @@ def test_schema_lists_must_be_json_lists(tmp_path):
                 parameter_array_from_dict(dict(array, **{key: value}))
 
 
+def test_parameter_array_missing_key_is_named(tmp_path):
+    code, document = run_json("gen", "--source", "random-array", "--d", "2", "--seed", "3")
+    assert code == 0
+    no_phi = {k: v for k, v in document["parameter_array"].items() if k != "phi"}
+    for obj, key in ((document, "field"), (no_phi, "phi")):
+        path = write_json(tmp_path, "incomplete.json", obj)
+        for command in ("validate-array", "construct"):
+            code, out, err = run_cli(command, "--in", path)
+            assert _is_one_error_line(code, out, err), (command, key, err)
+            assert f"parameter array has no '{key}' key" in err, err
+
+
+def test_a_and_astar_cannot_both_read_stdin(tmp_path, monkeypatch):
+    with open(gen_file(tmp_path, "sl2.json", "--source", "sl2", "--d", "2")) as handle:
+        pair = json.load(handle)
+    for command in ("verify", "extract", "awfit"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(pair["a"])))
+        code, out, err = run_cli(command, "--a", "-", "--astar", "-")
+        assert _is_one_error_line(code, out, err), (command, err)
+        assert "--a and --astar cannot both read standard input" in err, err
+
+
 def test_field_override_changes_verdict(tmp_path):
     pair = gen_file(tmp_path, "ex2.json", "--source", "example2")
     code, report = run_json("verify", "--pair", pair, "--field", "GF(3)")

@@ -186,17 +186,6 @@ def test_fixture_recognized_over_gf13():
     assert_matches_oracle(a, a_star)
 
 
-def test_recognition_with_hints():
-    a, a_star = fixture_pair()
-    rec = is_leonard_pair(
-        a, a_star, eigenvalue_hints=THETA, dual_eigenvalue_hints=THETA
-    )
-    assert rec.is_pair and rec.canonical.theta == tuple(Q.coerce(v) for v in THETA)
-    # wrong hints cannot flip the verdict
-    rec2 = is_leonard_pair(a, a_star, eigenvalue_hints=(9, 9, 9, 9))
-    assert rec2.is_pair and rec2.canonical.theta == rec.canonical.theta
-
-
 def test_structural_mismatches_raise():
     a, _ = fixture_pair()
     with pytest.raises(FieldMismatchError):

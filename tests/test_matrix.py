@@ -554,16 +554,6 @@ def test_multiplicity_free_failures():
     assert [str(v) for v in r.eigen.eigenvalues] == ["s", "-s"]
 
 
-def test_multiplicity_free_hints():
-    good = is_multiplicity_free(A4, eigenvalue_hints=[3, 1, -1, -3])
-    assert good.multiplicity_free
-    assert [str(v) for v in good.eigen.eigenvalues] == ["1", "3", "-1", "-3"]
-    # wrong or partial hints fall back to the honest path, same verdict
-    wrong = is_multiplicity_free(A4, eigenvalue_hints=[7, 8])
-    assert wrong.multiplicity_free
-    assert [str(v) for v in wrong.eigen.eigenvalues] == ["1", "3", "-1", "-3"]
-
-
 def test_eigendata_reordered():
     eigen = is_multiplicity_free(A4).eigen
     perm = [2, 0, 3, 1]
