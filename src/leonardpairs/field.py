@@ -1238,8 +1238,10 @@ def verify_root_multiset(poly: ExactPolynomial, candidates) -> "list[tuple] | No
     """Check whether candidate payloads exactly exhaust poly's roots.
 
     Returns (root, multiplicity) pairs when repeated deflation by the
-    candidates reduces poly to a nonzero constant, None otherwise.  Used to
-    certify a triangular matrix's diagonal as its spectrum.
+    candidates reduces poly to a nonzero constant, None otherwise.  Part of
+    the public API; the library itself no longer calls it, since
+    is_multiplicity_free reads a triangular matrix's spectrum straight off
+    its diagonal.
     """
     if poly.is_zero:
         return None

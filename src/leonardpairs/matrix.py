@@ -15,7 +15,9 @@ reduction works on payloads, since only dense input reaches it.  One
 Hessenberg reduction H = Q^-1 M Q per matrix gives both the characteristic
 polynomial, by the Hessenberg recurrence, and the eigenvectors
 Q ker(H - theta I); diagonal, bidiagonal and tridiagonal matrices are
-already Hessenberg.
+already Hessenberg.  A triangular matrix (diagonal, split-form bidiagonal
+or dense) skips all of that: its diagonal is its spectrum, and its right
+and left eigenvectors come by substitution on the triangle.
 Eigenvectors are normalized to leading coordinate 1 and eigenvalues are
 listed in the canonical shortlex order of their serialized form; the
 primitive idempotent E_i is the outer product of eigenvector i with row i
@@ -24,6 +26,7 @@ of the inverse eigenvector matrix, built only when asked for.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,7 +43,6 @@ from .field import (
     field_from_dict,
     field_to_dict,
     roots_in_field,
-    verify_root_multiset,
 )
 
 SHAPE_DIAGONAL = "diagonal"
@@ -499,6 +501,11 @@ def char_poly(matrix: ExactMatrix) -> ExactPolynomial:
     must multiply to the recurrence's result over all of H.
     """
     h, _ = _similar_hessenberg(matrix)
+    return _hessenberg_char_poly(h)
+
+
+def _hessenberg_char_poly(h: ExactMatrix) -> ExactPolynomial:
+    """char_poly's recurrence and block certificates on an upper Hessenberg H."""
     f = h.field
     n = h.n
     rows = h.rows
@@ -644,15 +651,115 @@ class MultiplicityFreeResult:
         return self.multiplicity_free
 
 
-def _is_triangular(matrix: ExactMatrix) -> bool:
+def _triangular_side(matrix: ExactMatrix) -> "bool | None":
+    """True when matrix is lower triangular (so when it is diagonal), False
+    when it is upper triangular only, None otherwise."""
     f = matrix.field
     n = matrix.n
-    lower = all(
-        f.is_zero(matrix.rows[i][j]) for i in range(n) for j in range(i + 1, n)
-    )
-    if lower:
+    rows = matrix.rows
+    if all(f.is_zero(rows[i][j]) for i in range(n) for j in range(i + 1, n)):
         return True
-    return all(f.is_zero(matrix.rows[i][j]) for i in range(n) for j in range(i))
+    if all(f.is_zero(rows[i][j]) for i in range(n) for j in range(i)):
+        return False
+    return None
+
+
+def _substitute(field: Field, rows, lower: bool) -> list[list]:
+    """Vector j: the eigenvector for diagonal entry j of a triangular grid
+    whose diagonal entries are distinct, with coordinate j equal to 1.
+
+    The coordinates before j (lower) or after it (upper) are 0, and row i
+    of (M - theta_j I) v = 0 gives coordinate i as sum_k M_ik v_k divided
+    by theta_j - M_ii, walking away from j down a lower triangle and up an
+    upper one.  Only the nonzero off-diagonal entries are visited: O(n^2)
+    field operations on a bidiagonal grid, O(n^3) on a dense one.
+    """
+    is_zero, add, mul, sub, div = field.is_zero, field.add, field.mul, field.sub, field.div
+    n = len(rows)
+    diagonal = [row[i] for i, row in enumerate(rows)]
+    off = [
+        [(k, v) for k, v in enumerate(row) if k != i and not is_zero(v)]
+        for i, row in enumerate(rows)
+    ]
+    vectors = []
+    for j, theta in enumerate(diagonal):
+        vec = [field.zero] * n
+        vec[j] = field.one
+        for i in range(j + 1, n) if lower else range(j - 1, -1, -1):
+            acc = field.zero
+            for k, v in off[i]:
+                if not is_zero(vec[k]):
+                    acc = add(acc, mul(v, vec[k]))
+            if not is_zero(acc):
+                vec[i] = div(acc, sub(theta, diagonal[i]))
+        vectors.append(vec)
+    return vectors
+
+
+def _multiplicity_reason(field: Field, n: int, mults) -> "str | None":
+    """Why a spectrum of (eigenvalue, multiplicity) pairs in shortlex
+    order is not n distinct eigenvalues in the field, or None when it is."""
+    for payload, mult in mults:
+        if mult > 1:
+            return f"eigenvalue {field.serialize(payload)} has multiplicity {mult}"
+    total = sum(m for _, m in mults)
+    if total < n:
+        return (
+            f"characteristic polynomial does not split over {field.name}: "
+            f"only {total} of {n} eigenvalues lie in the field"
+        )
+    return None
+
+
+def _eigenvector_matrix(matrix: ExactMatrix, eigenvalues, columns) -> ExactMatrix:
+    """P with these columns, certified by M P = P diag(theta)."""
+    field = matrix.field
+    vectors = ExactMatrix._raw(field, zip(*columns))
+    if matrix @ vectors != vectors @ ExactMatrix.diagonal(field, eigenvalues):
+        raise InternalCheckError("eigenvectors must satisfy M P = P diag(theta)")
+    return vectors
+
+
+def _witness(eigenvalues, vectors: ExactMatrix, inv: ExactMatrix) -> MultiplicityFreeResult:
+    """The positive verdict, certified by P P^-1 = I."""
+    field = vectors.field
+    # sum_i E_i = P P^-1, so this certifies that the idempotents sum to I
+    if vectors @ inv != ExactMatrix.identity(field, vectors.n):
+        raise InternalCheckError("primitive idempotents must sum to the identity")
+    eigen = EigenData(tuple(FieldElement(field, v) for v in eigenvalues), vectors, inv)
+    return MultiplicityFreeResult(True, eigen, None)
+
+
+def _triangular_decomposition(matrix: ExactMatrix, lower: bool) -> MultiplicityFreeResult:
+    """is_multiplicity_free without a characteristic polynomial, kernel or
+    inverse.  The diagonal is the spectrum, counted as it stands.
+    _substitute gives the eigenvectors v_j on M and the left eigenvectors
+    w_j on M^T, and P^-1 has rows w_j / (w_j . v_j), since left and right
+    eigenvectors of distinct eigenvalues are orthogonal."""
+    field = matrix.field
+    n = matrix.n
+    diagonal = [row[i] for i, row in enumerate(matrix.rows)]
+    mults = sorted(Counter(diagonal).items(), key=lambda pair: field.sort_key(pair[0]))
+    reason = _multiplicity_reason(field, n, mults)
+    if reason is not None:
+        return MultiplicityFreeResult(False, None, reason)
+
+    is_zero, mul = field.is_zero, field.mul
+    order = sorted(range(n), key=lambda i: field.sort_key(diagonal[i]))
+    right = _substitute(field, matrix.rows, lower)
+    left = _substitute(field, matrix.transpose().rows, not lower)
+    columns, inv_rows = [], []
+    for j in order:
+        vec = right[j]
+        lead = next(v for v in vec if not is_zero(v))
+        scale = field.inv(lead)
+        columns.append([v if is_zero(v) else mul(v, scale) for v in vec])
+        # v_j and w_j meet only at coordinate j, where both were 1 before
+        # v_j was scaled, so w_j . v_j = 1 / lead
+        inv_rows.append([x if is_zero(x) else mul(x, lead) for x in left[j]])
+    eigenvalues = [diagonal[j] for j in order]
+    vectors = _eigenvector_matrix(matrix, eigenvalues, columns)
+    return _witness(eigenvalues, vectors, ExactMatrix._raw(field, inv_rows))
 
 
 def is_multiplicity_free(matrix: ExactMatrix) -> MultiplicityFreeResult:
@@ -660,40 +767,25 @@ def is_multiplicity_free(matrix: ExactMatrix) -> MultiplicityFreeResult:
 
     On success the witness carries eigenvalues in shortlex order, the
     leading-1 eigenvectors, and their inverse matrix.  The eigenvalues
-    come from the matrix alone: a triangular matrix's diagonal, certified
-    by exact deflation of the characteristic polynomial, and otherwise
-    the roots of that polynomial in the field.
-
-    One Hessenberg reduction H = Q^-1 M Q serves both the characteristic
-    polynomial, read off H, and the eigenvectors Q ker(H - theta I), each
-    kernel taken by forward elimination and back-substitution in O(n^2).
-    The witness is certified by M P = P diag(theta) and P P^-1 = I.
+    come from the matrix alone.  A triangular matrix (diagonal, split-form
+    bidiagonal, or dense) is decomposed by substitution on the triangle,
+    with no characteristic polynomial (_triangular_decomposition).  Any
+    other matrix is reduced once to a Hessenberg form H = Q^-1 M Q: the roots
+    of the characteristic polynomial read off H are the eigenvalues, the
+    eigenvectors are Q ker(H - theta I), each kernel taken by forward
+    elimination and back-substitution in O(n^2), and P^-1 is an inverse.
+    Either way the witness is certified by M P = P diag(theta) and
+    P P^-1 = I.
     """
+    lower = _triangular_side(matrix)
+    if lower is not None:
+        return _triangular_decomposition(matrix, lower)
     field = matrix.field
-    n = matrix.n
     h, q = _similar_hessenberg(matrix)
-    chi = char_poly(h)
-    if _is_triangular(matrix):
-        mults = verify_root_multiset(chi, [row[i] for i, row in enumerate(matrix.rows)])
-        if mults is None:
-            raise InternalCheckError("triangular diagonal must exhaust the spectrum")
-    else:
-        mults = [(r.payload, m) for r, m in roots_in_field(chi)]
-    total = sum(m for _, m in mults)
-    for payload, mult in mults:
-        if mult > 1:
-            return MultiplicityFreeResult(
-                False,
-                None,
-                f"eigenvalue {field.serialize(payload)} has multiplicity {mult}",
-            )
-    if total < n:
-        return MultiplicityFreeResult(
-            False,
-            None,
-            f"characteristic polynomial does not split over {field.name}: "
-            f"only {total} of {n} eigenvalues lie in the field",
-        )
+    mults = [(r.payload, m) for r, m in roots_in_field(_hessenberg_char_poly(h))]
+    reason = _multiplicity_reason(field, matrix.n, mults)
+    if reason is not None:
+        return MultiplicityFreeResult(False, None, reason)
 
     eigenvalues = [payload for payload, _ in mults]
     kernels = []
@@ -706,21 +798,14 @@ def is_multiplicity_free(matrix: ExactMatrix) -> MultiplicityFreeResult:
         kernels.append(kernel[0])
     moved = q @ ExactMatrix._raw(field, zip(*kernels))
     columns = [_leading_one(field, image) for image, _, _ in moved._lifted_columns()]
-    vectors = ExactMatrix._raw(field, zip(*columns))
-    if matrix @ vectors != vectors @ ExactMatrix.diagonal(field, eigenvalues):
-        raise InternalCheckError("eigenvectors must satisfy M P = P diag(theta)")
+    vectors = _eigenvector_matrix(matrix, eigenvalues, columns)
     try:
         inv = inverse(vectors)
     except SingularMatrixError as exc:
         raise InternalCheckError(
             "eigenvectors of distinct eigenvalues must be independent"
         ) from exc
-    # sum_i E_i = P P^-1, so this certifies that the idempotents sum to I
-    if vectors @ inv != ExactMatrix.identity(field, n):
-        raise InternalCheckError("primitive idempotents must sum to the identity")
-
-    eigen = EigenData(tuple(FieldElement(field, v) for v in eigenvalues), vectors, inv)
-    return MultiplicityFreeResult(True, eigen, None)
+    return _witness(eigenvalues, vectors, inv)
 
 
 def matrix_to_dict(matrix: ExactMatrix) -> dict:

@@ -11,6 +11,10 @@ and extract its parameter array by the split walk.  lattice_chains walks
 every irreducible chain of a subspace lattice by hand, against which the
 closed-form chain pairs of lattice_pair are checked.  solve_linear and
 nullspace are the tri-state solve and kernel basis on an ExactMatrix.
+triangular_eigen decomposes a triangular matrix through its
+characteristic polynomial, one kernel per eigenvalue and an inverse, the
+general path that is_multiplicity_free's substitution on the triangle
+is checked against.
 
 Every kernel and solve here runs on payloads, by unit-pivot elimination
 (echelon) and back-substitution (back_substitute), and shares nothing
@@ -31,8 +35,16 @@ from leonardpairs.leonard import (
     system_from_bidiagonal_pair,
     system_from_pair_with_orderings,
 )
-from leonardpairs.field import Field, FieldElement, Rationals
-from leonardpairs.matrix import ExactMatrix, _is_invertible
+from leonardpairs.field import Field, FieldElement, Rationals, verify_root_multiset
+from leonardpairs.matrix import (
+    EigenData,
+    ExactMatrix,
+    MultiplicityFreeResult,
+    _is_invertible,
+    _nullspace_grid,
+    char_poly,
+    inverse,
+)
 from leonardpairs.parray import ParameterArray, validate
 
 
@@ -289,6 +301,29 @@ def nullspace(matrix: ExactMatrix) -> list[tuple[FieldElement, ...]]:
     """Deterministic basis of the kernel of matrix."""
     basis = nullspace_grid(matrix.field, [list(row) for row in matrix.rows])
     return [tuple(FieldElement(matrix.field, v) for v in vec) for vec in basis]
+
+
+def triangular_eigen(matrix: ExactMatrix) -> MultiplicityFreeResult:
+    """is_multiplicity_free on a triangular matrix by the general path: the
+    diagonal certified as the spectrum by deflating char_poly, the kernel
+    of M - theta I for each eigenvalue in shortlex order, and inverse."""
+    field = matrix.field
+    diagonal = [row[i] for i, row in enumerate(matrix.rows)]
+    mults = verify_root_multiset(char_poly(matrix), diagonal)
+    if mults is None:
+        raise InternalCheckError("triangular diagonal must exhaust the spectrum")
+    for payload, mult in mults:
+        if mult > 1:
+            reason = f"eigenvalue {field.serialize(payload)} has multiplicity {mult}"
+            return MultiplicityFreeResult(False, None, reason)
+    eigenvalues = [payload for payload, _ in mults]
+    columns = []
+    for theta in eigenvalues:
+        (vector,) = _nullspace_grid(field, matrix.add_scalar_diagonal(field.neg(theta)).rows)
+        columns.append(vector)
+    p = ExactMatrix._raw(field, zip(*columns))
+    eigen = EigenData(tuple(FieldElement(field, v) for v in eigenvalues), p, inverse(p))
+    return MultiplicityFreeResult(True, eigen, None)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from leonardpairs.matrix import (
     is_irreducible_tridiagonal,
     is_multiplicity_free,
     is_tridiagonal,
+    matrix_to_dict,
     shape,
 )
 
@@ -47,6 +48,7 @@ from oracles import (
     solve_grid,
     solve_linear,
     subtract_multiple,
+    triangular_eigen,
 )
 
 Q = Rationals()
@@ -489,6 +491,10 @@ def test_char_poly_certificates_catch_mutants(monkeypatch, mutation, matrices):
     for m in matrices:
         with pytest.raises(InternalCheckError):
             char_poly(m)
+        if m is A4_STAR:
+            # diagonal: is_multiplicity_free decomposes it by substitution,
+            # with no characteristic polynomial for these mutants to reach
+            continue
         with pytest.raises(InternalCheckError):
             is_multiplicity_free(m)
 
@@ -520,6 +526,102 @@ def test_multiplicity_free_certifies_eigenvectors(monkeypatch, m):
     eigen = is_multiplicity_free(m).eigen
     p = eigen.eigenvectors
     assert m @ p == p @ ExactMatrix.diagonal(Q, [v.payload for v in eigen.eigenvalues])
+
+
+_TRIANGULAR4 = {
+    "diagonal": A4_STAR,
+    "lower bidiagonal": ExactMatrix.diagonal(Q, [3, 1, -1, -3], below=[1, 1, 1]),
+    "upper bidiagonal": ExactMatrix.diagonal(Q, [0, 2, 4, 6], above=[3, 2, 1]),
+    "dense lower": ExactMatrix(
+        Q, [[1, 0, 0, 0], [2, 5, 0, 0], [-1, 3, 2, 0], [4, Fraction(1, 2), 7, -2]]
+    ),
+    "dense upper": ExactMatrix(
+        Q, [[1, 2, -1, 4], [0, 5, 3, Fraction(1, 2)], [0, 0, 2, 7], [0, 0, 0, -2]]
+    ),
+}
+
+
+def _one_wrong_substitution(substitute, wrong_call):
+    """_substitute whose answer on call wrong_call (0: the right
+    eigenvectors, 1: the left ones) has 1 added to the last coordinate of
+    its first vector, which is not that vector's coordinate 1."""
+    calls = []
+
+    def wrong(field, rows, lower):
+        vectors = substitute(field, rows, lower)
+        if len(calls) == wrong_call:
+            vectors[0][-1] = field.add(vectors[0][-1], field.one)
+        calls.append(rows)
+        return vectors
+
+    return wrong
+
+
+@pytest.mark.parametrize("m", list(_TRIANGULAR4.values()), ids=list(_TRIANGULAR4))
+def test_substitution_certificates_catch_mutants(monkeypatch, m):
+    substitute = matrix_module._substitute
+    monkeypatch.setattr(matrix_module, "_substitute", _one_wrong_substitution(substitute, 0))
+    with pytest.raises(InternalCheckError, match=r"M P = P diag\(theta\)"):
+        is_multiplicity_free(m)
+    monkeypatch.setattr(matrix_module, "_substitute", _one_wrong_substitution(substitute, 1))
+    with pytest.raises(InternalCheckError, match="idempotents must sum to the identity"):
+        is_multiplicity_free(m)
+    monkeypatch.setattr(matrix_module, "_substitute", substitute)
+    assert is_multiplicity_free(m)
+
+
+def _random_triangular(field, n, kind, repeated, rng):
+    """A seeded n x n matrix of the given triangular kind; when repeated,
+    one diagonal entry is copied onto another."""
+    diagonal = []
+    while len(diagonal) < n:
+        v = field.random_element(rng).payload
+        if v not in diagonal:
+            diagonal.append(v)
+    if repeated:
+        i, k = rng.sample(range(n), 2)
+        diagonal[i] = diagonal[k]
+    below = kind in ("lower bidiagonal", "dense lower")
+    band = "bidiagonal" in kind
+    rows = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = diagonal[i]
+        for j in range(n):
+            if kind != "diagonal" and (j < i if below else j > i):
+                if not band or abs(i - j) == 1:
+                    rows[i][j] = field.random_element(rng).payload
+    return ExactMatrix(field, rows)
+
+
+def _general_path_forbidden(*args, **kwargs):
+    raise AssertionError("the characteristic-polynomial path ran on triangular input")
+
+
+@pytest.mark.parametrize(
+    "field", [Q, PrimeField(101), QuadraticExtension(5)], ids=lambda f: f.name
+)
+@pytest.mark.parametrize("kind", list(_TRIANGULAR4))
+def test_triangular_decomposition_matches_general_path(monkeypatch, field, kind):
+    rng = random.Random(f"{field.name} {kind}")
+    cases = [
+        _random_triangular(field, n, kind, repeated, rng)
+        for n in range(1, 9)
+        for repeated in ((False, True) if n > 1 else (False,))
+    ]
+    want = [triangular_eigen(m) for m in cases]
+    assert sum(not r for r in want) == 7  # every repeated diagonal is refused
+    for name in ("char_poly", "roots_in_field", "verify_root_multiset", "_nullspace_grid",
+                 "inverse"):
+        monkeypatch.setattr(matrix_module, name, _general_path_forbidden, raising=False)
+    for m, expected in zip(cases, want):
+        got = is_multiplicity_free(m)
+        assert got == expected
+        if got:
+            for ours, theirs in (
+                (got.eigen.eigenvectors, expected.eigen.eigenvectors),
+                (got.eigen.inverse_eigenvectors, expected.eigen.inverse_eigenvectors),
+            ):
+                assert matrix_to_dict(ours) == matrix_to_dict(theirs)
 
 
 def test_multiplicity_free_costs_cubic_field_operations(counting_field):
