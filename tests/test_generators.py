@@ -52,7 +52,7 @@ from leonardpairs.leonard import (
     fit_askey_wilson,
     is_leonard_pair,
 )
-from leonardpairs import generators
+from leonardpairs import generators, matrix
 from leonardpairs.matrix import ExactMatrix, inverse, matrix_to_dict
 from leonardpairs.parray import (
     FAMILY_CLASSICAL,
@@ -61,7 +61,14 @@ from leonardpairs.parray import (
     validate,
 )
 
-from oracles import lattice_chains
+from oracles import (
+    dense_quantum_relations,
+    graded_operators,
+    lattice_chains,
+    lattice_operators,
+    lattice_relation_args,
+    pairwise_covers,
+)
 
 Q = Rationals()
 
@@ -369,12 +376,32 @@ def test_subspace_counts_script_agrees_with_frozen_counts():
     lines = proc.stdout.splitlines()
     assert lines
     for line in lines:
-        match = re.fullmatch(r"n=(\d+) q=(\d+): per-dimension \[([\d, ]+)\] total (\d+)", line)
+        match = re.fullmatch(
+            r"n=(\d+) q=(\d+): per-dimension \[([\d, ]+)\] total (\d+)"
+            r" covers \[([\d, ]+)\] subcovers \[([\d, ]+)\]",
+            line,
+        )
         assert match, line
-        n, q, cols, total = match.groups()
+        n, q, cols, total, up, down = match.groups()
+        n, q = int(n), int(q)
         counts = tuple(int(c) for c in cols.split(", "))
-        assert counts == LATTICE_COUNTS[(int(n), int(q))]
+        assert counts == LATTICE_COUNTS[(n, q)]
         assert int(total) == sum(counts)
+        # every k-subspace has [n-k]_q covers and [k]_q subcovers, in the
+        # script's brute force and in build_lattice's covers
+        lat = build_lattice(n, q)
+        below = [[0] * m for m in counts]
+        for k, grade in enumerate(lat.covers):
+            for ups in grade:
+                for y in ups:
+                    below[k + 1][y] += 1
+        above = [[len(ups) for ups in grade] for grade in lat.covers] + [[0]]
+        for listed, lists in ((up, above), (down, below)):
+            per_dim = [int(c) for c in listed.split(", ")]
+            assert [set(grade) for grade in lists] == [{c} for c in per_dim]
+        assert [int(c) for c in up.split(", ")] == [
+            (q ** (n - k) - 1) // (q - 1) for k in range(n + 1)
+        ]
 
 
 @pytest.mark.parametrize("q", sorted(generators._TINY_MODULI))
@@ -408,9 +435,10 @@ def test_lattice_big_pair_matches_operator_formula():
     sq = f.from_parts(0, 1)
     den = f.inv(f.sub(sq, f.inv(sq)))
     a, a_star, _ = lattice_pair(lat, 1, 8)
-    assert a == lat.r_op.scale(f.one) + lat.k_op.scale(den)
-    k_inv = ExactMatrix.diagonal(f, [f.inv(lat.k_op.rows[i][i]) for i in range(16)])
-    assert a_star == lat.l_op.scale(f.from_int(8)) + k_inv.scale(den)
+    k_op, r_op, l_op = lattice_operators(lat)
+    assert a == r_op.scale(f.one) + k_op.scale(den)
+    k_inv = ExactMatrix.diagonal(f, [f.inv(k_op.rows[i][i]) for i in range(16)])
+    assert a_star == l_op.scale(f.from_int(8)) + k_inv.scale(den)
 
 
 def test_lattice_components_are_leonard_pairs():
@@ -582,89 +610,136 @@ def test_lattice_default_beta_is_never_forbidden():
         assert lat.field.coerce(q**n) not in lattice_forbidden_set(lat)
 
 
-def _with_entry(matrix, i, j, value):
-    rows = [list(row) for row in matrix.rows]
-    rows[i][j] = value
-    return ExactMatrix(matrix.field, rows)
+def _uq_relation_args(m):
+    """The graded form of a uq module, read off its matrices."""
+    d, field = m.d, m.field
+    return [
+        field,
+        m.q,
+        (1,) * (d + 1),
+        [((0,),)] * d,
+        [m.k.rows[i][i] for i in range(d + 1)],
+        [m.e.rows[i][i + 1] for i in range(d)],
+        [m.f.rows[i + 1][i] for i in range(d)],
+        [m.k_inv.rows[i][i] for i in range(d + 1)],
+    ]
 
 
-def _lattice_relation_args():
-    lat = build_lattice(3, 2)
-    return lat, [lat.k_op, lat.l_op, lat.r_op, generators._sqrt_q_setup(2)[1], None]
+def _dense_relation_check(args):
+    """The dense reference on the grids a graded argument list spells out."""
+    field, q, counts, covers, weights, e, f, k_inv = args
+    k_op, e_op, f_op = graded_operators(field, counts, covers, weights, e, f)
+    if k_inv is not None:
+        k_inv = ExactMatrix.diagonal(
+            field, [w for w, m in zip(k_inv, counts) for _ in range(m)]
+        )
+    dense_quantum_relations(k_op, e_op, f_op, q, k_inv)
 
 
-def _uq_relation_args():
-    m = uq_module(Rationals(), 3, 2)
-    return m, [m.k, m.e, m.f, m.q, m.k_inv]
+def test_graded_and_dense_relation_checks_accept_the_same_modules():
+    for n, q in WALKED_LATTICES:
+        args = lattice_relation_args(build_lattice(n, q))
+        generators._verify_quantum_relations(*args)
+        _dense_relation_check(args)
+    for field, q in ((Q, 2), (PrimeField(101), 3), (QuadraticExtension(5), "1/2+1/2*s")):
+        m = uq_module(field, 6, q, epsilon=-1)
+        args = _uq_relation_args(m)
+        generators._verify_quantum_relations(*args)
+        _dense_relation_check(args)
+        dense_quantum_relations(m.k, m.e, m.f, m.q, m.k_inv)
 
 
-def _double_grade_weight(lat, args):
-    f, k = lat.field, args[0]
-    rows = [list(row) for row in k.rows]
-    for i in range(lat.offsets[1], lat.offsets[2]):
-        rows[i][i] = f.mul(f.from_int(2), rows[i][i])
-    args[0] = ExactMatrix(f, rows)
+def test_lattice_covers_match_the_pairwise_scan():
+    for n, q in WALKED_LATTICES:
+        lat = build_lattice(n, q)
+        assert lat.covers == pairwise_covers(lat), (n, q)
 
 
-def _zero_first_r_entry(lat, args):
-    r, f = args[2], lat.field
-    i, j = next(
-        (i, j) for i, row in enumerate(r.rows) for j, v in enumerate(row) if not f.is_zero(v)
-    )
-    args[2] = _with_entry(r, i, j, 0)
+def test_build_lattice_forms_no_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build_lattice formed a matrix product")
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(matrix, "_lift_lines", refuse)
+    lat = build_lattice(4, 2)
+    assert lat.counts == LATTICE_COUNTS[(4, 2)]
 
 
-def _double_entry(pos, i, j):
-    def mutate(module, args):
-        f = module.field
-        args[pos] = _with_entry(args[pos], i, j, f.mul(f.from_int(2), args[pos].rows[i][j]))
-
-    return mutate
+def _lattice_args():
+    return lattice_relation_args(build_lattice(3, 2))
 
 
-def _scale_l(lat, args):
-    args[1] = args[1].scale(lat.field.from_int(2))
+def _uq_args():
+    return _uq_relation_args(uq_module(Rationals(), 3, 2))
 
 
-def _add_k_off_diagonal(lat, args):
-    args[0] = _with_entry(args[0], 0, 1, 1)
+def _double(field, value):
+    return field.mul(field.from_int(2), value)
 
 
-def _swap_l_and_r(lat, args):
-    args[1], args[2] = args[2], args[1]
+def _double_grade_weight(args):
+    args[4][1] = _double(args[0], args[4][1])
 
 
-def _l_entry_outside_covers(lat, args):
-    # a line and a plane not containing it: LR - RL changes off its diagonal only
-    plane = next(j for j in range(lat.counts[2]) if j not in lat.covers[1][0])
-    args[1] = _with_entry(args[1], lat.offsets[1], lat.offsets[2] + plane, 1)
+def _double_l(args):
+    args[5] = [_double(args[0], x) for x in args[5]]
 
 
-def _e_plus_identity(module, args):
-    # [e + 1, f] = [e, f]: only ke = q^2 ek can see it
-    args[1] = args[1] + ExactMatrix.identity(module.field, module.d + 1)
+def _drop_a_cover(args):
+    covers = args[3][0]
+    args[3][0] = (covers[0][1:],) + covers[1:]
+
+
+def _add_a_cover(args):
+    # a line and a plane not containing it
+    covers = args[3][1]
+    plane = next(j for j in range(args[2][2]) if j not in covers[0])
+    args[3][1] = (tuple(sorted(covers[0] + (plane,))),) + covers[1:]
+
+
+def _rewire_two_covers(args):
+    # lines x1, x2 trade planes y1 in covers(x1) only and y2 in covers(x2)
+    # only: every vertex keeps its number of covers and of subcovers
+    covers = list(args[3][1])
+    y1 = next(y for y in covers[0] if y not in covers[1])
+    y2 = next(y for y in covers[1] if y not in covers[0])
+    covers[0] = tuple(sorted(set(covers[0]) - {y1} | {y2}))
+    covers[1] = tuple(sorted(set(covers[1]) - {y2} | {y1}))
+    args[3][1] = tuple(covers)
+
+
+def _double_uq_e(args):
+    args[5][0] = _double(args[0], args[5][0])
+
+
+def _wrong_k_inv(args):
+    args[7][0] = _double(args[0], args[7][0])
 
 
 @pytest.mark.parametrize(
-    "build,mutate",
+    "build,mutate,match",
     [
-        pytest.param(_lattice_relation_args, _scale_l, id="L-doubled"),
-        pytest.param(_lattice_relation_args, _double_grade_weight, id="K-grade-weight-doubled"),
-        pytest.param(_lattice_relation_args, _add_k_off_diagonal, id="K-off-diagonal"),
-        pytest.param(_lattice_relation_args, _zero_first_r_entry, id="R-entry-zeroed"),
-        pytest.param(_lattice_relation_args, _swap_l_and_r, id="L-and-R-swapped"),
-        pytest.param(_lattice_relation_args, _l_entry_outside_covers, id="L-entry-outside-covers"),
-        pytest.param(_uq_relation_args, _e_plus_identity, id="uq-e-plus-identity"),
-        pytest.param(_uq_relation_args, _double_entry(1, 0, 1), id="uq-e-entry-doubled"),
-        pytest.param(_uq_relation_args, _double_entry(4, 0, 0), id="uq-k_inv-entry-wrong"),
+        pytest.param(_lattice_args, _double_l, "on the diagonal", id="L-doubled"),
+        pytest.param(
+            _lattice_args, _double_grade_weight, "ke = q", id="K-grade-weight-doubled"
+        ),
+        pytest.param(_lattice_args, _drop_a_cover, "on the diagonal", id="cover-dropped"),
+        pytest.param(_lattice_args, _add_a_cover, "on the diagonal", id="cover-added"),
+        pytest.param(
+            _lattice_args, _rewire_two_covers, "off the diagonal", id="covers-rewired"
+        ),
+        pytest.param(_uq_args, _double_uq_e, "on the diagonal", id="uq-e-entry-doubled"),
+        pytest.param(_uq_args, _wrong_k_inv, "k k\\^-1", id="uq-k_inv-entry-wrong"),
     ],
 )
-def test_quantum_relation_check_catches_mutants(build, mutate):
-    module, args = build()
+def test_quantum_relation_check_catches_mutants(build, mutate, match):
+    args = build()
     generators._verify_quantum_relations(*args)
-    mutate(module, args)
-    with pytest.raises(InternalCheckError):
+    mutate(args)
+    with pytest.raises(InternalCheckError, match=match):
         generators._verify_quantum_relations(*args)
+    with pytest.raises(InternalCheckError):
+        _dense_relation_check(args)
 
 
 def test_lattice_guards():
