@@ -7,6 +7,13 @@ Exit codes: 0 for success, 1 for a domain-level negative result (not a
 Leonard pair, invalid array, no fit) when --strict is set, 2 for
 malformed input.
 
+build_parser declares each subcommand once, through one local
+command(name, handler, help, inputs) that adds the options every command
+takes and its inputs (a pair or a parameter array) and records its
+handler; run calls that handler, which returns the payload and whether
+the result is negative.  The array commands that need a valid array share
+one validity gate, and every pair is rendered by one _pair_payload.
+
 run(argv) may be called any number of times in one process.  It builds
 its argument parser on the first call and reuses it afterwards; parsing
 writes only to the fresh namespace each call returns, so no call sees
@@ -309,35 +316,42 @@ def _cmd_extract(args):
     return parameter_array_to_dict(extract_parameter_array(rec.canonical)), False
 
 
-def _cmd_construct(args):
+def _valid_array(args, **refusal):
+    """The command's parameter array when it is valid; otherwise the
+    command's refusal payload, its own keys plus the validity report."""
     pa = _parray_from_args(args)
     report = validate(pa)
-    if not report.valid:
-        payload = {"constructed": False, "validity": validity_report_to_dict(report)}
-        return payload, True
-    a, a_star = construct_bidiagonal(pa)
-    return {"a": matrix_to_dict(a), "astar": matrix_to_dict(a_star)}, False
+    if report.valid:
+        return pa
+    return {**refusal, "validity": validity_report_to_dict(report)}
+
+
+def _pair_payload(a: ExactMatrix, a_star: ExactMatrix, **extra) -> dict:
+    return {"a": matrix_to_dict(a), "astar": matrix_to_dict(a_star), **extra}
+
+
+def _cmd_construct(args):
+    pa = _valid_array(args, constructed=False)
+    if isinstance(pa, dict):
+        return pa, True
+    return _pair_payload(*construct_bidiagonal(pa)), False
 
 
 def _cmd_tdconstruct(args):
-    pa = _parray_from_args(args)
-    report = validate(pa)
-    if not report.valid:
-        payload = {"constructed": False, "validity": validity_report_to_dict(report)}
-        return payload, True
+    pa = _valid_array(args, constructed=False)
+    if isinstance(pa, dict):
+        return pa, True
     try:
         a, a_star = construct_tridiagonal(pa, split=args.split)
     except LeonardPairsError as exc:
         return {"constructed": False, "reason": str(exc)}, True
-    return {"a": matrix_to_dict(a), "astar": matrix_to_dict(a_star)}, False
+    return _pair_payload(a, a_star), False
 
 
 def _cmd_gmatrix(args):
-    pa = _parray_from_args(args)
-    report = validate(pa)
-    if not report.valid:
-        payload = {"found": False, "validity": validity_report_to_dict(report)}
-        return payload, True
+    pa = _valid_array(args, found=False)
+    if isinstance(pa, dict):
+        return pa, True
     res = find_g_matrix(pa)
     payload = {
         "found": res.found,
@@ -375,15 +389,9 @@ def _cmd_awfit(args):
 
 
 def _cmd_classify(args):
-    pa = _parray_from_args(args)
-    report = validate(pa)
-    if not report.valid:
-        payload = {
-            "valid": False,
-            "fingerprint": None,
-            "validity": validity_report_to_dict(report),
-        }
-        return payload, True
+    pa = _valid_array(args, valid=False, fingerprint=None)
+    if isinstance(pa, dict):
+        return pa, True
     payload = {"valid": True, "fingerprint": fingerprint_to_dict(fingerprint(pa))}
     return payload, False
 
@@ -395,15 +403,9 @@ def _cmd_validate_array(args):
 
 
 def _cmd_roundtrip(args):
-    pa = _parray_from_args(args)
-    report = validate(pa)
-    if not report.valid:
-        payload = {
-            "valid": False,
-            "identical": None,
-            "validity": validity_report_to_dict(report),
-        }
-        return payload, True
+    pa = _valid_array(args, valid=False, identical=None)
+    if isinstance(pa, dict):
+        return pa, True
     back = system_from_parameter_array(pa).parameter_array()
     identical = back == pa
     payload = {
@@ -418,10 +420,7 @@ def _parse_combo(text: str, field: Field, flag: str):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise _InputError(f"{flag} wants three comma-separated coefficients x,y,z")
-    try:
-        return tuple(field.coerce(p) for p in parts)
-    except (LeonardPairsError, TypeError, ValueError) as exc:
-        raise _InputError(f"{flag}: {exc}") from exc
+    return tuple(_coerce_flag(field, p, flag) for p in parts)
 
 
 def _coerce_flag(field: Field, text: str, flag: str):
@@ -437,87 +436,8 @@ def _cmd_gen(args):
             raise _InputError(f"{flag} {value} exceeds the limit of {MAX_GEN_SIZE}")
     field = args.field_obj if args.field_obj is not None else Rationals()
     source = args.source
-    if source == "example2":
-        a, a_star, p = example2(field)
-        payload = {
-            "source": source,
-            "params": {"field": field_to_dict(field)},
-            "a": matrix_to_dict(a),
-            "astar": matrix_to_dict(a_star),
-            "transition": matrix_to_dict(p),
-        }
-        return payload, False
-    if source == "sl2":
-        combo = _parse_combo(args.combo, field, "--combo")
-        combo_star = _parse_combo(args.combo_star, field, "--combo-star")
-        a, a_star = sl2_pair(field, args.d, combo, combo_star)
-        payload = {
-            "source": source,
-            "params": {
-                "field": field_to_dict(field),
-                "d": args.d,
-                "combo": [field.serialize(c) for c in combo],
-                "combo_star": [field.serialize(c) for c in combo_star],
-            },
-            "a": matrix_to_dict(a),
-            "astar": matrix_to_dict(a_star),
-        }
-        return payload, False
-    if source == "uq":
-        q = _coerce_flag(field, args.q, "--q")
-        alpha = _coerce_flag(field, args.alpha, "--alpha")
-        beta = _coerce_flag(field, args.beta, "--beta")
-        epsilon = _coerce_flag(field, args.epsilon, "--epsilon")
-        a, a_star, allowed = uq_pair(
-            field, args.d, q, alpha=alpha, beta=beta, epsilon=epsilon
-        )
-        payload = {
-            "source": source,
-            "params": {
-                "field": field_to_dict(field),
-                "d": args.d,
-                "q": field.serialize(q),
-                "alpha": field.serialize(alpha),
-                "beta": field.serialize(beta),
-                "epsilon": field.serialize(epsilon),
-            },
-            "allowed": allowed,
-            "a": matrix_to_dict(a),
-            "astar": matrix_to_dict(a_star),
-        }
-        return payload, not allowed
-    if source == "lattice":
-        try:
-            prime_power = int(args.q)
-        except ValueError as exc:
-            raise _InputError("--q must be a prime power integer for lattice") from exc
-        lat = build_lattice(args.n, prime_power)
-        alpha = _coerce_flag(lat.field, args.alpha, "--alpha")
-        if args.beta is None:
-            beta = lat.field.coerce(prime_power**args.n)
-        else:
-            beta = _coerce_flag(lat.field, args.beta, "--beta")
-        a, a_star, dec = lattice_pair(lat, alpha, beta)
-        payload = {
-            "source": source,
-            "params": {
-                "field": field_to_dict(lat.field),
-                "n": args.n,
-                "q": prime_power,
-                "alpha": lat.field.serialize(alpha),
-                "beta": lat.field.serialize(beta),
-            },
-            "counts": list(dec.counts),
-            "multiplicities": {
-                str(d): c for d, c in sorted(dec.multiplicities().items())
-            },
-            "a": matrix_to_dict(a),
-            "astar": matrix_to_dict(a_star),
-        }
-        return payload, False
     if source == "random-array":
-        rng = random.Random(args.seed)
-        pa = random_parameter_array(field, args.d, rng)
+        pa = random_parameter_array(field, args.d, random.Random(args.seed))
         payload = {
             "source": source,
             "seed": args.seed,
@@ -525,37 +445,69 @@ def _cmd_gen(args):
             "parameter_array": parameter_array_to_dict(pa),
         }
         return payload, False
-    if source == "random-nonexample":
+    # every other source emits a pair: its params, then keys beside the pair
+    params, extra, negative = {}, {}, False
+    if source == "example2":
+        a, a_star, p = example2(field)
+        extra = {"transition": matrix_to_dict(p)}
+    elif source == "sl2":
+        combo = _parse_combo(args.combo, field, "--combo")
+        combo_star = _parse_combo(args.combo_star, field, "--combo-star")
+        a, a_star = sl2_pair(field, args.d, combo, combo_star)
+        params = {
+            "d": args.d,
+            "combo": [field.serialize(c) for c in combo],
+            "combo_star": [field.serialize(c) for c in combo_star],
+        }
+    elif source == "uq":
+        q = _coerce_flag(field, args.q, "--q")
+        alpha = _coerce_flag(field, args.alpha, "--alpha")
+        beta = _coerce_flag(field, "1" if args.beta is None else args.beta, "--beta")
+        epsilon = _coerce_flag(field, args.epsilon, "--epsilon")
+        a, a_star, allowed = uq_pair(
+            field, args.d, q, alpha=alpha, beta=beta, epsilon=epsilon
+        )
+        params = {
+            "d": args.d,
+            "q": field.serialize(q),
+            "alpha": field.serialize(alpha),
+            "beta": field.serialize(beta),
+            "epsilon": field.serialize(epsilon),
+        }
+        extra, negative = {"allowed": allowed}, not allowed
+    elif source == "lattice":
+        try:
+            prime_power = int(args.q)
+        except ValueError as exc:
+            raise _InputError("--q must be a prime power integer for lattice") from exc
+        lat = build_lattice(args.n, prime_power)
+        field = lat.field
+        alpha = _coerce_flag(field, args.alpha, "--alpha")
+        if args.beta is None:
+            beta = field.coerce(prime_power**args.n)
+        else:
+            beta = _coerce_flag(field, args.beta, "--beta")
+        a, a_star, dec = lattice_pair(lat, alpha, beta)
+        params = {
+            "n": args.n,
+            "q": prime_power,
+            "alpha": field.serialize(alpha),
+            "beta": field.serialize(beta),
+        }
+        extra = {
+            "counts": list(dec.counts),
+            "multiplicities": {
+                str(d): c for d, c in sorted(dec.multiplicities().items())
+            },
+        }
+    else:  # random-nonexample
         rng = random.Random(args.seed)
         a, a_star, kind = random_nonexample(field, args.size, rng, args.kind)
-        payload = {
-            "source": source,
-            "seed": args.seed,
-            "params": {
-                "field": field_to_dict(field),
-                "size": args.size,
-                "kind": kind,
-            },
-            "a": matrix_to_dict(a),
-            "astar": matrix_to_dict(a_star),
-        }
-        return payload, False
-    raise _InputError(f"unknown source {source!r}")
-
-
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "extract": _cmd_extract,
-    "construct": _cmd_construct,
-    "tdconstruct": _cmd_tdconstruct,
-    "gmatrix": _cmd_gmatrix,
-    "polys": _cmd_polys,
-    "awfit": _cmd_awfit,
-    "classify": _cmd_classify,
-    "validate-array": _cmd_validate_array,
-    "gen": _cmd_gen,
-    "roundtrip": _cmd_roundtrip,
-}
+        params = {"size": args.size, "kind": kind}
+        extra = {"seed": args.seed}
+    params["field"] = field_to_dict(field)
+    payload = _pair_payload(a, a_star, source=source, params=params, **extra)
+    return payload, negative
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,19 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
         "of Leonard pairs over Q, GF(p) and Q(sqrt m).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument(
-            "--field",
-            default=None,
-            help="field override: Q, GF(p), or Q(sqrt m); "
-            "replaces the field named in the input files",
-        )
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            help="exit 1 on domain-level negative results",
-        )
 
     def pair_args(p):
         p.add_argument("--a", help="matrix JSON file ('-' for stdin)")
@@ -594,54 +533,58 @@ def build_parser() -> argparse.ArgumentParser:
             help="parameter-array JSON file ('-' for stdin)",
         )
 
-    p = sub.add_parser("verify", help="full cross-validation report for a pair")
-    common(p)
-    pair_args(p)
+    def command(name, handler, help, inputs=None):
+        """Declare one subcommand: its handler, the options every command
+        takes, then its inputs (pair_args or infile_arg)."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        p.add_argument(
+            "--field",
+            default=None,
+            help="field override: Q, GF(p), or Q(sqrt m); "
+            "replaces the field named in the input files",
+        )
+        p.add_argument(
+            "--strict",
+            action="store_true",
+            help="exit 1 on domain-level negative results",
+        )
+        if inputs is not None:
+            inputs(p)
+        return p
+
+    p = command(
+        "verify", _cmd_verify, "full cross-validation report for a pair", pair_args
+    )
     p.add_argument("--batch", help="verify every *.json pair file in a directory")
     p.add_argument("--jobs", type=int, default=4, help="batch worker threads")
-
-    p = sub.add_parser("extract", help="canonical parameter array of a pair")
-    common(p)
-    pair_args(p)
-
-    p = sub.add_parser("construct", help="split bidiagonal pair from an array")
-    common(p)
-    infile_arg(p)
-
-    p = sub.add_parser(
-        "tdconstruct", help="tridiagonal/diagonal pair from an array"
+    command("extract", _cmd_extract, "canonical parameter array of a pair", pair_args)
+    command(
+        "construct", _cmd_construct, "split bidiagonal pair from an array", infile_arg
     )
-    common(p)
-    infile_arg(p)
+    p = command(
+        "tdconstruct",
+        _cmd_tdconstruct,
+        "tridiagonal/diagonal pair from an array",
+        infile_arg,
+    )
     p.add_argument(
         "--split",
         choices=("unit", "symmetric"),
         default="unit",
         help="off-diagonal split of the products",
     )
+    command("gmatrix", _cmd_gmatrix, "reversal intertwiner for an array", infile_arg)
+    command("polys", _cmd_polys, "the polynomials u_i and their duals", infile_arg)
+    command("awfit", _cmd_awfit, "Askey-Wilson relation fit for a pair", pair_args)
+    command(
+        "classify", _cmd_classify, "fingerprint family of a valid array", infile_arg
+    )
+    command(
+        "validate-array", _cmd_validate_array, "per-axiom validity report", infile_arg
+    )
 
-    p = sub.add_parser("gmatrix", help="reversal intertwiner for an array")
-    common(p)
-    infile_arg(p)
-
-    p = sub.add_parser("polys", help="the polynomials u_i and their duals")
-    common(p)
-    infile_arg(p)
-
-    p = sub.add_parser("awfit", help="Askey-Wilson relation fit for a pair")
-    common(p)
-    pair_args(p)
-
-    p = sub.add_parser("classify", help="fingerprint family of a valid array")
-    common(p)
-    infile_arg(p)
-
-    p = sub.add_parser("validate-array", help="per-axiom validity report")
-    common(p)
-    infile_arg(p)
-
-    p = sub.add_parser("gen", help="emit a generated pair or array as JSON")
-    common(p)
+    p = command("gen", _cmd_gen, "emit a generated pair or array as JSON")
     p.add_argument("--source", required=True, choices=GEN_SOURCES)
     p.add_argument(
         "--d",
@@ -656,6 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="uq: field element string; lattice: prime power integer",
     )
     p.add_argument("--alpha", default="1", help="uq/lattice scale")
+    # None: _cmd_gen takes 1 for uq and q^n for lattice
     p.add_argument("--beta", default=None, help="uq/lattice scale")
     p.add_argument("--epsilon", default="1", help="uq sign")
     p.add_argument("--combo", default="0,0,1", help="sl2: x,y,z for x e + y f + z h")
@@ -674,12 +618,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="seed, echoed in the output")
 
-    p = sub.add_parser(
-        "roundtrip", help="construct then re-extract an array and compare"
+    command(
+        "roundtrip",
+        _cmd_roundtrip,
+        "construct then re-extract an array and compare",
+        infile_arg,
     )
-    common(p)
-    infile_arg(p)
-
     return parser
 
 
@@ -693,21 +637,14 @@ def run(argv) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.field_obj = None
     try:
-        if args.field is not None:
-            args.field_obj = parse_field_flag(args.field)
-        if args.command == "gen" and args.beta is None and args.source != "lattice":
-            args.beta = "1"
-        payload, negative = _HANDLERS[args.command](args)
-    except _InputError as exc:
+        args.field_obj = None if args.field is None else parse_field_flag(args.field)
+        payload, negative = args.handler(args)
+    except (_InputError, LeonardPairsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
         return int(exc.code or 0)
-    except LeonardPairsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(_render(payload), end="")
     if negative and args.strict:
         return 1

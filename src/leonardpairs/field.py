@@ -217,8 +217,9 @@ class Field:
     def sqrt(self, a):
         """A payload x with x*x == a, or None when a is not a square.
 
-        Of the roots of x^2 - a, the largest: over Q(sqrt m), the one whose
-        first nonzero part is positive.
+        Over Q and Q(sqrt m), the largest of the roots of x^2 - a: over Q
+        the positive one, over Q(sqrt m) the one whose first nonzero part
+        is positive.  PrimeField overrides this with its own rule.
         """
         square = ExactPolynomial._raw(self, [self.neg(a), self.zero, self.one])
         return max((root.payload for root, _ in roots_in_field(square)), default=None)
@@ -454,6 +455,12 @@ class PrimeField(Field):
         return int(text) % self.p
 
     def sqrt(self, a):
+        """A residue x with x*x == a, or None when a is not a square mod p.
+
+        Not the larger of the two residues, but the one this rule reaches:
+        a^((p+1)/4) when p = 3 mod 4, otherwise Tonelli-Shanks from the
+        least non-residue.  Symmetric splits print it, so it is kept.
+        """
         return _sqrt_mod_p(a, self.p)
 
     def pow(self, a, n: int):

@@ -811,9 +811,10 @@ def is_multiplicity_free(matrix: ExactMatrix) -> MultiplicityFreeResult:
 def matrix_to_dict(matrix: ExactMatrix) -> dict:
     """JSON-ready form: field descriptor plus rows of canonical strings."""
     f = matrix.field
+    zero, is_zero, ser = f.serialize(f.zero), f.is_zero, f.serialize
     return {
         "field": field_to_dict(f),
-        "rows": [[f.serialize(v) for v in row] for row in matrix.rows],
+        "rows": [[zero if is_zero(v) else ser(v) for v in row] for row in matrix.rows],
     }
 
 

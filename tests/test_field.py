@@ -247,6 +247,15 @@ def test_sqrt():
     assert str(KI(-4).sqrt()) == "2*s" and str(KI("3-4*s").sqrt()) == "2-s"
 
 
+def test_prime_field_sqrt_is_the_rule_not_the_larger_residue():
+    # a^((p+1)/4) when p = 3 mod 4 (7, 999983), Tonelli-Shanks from the
+    # least non-residue otherwise (13, 101); symmetric splits print it
+    assert PrimeField(7).sqrt(4) == 2 and PrimeField(7).sqrt(2) == 4
+    assert PrimeField(13).sqrt(3) == 9 and PrimeField(13).sqrt(4) == 11
+    assert PrimeField(101).sqrt(4) == 99 and PrimeField(101).sqrt(5) == 56
+    assert PrimeField(999983).sqrt(4) == 2
+
+
 def test_polynomial_basics():
     p = ExactPolynomial(Q, [1, 2, 3])
     assert p.degree == 2

@@ -16,7 +16,10 @@ and `awfit` on dense pairs over Q, GF(101) and Q(sqrt 5): the split forms
 of seeded arrays of diameter 2 to 6, each conjugated by a seeded
 invertible matrix, and one pair per field whose Hessenberg form splits.
 These are the inputs on which the Hessenberg reduction, the eigenvector
-kernels and the inverse all run.  The digests were recorded from the
+kernels and the inverse all run.  A sixth covers the `gen` options that
+the others leave at their defaults: `example2`, `uq` with explicit
+--alpha, --beta and --epsilon, `lattice` with explicit --alpha and
+--beta, and `sl2` with --combo and --combo-star.  The digests were recorded from the
 same invocations on an earlier tree; when an output is meant to change,
 rerun this file as a script to print the new digests.
 """
@@ -40,6 +43,7 @@ EXTRACTION_DIGEST = "36cdccd192af6888860cb45a4c6339566cc0320f21fe86f27791b1eac4c
 LATTICE_DIGEST = "6cf37287f0dbfe4516d42766578d0166811799ac7faa119864e07a435d45637e"
 LARGE_LATTICE_DIGEST = "1fb750a4e2ca2cb45094c0fe93e434cab07149009010f396833e000adbbad4b5"
 DENSE_DIGEST = "bfb93612c776f21e7da2317f77fed12221646e06eea51568ef2339049423d632"
+GEN_DIGEST = "8489df39fcf5150fd79d1103d585bc9912522cdee7311093f73499b69b3a2f3a"
 
 FIELDS = ("Q", "GF(7)", "GF(101)", "Q(sqrt 5)")
 NONEXAMPLE_KINDS = ("repeated-eigenvalue", "reducible", "one-sided", "defective")
@@ -56,6 +60,15 @@ ARRAY_COMMANDS = (
 # the array commands whose output, when they construct, is a pair
 PAIR_COMMANDS = ("construct", "tdconstruct")
 DENSE_FIELDS = (Rationals(), PrimeField(101), QuadraticExtension(5))
+# gen invocations, each run over every field, that set what the others default
+GEN_OPTIONS = (
+    ("--source", "example2"),
+    ("--source", "uq", "--d", "2", "--q", "3", "--alpha", "3", "--beta", "5", "--epsilon", "-1"),
+    ("--source", "uq", "--d", "3", "--q", "3", "--epsilon", "-1"),
+    ("--source", "sl2", "--d", "3", "--combo", "1,4,0", "--combo-star", "0,0,3"),
+    ("--source", "sl2", "--d", "2", "--combo", "1,1,0", "--combo-star", "0,0,1"),
+    ("--source", "sl2", "--d", "2", "--combo", "1,2"),
+)
 
 
 def _dense_pairs():
@@ -92,8 +105,8 @@ def _tampered(pa: dict) -> list[tuple[str, dict]]:
 def transcripts(workdir) -> tuple[list[str], ...]:
     """Label, exit code, stdout and stderr of every invocation, in order:
     the golden invocations, the extraction ones, the two sets of larger
-    lattices, then the dense pairs."""
-    lines, extraction, lattices, large, dense = [], [], [], [], []
+    lattices, the dense pairs, then the explicit `gen` options."""
+    lines, extraction, lattices, large, dense, gen = [], [], [], [], [], []
 
     def record(label, argv, into=lines):
         code, out, err = _run(argv)
@@ -155,7 +168,15 @@ def transcripts(workdir) -> tuple[list[str], ...]:
         path = write("dense.json", {"a": matrix_to_dict(a), "astar": matrix_to_dict(a_star)})
         for command in ("verify", "extract", "awfit"):
             record(f"{command} {label}", [command, "--pair", path], dense)
-    return lines, extraction, lattices, large, dense
+    for argv in GEN_OPTIONS:
+        for field in FIELDS:
+            argv = ["gen", *argv, "--field", field]
+            record(" ".join(argv), argv, gen)
+    for n, q in ((2, 3), (3, 2)):
+        for scales in (("--alpha", "2", "--beta", "3"), ("--alpha", "2"), ("--beta", "-1")):
+            argv = ["gen", "--source", "lattice", "--n", str(n), "--q", str(q), *scales]
+            record(" ".join(argv), argv, gen)
+    return lines, extraction, lattices, large, dense, gen
 
 
 def digests(workdir) -> tuple[str, ...]:
@@ -167,7 +188,12 @@ def digests(workdir) -> tuple[str, ...]:
 
 def test_cli_outputs_match_golden_digest(tmp_path):
     assert digests(tmp_path) == (
-        GOLDEN_DIGEST, EXTRACTION_DIGEST, LATTICE_DIGEST, LARGE_LATTICE_DIGEST, DENSE_DIGEST
+        GOLDEN_DIGEST,
+        EXTRACTION_DIGEST,
+        LATTICE_DIGEST,
+        LARGE_LATTICE_DIGEST,
+        DENSE_DIGEST,
+        GEN_DIGEST,
     )
 
 
