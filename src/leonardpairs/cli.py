@@ -14,6 +14,11 @@ handler; run calls that handler, which returns the payload and whether
 the result is negative.  The array commands that need a valid array share
 one validity gate, and every pair is rendered by one _pair_payload.
 
+verify --batch verifies its files one after another in the calling
+thread: verification holds the interpreter lock, so threads would buy
+nothing, and --jobs is accepted but changes nothing.  A file that fails
+is one error line.
+
 run(argv) may be called any number of times in one process.  It builds
 its argument parser on the first call and reuses it afterwards; parsing
 writes only to the fresh namespace each call returns, so no call sees
@@ -30,7 +35,6 @@ import random
 import re
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import LeonardPairsError
 from .field import (
@@ -92,9 +96,6 @@ GEN_SOURCES = (
 # cubically.
 MAX_GEN_SIZE = 32
 
-# Largest --jobs that verify --batch accepts: one worker thread each.
-MAX_JOBS = 32
-
 _FIELD_FLAG = re.compile(
     r"^\s*(?:Q|QQ)\s*$|^\s*GF\(\s*([0-9]+)\s*\)\s*$|^\s*Q\(\s*sqrt\s*(-?[0-9]+)\s*\)\s*$"
 )
@@ -123,16 +124,17 @@ def parse_field_flag(text: str) -> Field:
 
 
 def _read_json(path: str):
+    label = "<stdin>" if path == "-" else path
     try:
         if path == "-":
             text = sys.stdin.read()
-            label = "<stdin>"
         else:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
-            label = path
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{label}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -228,16 +230,17 @@ def _render(obj: dict) -> str:
 
 
 def _atomic_write(path: str, obj: dict) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(_render(obj))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(_render(obj))
+            os.replace(tmp, path)
+        finally:  # after the rename tmp is gone
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise _InputError(f"{path}: {exc.strerror or exc}") from exc
 
 
 # --- command handlers: each returns (payload, negative) ---
@@ -252,10 +255,10 @@ def _cmd_verify(args):
 
 
 def _cmd_verify_batch(args):
+    if (args.pair, args.a, args.astar) != (None, None, None):
+        raise _InputError("--batch takes no --pair, --a or --astar")
     if args.jobs < 1:
         raise _InputError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.jobs > MAX_JOBS:
-        raise _InputError(f"--jobs {args.jobs} exceeds the limit of {MAX_JOBS}")
     directory = args.batch
     if not os.path.isdir(directory):
         raise _InputError(f"{directory}: not a directory")
@@ -264,27 +267,19 @@ def _cmd_verify_batch(args):
         for name in os.listdir(directory)
         if name.endswith(".json") and not name.endswith(".report.json")
     )
-
-    def one(name: str):
-        a, a_star = _pair_from_file(os.path.join(directory, name), args.field_obj)
-        report = verification_report(a, a_star)
-        report_name = name[: -len(".json")] + ".report.json"
-        _atomic_write(os.path.join(directory, report_name), report)
-        return report_name, report
-
     results: dict = {}
     errors: list[str] = []
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = [(name, pool.submit(one, name)) for name in names]
-        for name, future in futures:
-            try:
-                report_name, report = future.result()
-            except _InputError as exc:
-                errors.append(str(exc))
-                continue
-            except LeonardPairsError as exc:
-                errors.append(f"{os.path.join(directory, name)}: {exc}")
-                continue
+    for name in names:
+        path = os.path.join(directory, name)
+        report_name = name[: -len(".json")] + ".report.json"
+        try:
+            report = verification_report(*_pair_from_file(path, args.field_obj))
+            _atomic_write(os.path.join(directory, report_name), report)
+        except _InputError as exc:
+            errors.append(str(exc))
+        except LeonardPairsError as exc:
+            errors.append(f"{path}: {exc}")
+        else:
             results[name] = {
                 "diameter": report["diameter"],
                 "is_leonard_pair": report["is_leonard_pair"],
@@ -481,6 +476,8 @@ def _cmd_gen(args):
         except ValueError as exc:
             raise _InputError("--q must be a prime power integer for lattice") from exc
         lat = build_lattice(args.n, prime_power)
+        if args.field_obj not in (None, lat.field):
+            raise _InputError(f"--field: the lattice's field is {lat.field.name}")
         field = lat.field
         alpha = _coerce_flag(field, args.alpha, "--alpha")
         if args.beta is None:
@@ -557,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", _cmd_verify, "full cross-validation report for a pair", pair_args
     )
     p.add_argument("--batch", help="verify every *.json pair file in a directory")
-    p.add_argument("--jobs", type=int, default=4, help="batch worker threads")
+    p.add_argument("--jobs", type=int, default=4, help="no effect: files run in turn")
     command("extract", _cmd_extract, "canonical parameter array of a pair", pair_args)
     command(
         "construct", _cmd_construct, "split bidiagonal pair from an array", infile_arg
@@ -658,7 +655,6 @@ def main() -> None:
 __all__ = [
     "GEN_SOURCES",
     "MAX_GEN_SIZE",
-    "MAX_JOBS",
     "build_parser",
     "main",
     "parse_field_flag",

@@ -13,6 +13,7 @@ import math
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -569,6 +570,19 @@ def test_gen_lattice_over_gf_343():
     assert payload["multiplicities"] == {"0": 343, "2": 1}
 
 
+def test_gen_lattice_refuses_a_foreign_field():
+    code, own, _ = run_cli("gen", "--source", "lattice", "--n", "2", "--q", "2")
+    assert code == 0
+    for field in ("GF(7)", "Q", "Q(sqrt 3)"):
+        argv = ("gen", "--source", "lattice", "--n", "2", "--q", "2", "--field", field)
+        code, out, err = run_cli(*argv)
+        assert _is_one_error_line(code, out, err), (field, err)
+        assert err == "error: --field: the lattice's field is Q(sqrt 2)\n", err
+    # its own field is accepted, and changes nothing
+    argv = ("gen", "--source", "lattice", "--n", "2", "--q", "2", "--field", "Q(sqrt 2)")
+    assert run_cli(*argv) == (0, own, "")
+
+
 def test_gen_lattice_forbidden_scalars_exit_two():
     code, _, err = run_cli(
         "gen", "--source", "lattice", "--n", "3", "--q", "2",
@@ -796,21 +810,86 @@ def test_batch_jobs_must_be_positive(tmp_path):
     assert not (tmp_path / "sl2.report.json").exists()
 
 
-def test_batch_jobs_are_capped_before_any_thread_starts(tmp_path, monkeypatch):
+def test_batch_starts_no_thread(tmp_path, monkeypatch):
     gen_file(tmp_path, "sl2.json", "--source", "sl2", "--d", "2")
     gen_file(tmp_path, "ex2.json", "--source", "example2")
-    pools = []
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", lambda **kw: pools.append(kw))
-    jobs = str(cli.MAX_JOBS + 1)
-    code, out, err = run_cli("verify", "--batch", str(tmp_path), "--jobs", jobs)
-    assert code == 2 and out == ""
-    assert err == f"error: --jobs {jobs} exceeds the limit of {cli.MAX_JOBS}\n"
-    assert pools == []
-    assert not list(tmp_path.glob("*.report.json"))
-    # at the cap it runs; a pool starts at most one thread per file, so two
-    monkeypatch.undo()
-    code, summary = run_json("verify", "--batch", str(tmp_path), "--jobs", str(cli.MAX_JOBS))
+
+    def start(self):
+        raise AssertionError("verify --batch started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    code, summary = run_json("verify", "--batch", str(tmp_path), "--jobs", "2")
     assert code == 0 and summary["checked"] == 2 and summary["errors"] == 0
+
+
+def test_batch_refuses_pair_flags_before_reading(tmp_path, monkeypatch):
+    gen_file(tmp_path, "sl2.json", "--source", "sl2", "--d", "2")
+    monkeypatch.setattr(cli, "_read_json", lambda path: pytest.fail(f"read {path}"))
+    for flags in (
+        ("--pair", "/nonexistent.json"),
+        ("--a", "/nope"),
+        ("--astar", "-"),
+        ("--pair", "/nonexistent.json", "--a", "/nope"),
+    ):
+        code, out, err = run_cli("verify", "--batch", str(tmp_path), *flags)
+        assert _is_one_error_line(code, out, err), (flags, err)
+        assert "--batch takes no --pair, --a or --astar" in err, err
+    assert not list(tmp_path.glob("*.report.json"))
+
+
+def test_batch_unwritable_report_is_one_error_and_rest_reported(tmp_path):
+    gen_file(tmp_path, "good.json", "--source", "sl2", "--d", "2")
+    gen_file(tmp_path, "stuck.json", "--source", "example2")
+    (tmp_path / "stuck.report.json").mkdir()
+    code, out, err = run_cli("verify", "--batch", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "stuck.report.json: " in err, err
+    summary = json.loads(out)
+    assert summary["checked"] == 2 and summary["errors"] == 1
+    assert list(summary["results"]) == ["good.json"]
+    assert json.loads((tmp_path / "good.report.json").read_text())["is_leonard_pair"]
+    assert (tmp_path / "stuck.report.json").is_dir()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+def test_non_utf8_file_is_one_error_line(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(NOT_UTF8)
+    for argv in (
+        ("verify", "--pair", str(path)),
+        ("extract", "--a", str(path), "--astar", str(path)),
+        ("validate-array", "--in", str(path)),
+        ("construct", "--in", str(path)),
+    ):
+        code, out, err = run_cli(*argv)
+        assert _is_one_error_line(code, out, err), (argv, err)
+        assert err.startswith(f"error: {path}: not UTF-8: "), err
+
+
+def test_non_utf8_stdin_is_one_error_line(monkeypatch):
+    for argv in (("verify", "--pair", "-"), ("validate-array", "--in", "-")):
+        stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_cli(*argv)
+        assert _is_one_error_line(code, out, err), (argv, err)
+        assert err.startswith("error: <stdin>: not UTF-8: "), err
+
+
+def test_batch_non_utf8_file_is_its_own_error(tmp_path):
+    gen_file(tmp_path, "good.json", "--source", "sl2", "--d", "2")
+    (tmp_path / "latin.json").write_bytes(NOT_UTF8)
+    code, out, err = run_cli("verify", "--batch", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"error: {tmp_path / 'latin.json'}: not UTF-8: "), err
+    assert err.count("\n") == 1, err
+    summary = json.loads(out)
+    assert summary["checked"] == 2 and summary["errors"] == 1
+    assert list(summary["results"]) == ["good.json"]
+    assert (tmp_path / "good.report.json").exists()
 
 
 def test_batch_output_does_not_depend_on_jobs(tmp_path):
@@ -840,14 +919,7 @@ def test_batch_output_does_not_depend_on_jobs(tmp_path):
         name: row["is_leonard_pair"] for name, row in json.loads(out)["results"].items()
     }
     assert verdicts == {name: name.startswith("dense") for name in verdicts}
-    # a short switch interval makes the two workers interleave often
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-4)
-    try:
-        for _ in range(3):
-            assert batch("2") == sequential
-    finally:
-        sys.setswitchinterval(interval)
+    assert batch("2") == sequential
 
 
 REPEATED_ARGV = (

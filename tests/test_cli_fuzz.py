@@ -1,18 +1,22 @@
-"""Arbitrary JSON into the CLI: exit 0, 1 or 2, no traceback.
+"""Arbitrary JSON, and arbitrary bytes, into the CLI: exit 0, 1 or 2, no
+traceback.
 
 Inputs are bounded in size.  Half are free-form JSON; the other half keep
 the shape of a pair ({"a": {"field", "rows"}, "astar": ...}) or of a
 parameter array ({"field", "d", "theta", ...}) with arbitrary leaves, so
 the fuzzing reaches field construction, parsing and recognition instead of
-stopping at the first missing key.  Valid parameter arrays with
-large-height rational entries must go through every array command with
-exit 0, and their bidiagonal pairs must verify.
+stopping at the first missing key.  Byte inputs, which need not be UTF-8
+or JSON, reach the pair, array and batch commands through files and
+standard input.  Valid parameter arrays with large-height rational
+entries must go through every array command with exit 0, and their
+bidiagonal pairs must verify.
 """
 
 import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 from fractions import Fraction
@@ -186,6 +190,39 @@ def test_array_commands_survive_arbitrary_json(array):
         path = _write(tmp, "array.json", array)
         for command in ARRAY_COMMANDS:
             _run(*command, "--in", path)
+
+
+# raw bytes, and JSON text in encodings other than UTF-8 (with and
+# without a byte-order mark)
+raw_bytes = st.binary(max_size=64) | st.builds(
+    lambda obj, codec: json.dumps(obj, ensure_ascii=False).encode(codec, "replace"),
+    pairs | arrays,
+    st.sampled_from(["utf-8", "utf-8-sig", "utf-16", "latin-1"]),
+)
+
+
+@FUZZ
+@given(data=raw_bytes, batch=st.lists(raw_bytes, max_size=2))
+def test_commands_survive_arbitrary_bytes(data, batch):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        for command in ("verify", "extract", "awfit"):
+            _run(command, "--pair", path)
+        for command in ARRAY_COMMANDS:
+            _run(*command, "--in", path)
+        for i, blob in enumerate(batch):
+            with open(os.path.join(tmp, f"p{i}.json"), "wb") as handle:
+                handle.write(blob)
+        _run("verify", "--batch", tmp)
+    stdin = sys.stdin
+    try:
+        for argv in (("verify", "--pair", "-"), ("validate-array", "--in", "-")):
+            sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+            _run(*argv)
+    finally:
+        sys.stdin = stdin
 
 
 @settings(FUZZ, max_examples=30)
