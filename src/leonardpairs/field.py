@@ -13,9 +13,9 @@ usual operators; the polynomial layer calls the payload-level methods
 directly to keep inner loops lean.  The matrix layer works on integer
 images instead: ``lift`` takes a row of payloads to integers (pairs of
 integers over Q(sqrt m), residues over GF(p)) over one positive
-denominator, ``dot`` and ``combine`` multiply and exactly divide them,
-and ``lower`` and ``quotients`` return canonical payloads, one
-normalisation per entry.
+denominator, ``dot`` and ``combine`` multiply and exactly divide them
+(``add``, ``sub`` and ``image_mul`` for single entries), and ``lower``
+and ``quotients`` return canonical payloads, one normalisation per entry.
 
 Element strings: rationals serialize as ``"a"`` or ``"a/b"``; prime-field
 elements as the canonical decimal residue; quadratic-extension elements as
@@ -242,7 +242,10 @@ class Field:
     # Q(sqrt m).  Image entries are multiplied and exactly divided without
     # normalising; lower and quotients turn results back into canonical
     # payloads, one normalisation per entry.  image_zero and image_one are
-    # the images of 0 and 1.
+    # the images of 0 and 1.  add and sub act on a payload's parts one by
+    # one, so they take image entries too, and image_mul multiplies two:
+    # on integers and pairs of integers nothing is normalised, and over
+    # GF(p) residues stay reduced, so equal images compare equal.
 
     def lift(self, payloads) -> tuple[list, int]:
         """(image, den): a new list with image[k] / den == payloads[k]."""
@@ -258,6 +261,10 @@ class Field:
 
     def dot(self, x, y, support):
         """Image of sum x[k] y[k] over k in support, left unreduced."""
+        raise NotImplementedError
+
+    def image_mul(self, x, y):
+        """The image of x y for image entries x and y."""
         raise NotImplementedError
 
     def combine(self, row, p, prev, a=None, lead=None) -> list:
@@ -380,6 +387,9 @@ class Rationals(Field):
     def dot(self, x, y, support):
         return sum(x[k] * y[k] for k in support)
 
+    def image_mul(self, x, y):
+        return x * y
+
     def combine(self, row, p, prev, a=None, lead=None) -> list:
         if lead is None:
             return [v * p // prev for v in row]
@@ -484,6 +494,9 @@ class PrimeField(Field):
 
     def dot(self, x, y, support):
         return sum(x[k] * y[k] for k in support)
+
+    def image_mul(self, x, y):
+        return x * y % self.p
 
     def combine(self, row, p, prev, a=None, lead=None) -> list:
         # one reduction per entry: (p/prev) row - (a/prev) lead, mod the prime
@@ -649,6 +662,11 @@ class QuadraticExtension(Field):
             ir += b * d
             sq += a * d + b * c
         return (re + self.m * ir, sq)
+
+    def image_mul(self, x, y):
+        a, b = x
+        c, d = y
+        return (a * c + self.m * b * d, a * d + b * c)
 
     def combine(self, row, p, prev, a=None, lead=None) -> list:
         # (p row - a lead) conj(prev) / norm(prev), exact in Z[sqrt m]

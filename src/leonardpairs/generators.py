@@ -528,7 +528,7 @@ class SubspaceLattice:
         return self.offsets[-1]
 
 
-MAX_LATTICE_SUBSPACES = 3000
+MAX_LATTICE_SUBSPACES = 1200
 
 
 def _sqrt_q_setup(q: int):
@@ -771,7 +771,7 @@ def random_parameter_array(field: Field, d: int, rng) -> ParameterArray:
 def _distinct(field: Field, rng, count: int):
     for _ in range(DISTINCT_DRAWS):
         values = [field.random_element(rng).payload for _ in range(count)]
-        if len({field.serialize(v) for v in values}) == count:
+        if len(set(values)) == count:  # payloads are canonical
             return values
     return None
 
@@ -783,22 +783,31 @@ def _recurrence(field: Field, starts, r, d: int):
     while len(seq) < d + 1:
         seq.append(field.sub(seq[-3], field.mul(r, field.sub(seq[-2], seq[-1]))))
     seq = seq[: d + 1]
-    if len({field.serialize(v) for v in seq}) != len(seq):
+    if len(set(seq)) != len(seq):
         return None
     return seq
 
 
 def _complete_array(field: Field, theta, theta_star, phi1):
     """The array with these eigenvalue sequences and phi_1: varphi from the
-    PA3 right-hand sides, then phi from those of PA4.  None when a split
-    value vanishes (PA2)."""
+    PA3 right-hand sides and phi from those of PA4, lowered once per entry.
+    None when a split value vanishes (PA2)."""
     theta = [field.coerce(v) for v in theta]
     theta_star = [field.coerce(v) for v in theta_star]
-    varphi = _split_rhs(field, theta, theta_star, field.coerce(phi1))
-    if any(field.is_zero(v) for v in varphi):
-        return None
-    phi = _split_rhs(field, theta[::-1], theta_star, varphi[0]) if varphi else []
-    if any(field.is_zero(v) for v in phi):
+    d = len(theta) - 1
+    if d == 0:
+        return ParameterArray(field, theta, theta_star, [], [])
+    phi1 = field.coerce(phi1)
+    # PA4 reads varphi_1, which is PA3 at i = 1, where S_1 = 1
+    varphi1 = field.add(
+        phi1, field.mul(field.sub(theta_star[1], theta_star[0]), field.sub(theta[0], theta[d]))
+    )
+    seeds = (field.lift([phi1]), field.lift([varphi1]))
+    varphi, phi = (
+        field.quotients(*side)
+        for side in _split_rhs(field, field.lift(theta), field.lift(theta_star), seeds)
+    )
+    if any(field.is_zero(v) for v in varphi + phi):
         return None
     return ParameterArray(field, theta, theta_star, varphi, phi)
 

@@ -491,20 +491,6 @@ def fit_askey_wilson(a: ExactMatrix, a_star: ExactMatrix) -> AskeyWilsonFit:
     return AskeyWilsonFit(True, nullity == 0, nullity, coeffs)
 
 
-def askey_wilson_residuals(
-    a: ExactMatrix, a_star: ExactMatrix, fit: AskeyWilsonFit
-) -> tuple[ExactMatrix, ExactMatrix]:
-    """The two relation left-hand sides under the given coefficients."""
-    if fit.coefficients is None:
-        raise ValueError("fit carries no coefficients")
-    values = [fit.coefficients[name].payload for name in AW_COEFFICIENT_NAMES]
-    res1, res2 = (
-        _residual(mats, target, values)
-        for mats, target in _askey_wilson_relations(a, a_star)
-    )
-    return res1, res2
-
-
 def _askey_wilson_relations(a: ExactMatrix, a_star: ExactMatrix) -> tuple:
     """Each relation as (matrices, target): the matrix that each coefficient
     of AW_COEFFICIENT_NAMES multiplies, and the coefficient-free part
@@ -536,94 +522,6 @@ def _residual(mats, target: ExactMatrix, values) -> ExactMatrix:
                 if not f.is_zero(v):
                     row[j] = f.sub(row[j], f.mul(c, v))
     return ExactMatrix._raw(f, rows)
-
-
-def _root_of_unity_betas(field: Field) -> "set | None":
-    """Payloads beta = q + 1/q with q a root of unity in fields of
-    characteristic zero; None for finite fields (where every nonzero q
-    qualifies)."""
-    if field.characteristic() != 0:
-        return None
-    core = {field.from_int(v) for v in (-2, -1, 0, 1, 2)}
-    m = getattr(field, "m", None)
-    if m in (2, 3):
-        core.update(field.coerce(s) for s in ("s", "-s"))
-    elif m == 5:
-        core.update(
-            field.coerce(s)
-            for s in ("1/2+1/2*s", "1/2-1/2*s", "-1/2+1/2*s", "-1/2-1/2*s")
-        )
-    return core
-
-
-@dataclass(frozen=True)
-class ConverseReport:
-    """Sufficient-condition check for the converse direction.
-
-    When every flag is true the relations force (A, A*) to be a Leonard
-    pair; a false flag only means this criterion is silent.
-    """
-
-    relations_hold: bool
-    unique_fit: bool
-    multiplicity_free_a: bool
-    multiplicity_free_a_star: bool
-    q_not_root_of_unity: "bool | None"
-    conclusive: bool
-    notes: tuple[str, ...]
-    fit: "AskeyWilsonFit | None" = None
-
-
-def check_converse_preconditions(a: ExactMatrix, a_star: ExactMatrix) -> ConverseReport:
-    """Check the hypotheses under which the relations imply a Leonard pair:
-    a unique coefficient fit, both matrices multiplicity-free, and the
-    quantum parameter attached to beta not a root of unity."""
-    field = _structural_check(a, a_star)
-    notes = []
-    fit = fit_askey_wilson(a, a_star)
-    if not fit.found:
-        notes.append("the pair satisfies no Askey-Wilson relations")
-    elif not fit.unique:
-        notes.append(
-            f"the coefficient fit has {fit.nullity} degrees of freedom, "
-            "so beta is not pinned down"
-        )
-    mf_a = bool(is_multiplicity_free(a))
-    mf_star = bool(is_multiplicity_free(a_star))
-    if not mf_a:
-        notes.append("A is not multiplicity-free")
-    if not mf_star:
-        notes.append("A* is not multiplicity-free")
-
-    q_ok: "bool | None" = None
-    if fit.found and fit.unique:
-        bad = _root_of_unity_betas(field)
-        if bad is None:
-            q_ok = False
-            notes.append(
-                "every nonzero element of a finite field is a root of unity, "
-                "so the root-of-unity hypothesis cannot hold"
-            )
-        elif fit.beta.payload in bad:
-            q_ok = False
-            notes.append(
-                f"beta = {fit.beta} makes x^2 - beta x + 1 a cyclotomic factor, "
-                "so q is a root of unity"
-            )
-        else:
-            q_ok = True
-
-    conclusive = bool(fit.found and fit.unique and mf_a and mf_star and q_ok)
-    return ConverseReport(
-        fit.found,
-        fit.unique,
-        mf_a,
-        mf_star,
-        q_ok,
-        conclusive,
-        tuple(notes),
-        fit,
-    )
 
 
 def askey_wilson_to_dict(fit: AskeyWilsonFit) -> dict:
@@ -794,12 +692,9 @@ def verification_report(a: ExactMatrix, a_star: ExactMatrix) -> dict:
 __all__ = [
     "AW_COEFFICIENT_NAMES",
     "AskeyWilsonFit",
-    "ConverseReport",
     "LeonardSystem",
     "RecognitionResult",
-    "askey_wilson_residuals",
     "askey_wilson_to_dict",
-    "check_converse_preconditions",
     "extract_parameter_array",
     "fit_askey_wilson",
     "is_leonard_pair",

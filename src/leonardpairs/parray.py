@@ -21,6 +21,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import (
     InvalidParameterArrayError,
@@ -149,55 +150,99 @@ class ValidityReport:
 
 
 def _distinctness(field: Field, values, label: str) -> "tuple[int, str] | None":
+    # payloads are canonical, so they are their own keys; only a repeat is
+    # serialized, for its detail string
     seen: dict = {}
     for i, v in enumerate(values):
-        key = field.serialize(v)
-        if key in seen:
-            return i, f"{label}[{seen[key]}] == {label}[{i}] == {key}"
-        seen[key] = i
+        j = seen.setdefault(v, i)
+        if j != i:
+            return i, f"{label}[{j}] == {label}[{i}] == {field.serialize(v)}"
     return None
 
 
-def _split_rhs(field: Field, theta, theta_star, seed) -> list:
-    """The d right-hand sides of PA3, varphi_1..varphi_d, given phi_1 = seed.
+def _split_rhs(field: Field, theta, theta_star, seeds, scales=(1, 1)) -> list:
+    """The right-hand sides of PA3 and PA4 on images, each from one seed.
 
-    Passing theta reversed gives those of PA4, phi_1..phi_d given
-    varphi_1 = seed: S_i is unchanged and theta_{i-1} - theta_d becomes
-    theta_{d-i+1} - theta_0.
+    theta, theta_star and the two seeds are (image, den) pairs from
+    Field.lift; PA3's sides varphi_1..varphi_d read phi_1, the first entry
+    of seeds[0], and PA4's sides phi_1..phi_d read varphi_1, that of
+    seeds[1].  Returns [(rhs3, k3), (rhs4, k4)] with rhs3[i-1] / k3 =
+    scales[0] varphi_i and rhs4[i-1] / k4 = scales[1] phi_i.
+
+    With D = theta_0 - theta_d multiplied through, the sides are
+      varphi_i D = phi_1 A_i + D (theta*_i - theta*_0)(theta_{i-1} - theta_d),
+      phi_i D = varphi_1 A_i + D (theta*_i - theta*_0)(theta_{d-i+1} - theta_0),
+    with one running sum A_i = sum_{h<i} (theta_h - theta_{d-h}) for both.
+    The denominators are cross-multiplied, so nothing is inverted or
+    normalised.
     """
-    d = len(theta) - 1
+    (th, t), (ts, s) = theta, theta_star
+    d = len(th) - 1
     if d == 0:
-        return []
-    scale = field.mul(seed, field.inv(field.sub(theta[0], theta[d])))
-    acc = field.zero
-    out = []
+        return [([], field.image_one)] * 2
+    add, sub, mul = field.add, field.sub, field.image_mul
+    ((x3, *_), den3), ((x4, *_), den4) = seeds
+    scale3, scale4 = scales
+    # the denominators, as images that scale image entries
+    ints = (s * t * scale3, s * t * scale4, den3 * scale3, den4 * scale4, den3 * s * t, den4 * s * t)
+    c3, c4, b3, b4, k3, k4 = field.lift([field.from_int(n) for n in ints])[0]
+    e = sub(th[0], th[d])
+    a3, a4, b3, b4 = mul(x3, c3), mul(x4, c4), mul(b3, e), mul(b4, e)
+    acc = field.image_zero
+    rhs3, rhs4 = [], []
     for i in range(1, d + 1):
-        acc = field.add(acc, field.sub(theta[i - 1], theta[d - i + 1]))
-        out.append(
-            field.add(
-                field.mul(scale, acc),
-                field.mul(
-                    field.sub(theta_star[i], theta_star[0]),
-                    field.sub(theta[i - 1], theta[d]),
-                ),
-            )
-        )
-    return out
+        acc = add(acc, sub(th[i - 1], th[d - i + 1]))
+        dual = sub(ts[i], ts[0])
+        rhs3.append(add(mul(a3, acc), mul(b3, mul(dual, sub(th[i - 1], th[d])))))
+        rhs4.append(add(mul(a4, acc), mul(b4, mul(dual, sub(th[d - i + 1], th[0])))))
+    return [(rhs3, mul(k3, e)), (rhs4, mul(k4, e))]
+
+
+# statuses are frozen, so every report shares one passing status per axiom
+_PASSED = {name: AxiomStatus(name, True) for name in ("PA1", "PA2", "PA3", "PA4", "PA5")}
 
 
 def _status(name: str, fail: "tuple[int, str] | None") -> AxiomStatus:
-    return AxiomStatus(
-        name,
-        fail is None,
-        first_failure=None if fail is None else fail[0],
-        detail=None if fail is None else fail[1],
-    )
+    if fail is None:
+        return _PASSED[name]
+    return AxiomStatus(name, False, first_failure=fail[0], detail=fail[1])
 
 
-def _first_mismatch(field: Field, values, rhs) -> "tuple[int, str] | None":
-    for i, (v, want) in enumerate(zip(values, rhs), start=1):
-        if v != want:
-            return i, f"index {i}: {field.serialize(v)} != {field.serialize(want)}"
+def _first_mismatch(field: Field, values, lifted, side) -> "tuple[int, str] | None":
+    """The first i with values[i-1] != the i-th right-hand side, on images.
+
+    lifted = Field.lift(values) = (image, den), and side = (rhs, k) from
+    _split_rhs scaled by den, so image[i-1] k must equal rhs[i-1].  Only a
+    mismatch is lowered, for the detail string.
+    """
+    (image, den), (rhs, k) = lifted, side
+    products = list(map(field.image_mul, image, repeat(k)))
+    if products == rhs:
+        return None
+    i = next(i for i, (v, n) in enumerate(zip(products, rhs), start=1) if v != n)
+    want = field.div(field.quotients([rhs[i - 1]], k)[0], field.from_int(den))
+    return i, f"index {i}: {field.serialize(values[i - 1])} != {field.serialize(want)}"
+
+
+def _ratio_mismatch(field: Field, th, ts) -> "tuple[int, str] | None":
+    """PA5 on the images th and ts of theta and theta*, by cross-multiplying
+    r_i = (theta_{i-2} - theta_{i+1}) / (theta_{i-1} - theta_i) with its dual
+    and with r_2, so the image denominators cancel.  Only a failing ratio
+    is divided, for the detail string."""
+    sub, mul = field.sub, field.image_mul
+
+    def ratio(num, den) -> str:
+        return field.serialize(field.quotients([num], den)[0])
+
+    for i in range(2, len(th) - 1):
+        a3, a1 = sub(th[i - 2], th[i + 1]), sub(th[i - 1], th[i])
+        b3, b1 = sub(ts[i - 2], ts[i + 1]), sub(ts[i - 1], ts[i])
+        if i == 2:
+            r3, r1 = a3, a1
+        if mul(a3, b1) != mul(b3, a1):
+            return i, f"index {i}: ratio {ratio(a3, a1)} != dual ratio {ratio(b3, b1)}"
+        if mul(a3, r1) != mul(r3, a1):
+            return i, f"index {i}: ratio {ratio(a3, a1)} != ratio {ratio(r3, r1)} at index 2"
     return None
 
 
@@ -244,45 +289,14 @@ def _evaluate_axioms(pa: ParameterArray) -> ValidityReport:
             )
         )
 
-    phi1, varphi1 = (pa.phi[0], pa.varphi[0]) if d >= 1 else (f.zero, f.zero)
-    pa3 = _status(
-        "PA3",
-        _first_mismatch(f, pa.varphi, _split_rhs(f, pa.theta, pa.theta_star, phi1)),
+    theta, theta_star, varphi, phi = (
+        f.lift(seq) for seq in (pa.theta, pa.theta_star, pa.varphi, pa.phi)
     )
-    pa4 = _status(
-        "PA4",
-        _first_mismatch(
-            f, pa.phi, _split_rhs(f, pa.theta[::-1], pa.theta_star, varphi1)
-        ),
-    )
-
-    pa5_fail = None
-    ratio = None
-    for i in range(2, d):
-        r = f.div(
-            f.sub(pa.theta[i - 2], pa.theta[i + 1]),
-            f.sub(pa.theta[i - 1], pa.theta[i]),
-        )
-        r_star = f.div(
-            f.sub(pa.theta_star[i - 2], pa.theta_star[i + 1]),
-            f.sub(pa.theta_star[i - 1], pa.theta_star[i]),
-        )
-        if r != r_star:
-            pa5_fail = (
-                i,
-                f"index {i}: ratio {f.serialize(r)} != dual ratio {f.serialize(r_star)}",
-            )
-            break
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            pa5_fail = (
-                i,
-                f"index {i}: ratio {f.serialize(r)} != ratio {f.serialize(ratio)} at index 2",
-            )
-            break
-
-    return ValidityReport((pa1, pa2, pa3, pa4, _status("PA5", pa5_fail)))
+    side3, side4 = _split_rhs(f, theta, theta_star, (phi, varphi), (varphi[1], phi[1]))
+    pa3 = _status("PA3", _first_mismatch(f, pa.varphi, varphi, side3))
+    pa4 = _status("PA4", _first_mismatch(f, pa.phi, phi, side4))
+    pa5 = _status("PA5", _ratio_mismatch(f, theta[0], theta_star[0]))
+    return ValidityReport((pa1, pa2, pa3, pa4, pa5))
 
 
 def _require(pa: ParameterArray, what: str, *, pa12_only: bool = False) -> None:

@@ -8,7 +8,7 @@ from leonardpairs.field import PrimeField
 class _CountingField(PrimeField):
     """GF(p) that counts in muls the products it forms: payload
     multiplications, and the integer products of the matrix kernel's
-    dot products, elimination steps and quotients."""
+    dot products, elimination steps and quotients, and of image_mul."""
 
     def __init__(self, p: int):
         super().__init__(p)
@@ -21,6 +21,10 @@ class _CountingField(PrimeField):
     def dot(self, x, y, support):
         self.muls += len(support)
         return super().dot(x, y, support)
+
+    def image_mul(self, x, y):
+        self.muls += 1
+        return super().image_mul(x, y)
 
     def combine(self, row, p, prev, a=None, lead=None):
         self.muls += len(row) * (1 if lead is None else 2)

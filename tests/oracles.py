@@ -21,6 +21,12 @@ triangular_eigen decomposes a triangular matrix through its
 characteristic polynomial, one kernel per eigenvalue and an inverse, the
 general path that is_multiplicity_free's substitution on the triangle
 is checked against.
+split_rhs and evaluate_axioms check PA1-PA5 on payloads, normalising
+every step, the references for validate's check on integer images.
+askey_wilson_residuals and check_converse_preconditions are the converse
+direction: the two relations' left-hand sides under a fit, and the
+hypotheses (a unique fit, both matrices multiplicity-free, q not a root
+of unity) under which the relations force a Leonard pair.
 
 Every kernel and solve here runs on payloads, by unit-pivot elimination
 (echelon) and back-substitution (back_substitute), and shares nothing
@@ -37,7 +43,13 @@ from leonardpairs.errors import (
     LeonardPairsError,
 )
 from leonardpairs.leonard import (
+    AW_COEFFICIENT_NAMES,
+    AskeyWilsonFit,
     LeonardSystem,
+    _askey_wilson_relations,
+    _residual,
+    _structural_check,
+    fit_askey_wilson,
     system_from_bidiagonal_pair,
     system_from_pair_with_orderings,
 )
@@ -51,8 +63,9 @@ from leonardpairs.matrix import (
     _nullspace_grid,
     char_poly,
     inverse,
+    is_multiplicity_free,
 )
-from leonardpairs.parray import ParameterArray, validate
+from leonardpairs.parray import AxiomStatus, ParameterArray, ValidityReport, validate
 
 
 def joint_intertwiner_basis(pairs) -> list[ExactMatrix]:
@@ -333,6 +346,104 @@ def triangular_eigen(matrix: ExactMatrix) -> MultiplicityFreeResult:
     return MultiplicityFreeResult(True, eigen, None)
 
 
+def split_rhs(field: Field, theta, theta_star, seed) -> list:
+    """The d right-hand sides of PA3, varphi_1..varphi_d given phi_1 = seed,
+    on payloads: S_i normalised at every step through one inverse of
+    theta_0 - theta_d.  Passing theta reversed gives those of PA4, phi_1..phi_d
+    given varphi_1 = seed."""
+    d = len(theta) - 1
+    if d == 0:
+        return []
+    scale = field.mul(seed, field.inv(field.sub(theta[0], theta[d])))
+    acc = field.zero
+    out = []
+    for i in range(1, d + 1):
+        acc = field.add(acc, field.sub(theta[i - 1], theta[d - i + 1]))
+        out.append(
+            field.add(
+                field.mul(scale, acc),
+                field.mul(
+                    field.sub(theta_star[i], theta_star[0]),
+                    field.sub(theta[i - 1], theta[d]),
+                ),
+            )
+        )
+    return out
+
+
+def evaluate_axioms(pa: ParameterArray) -> ValidityReport:
+    """PA1-PA5 on payloads: PA1 by serialized keys, PA3 and PA4 against
+    split_rhs, PA5 by dividing every ratio."""
+    f = pa.field
+    d = pa.d
+
+    def status(name, fail):
+        if fail is None:
+            return AxiomStatus(name, True)
+        return AxiomStatus(name, False, first_failure=fail[0], detail=fail[1])
+
+    def distinctness(values, label):
+        seen = {}
+        for i, v in enumerate(values):
+            key = f.serialize(v)
+            if key in seen:
+                return i, f"{label}[{seen[key]}] == {label}[{i}] == {key}"
+            seen[key] = i
+        return None
+
+    def first_mismatch(values, rhs):
+        for i, (v, want) in enumerate(zip(values, rhs), start=1):
+            if v != want:
+                return i, f"index {i}: {f.serialize(v)} != {f.serialize(want)}"
+        return None
+
+    pa1 = status(
+        "PA1", distinctness(pa.theta, "theta") or distinctness(pa.theta_star, "theta*")
+    )
+    pa2_fail = None
+    for i in range(d):
+        if f.is_zero(pa.varphi[i]):
+            pa2_fail = (i + 1, f"varphi_{i + 1} == 0")
+            break
+        if f.is_zero(pa.phi[i]):
+            pa2_fail = (i + 1, f"phi_{i + 1} == 0")
+            break
+    pa2 = status("PA2", pa2_fail)
+    if not pa1.passed:
+        return ValidityReport(
+            (pa1, pa2)
+            + tuple(
+                AxiomStatus(name, False, evaluated=False, detail="not evaluated: PA1 failed")
+                for name in ("PA3", "PA4", "PA5")
+            )
+        )
+    phi1, varphi1 = (pa.phi[0], pa.varphi[0]) if d >= 1 else (f.zero, f.zero)
+    pa3 = status("PA3", first_mismatch(pa.varphi, split_rhs(f, pa.theta, pa.theta_star, phi1)))
+    pa4 = status(
+        "PA4", first_mismatch(pa.phi, split_rhs(f, pa.theta[::-1], pa.theta_star, varphi1))
+    )
+    pa5_fail = None
+    ratio = None
+    for i in range(2, d):
+        r = f.div(f.sub(pa.theta[i - 2], pa.theta[i + 1]), f.sub(pa.theta[i - 1], pa.theta[i]))
+        r_star = f.div(
+            f.sub(pa.theta_star[i - 2], pa.theta_star[i + 1]),
+            f.sub(pa.theta_star[i - 1], pa.theta_star[i]),
+        )
+        if r != r_star:
+            pa5_fail = (i, f"index {i}: ratio {f.serialize(r)} != dual ratio {f.serialize(r_star)}")
+            break
+        if ratio is None:
+            ratio = r
+        elif r != ratio:
+            pa5_fail = (
+                i,
+                f"index {i}: ratio {f.serialize(r)} != ratio {f.serialize(ratio)} at index 2",
+            )
+            break
+    return ValidityReport((pa1, pa2, pa3, pa4, status("PA5", pa5_fail)))
+
+
 @dataclass(frozen=True)
 class LatticeChain:
     """One walked chain: the grade of its lowest vector, the chain vectors
@@ -535,3 +646,105 @@ def dense_quantum_relations(k, e, f, q, k_inv=None) -> None:
             or field.sub(ef_row[i], fe_row[i]) != bracket
         ):
             raise InternalCheckError("ef - fe = (k - k^-1)/(q - 1/q) fails")
+
+
+def askey_wilson_residuals(
+    a: ExactMatrix, a_star: ExactMatrix, fit: AskeyWilsonFit
+) -> tuple[ExactMatrix, ExactMatrix]:
+    """The two relation left-hand sides under the given coefficients."""
+    if fit.coefficients is None:
+        raise ValueError("fit carries no coefficients")
+    values = [fit.coefficients[name].payload for name in AW_COEFFICIENT_NAMES]
+    res1, res2 = (
+        _residual(mats, target, values)
+        for mats, target in _askey_wilson_relations(a, a_star)
+    )
+    return res1, res2
+
+
+def _root_of_unity_betas(field: Field) -> "set | None":
+    """Payloads beta = q + 1/q with q a root of unity in fields of
+    characteristic zero; None for finite fields (where every nonzero q
+    qualifies)."""
+    if field.characteristic() != 0:
+        return None
+    core = {field.from_int(v) for v in (-2, -1, 0, 1, 2)}
+    m = getattr(field, "m", None)
+    if m in (2, 3):
+        core.update(field.coerce(s) for s in ("s", "-s"))
+    elif m == 5:
+        core.update(
+            field.coerce(s)
+            for s in ("1/2+1/2*s", "1/2-1/2*s", "-1/2+1/2*s", "-1/2-1/2*s")
+        )
+    return core
+
+
+@dataclass(frozen=True)
+class ConverseReport:
+    """Sufficient-condition check for the converse direction.
+
+    When every flag is true the relations force (A, A*) to be a Leonard
+    pair; a false flag only means this criterion is silent.
+    """
+
+    relations_hold: bool
+    unique_fit: bool
+    multiplicity_free_a: bool
+    multiplicity_free_a_star: bool
+    q_not_root_of_unity: "bool | None"
+    conclusive: bool
+    notes: tuple[str, ...]
+    fit: "AskeyWilsonFit | None" = None
+
+
+def check_converse_preconditions(a: ExactMatrix, a_star: ExactMatrix) -> ConverseReport:
+    """Check the hypotheses under which the relations imply a Leonard pair:
+    a unique coefficient fit, both matrices multiplicity-free, and the
+    quantum parameter attached to beta not a root of unity."""
+    field = _structural_check(a, a_star)
+    notes = []
+    fit = fit_askey_wilson(a, a_star)
+    if not fit.found:
+        notes.append("the pair satisfies no Askey-Wilson relations")
+    elif not fit.unique:
+        notes.append(
+            f"the coefficient fit has {fit.nullity} degrees of freedom, "
+            "so beta is not pinned down"
+        )
+    mf_a = bool(is_multiplicity_free(a))
+    mf_star = bool(is_multiplicity_free(a_star))
+    if not mf_a:
+        notes.append("A is not multiplicity-free")
+    if not mf_star:
+        notes.append("A* is not multiplicity-free")
+
+    q_ok: "bool | None" = None
+    if fit.found and fit.unique:
+        bad = _root_of_unity_betas(field)
+        if bad is None:
+            q_ok = False
+            notes.append(
+                "every nonzero element of a finite field is a root of unity, "
+                "so the root-of-unity hypothesis cannot hold"
+            )
+        elif fit.beta.payload in bad:
+            q_ok = False
+            notes.append(
+                f"beta = {fit.beta} makes x^2 - beta x + 1 a cyclotomic factor, "
+                "so q is a root of unity"
+            )
+        else:
+            q_ok = True
+
+    conclusive = bool(fit.found and fit.unique and mf_a and mf_star and q_ok)
+    return ConverseReport(
+        fit.found,
+        fit.unique,
+        mf_a,
+        mf_star,
+        q_ok,
+        conclusive,
+        tuple(notes),
+        fit,
+    )

@@ -31,7 +31,6 @@ from leonardpairs.generators import (
 )
 from leonardpairs.leonard import (
     AskeyWilsonFit,
-    askey_wilson_residuals,
     extract_parameter_array,
     fit_askey_wilson,
     is_leonard_pair,
@@ -48,7 +47,7 @@ from leonardpairs.parray import (
     fingerprint,
     validate,
 )
-from oracles import lattice_operators
+from oracles import askey_wilson_residuals, lattice_operators
 
 CORPUS_SEED = 20260814
 MUTATION_SEED = 31415

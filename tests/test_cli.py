@@ -19,12 +19,15 @@ from fractions import Fraction
 import pytest
 
 from leonardpairs import cli
+from leonardpairs import generators as generators_module
 from leonardpairs.errors import LeonardPairsError
 from leonardpairs.field import PrimeField, QuadraticExtension, Rationals
 from leonardpairs.generators import (
+    MAX_LATTICE_SUBSPACES,
     NONEXAMPLE_KINDS,
     _complete_array,
     _recurrence,
+    gaussian_binomial,
     random_nonexample,
 )
 from leonardpairs.matrix import (
@@ -568,6 +571,30 @@ def test_gen_lattice_over_gf_343():
     assert code == 0
     assert payload["counts"] == [1, 344, 1]
     assert payload["multiplicities"] == {"0": 343, "2": 1}
+
+
+@pytest.mark.parametrize("n, q", [(3, 25), (3, 32), (5, 3)])
+def test_gen_lattice_above_the_limit_is_refused_before_enumeration(monkeypatch, n, q):
+    """The smallest refused lattice, (3,25) with 1304 subspaces, and two
+    larger ones exit 2 with one error line; no subspace is enumerated."""
+
+    def refuse(*args):
+        raise AssertionError("enumerated a refused lattice")
+
+    monkeypatch.setattr(generators_module, "_rref_subspaces", refuse)
+    code, out, err = run_cli("gen", "--source", "lattice", "--n", str(n), "--q", str(q))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"above the limit of {MAX_LATTICE_SUBSPACES}" in err
+
+
+def test_lattice_limit_admits_every_lattice_the_digests_and_benchmark_run():
+    """(4,5) is the largest admitted lattice; the golden digests, the CLI
+    tests and the build workload use none larger."""
+    admitted = [(2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (2, 343), (4, 5)]
+    for n, q in admitted:
+        assert sum(gaussian_binomial(n, k, q) for k in range(n + 1)) <= MAX_LATTICE_SUBSPACES
+    assert sum(gaussian_binomial(3, k, 25) for k in range(4)) > MAX_LATTICE_SUBSPACES
 
 
 def test_gen_lattice_refuses_a_foreign_field():

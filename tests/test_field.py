@@ -74,6 +74,19 @@ def test_axioms_quadratic_extension():
     _axiom_battery(K2, random.Random(13), AXIOM_SAMPLES)
 
 
+@pytest.mark.parametrize("field", [Q, F13, PrimeField(999983), K2, KI], ids=lambda f: f.name)
+def test_image_arithmetic_matches_payload_arithmetic(field):
+    """add and sub take image entries over one denominator, and image_mul
+    multiplies two; lowered, each equals the payload operation."""
+    rng = random.Random(14)
+    for _ in range(500):
+        a, b = (field.random_element(rng).payload for _ in range(2))
+        (x, y), den = field.lift([a, b])
+        assert field.lower(field.add(x, y), den) == field.add(a, b)
+        assert field.lower(field.sub(x, y), den) == field.sub(a, b)
+        assert field.lower(field.image_mul(x, y), den * den) == field.mul(a, b)
+
+
 def test_characteristics():
     assert Q.characteristic() == 0
     assert F13.characteristic() == 13

@@ -24,8 +24,6 @@ from leonardpairs.leonard import (
     _is_split_form_of,
     _is_tridiagonal_form_of,
     _support_matrix,
-    askey_wilson_residuals,
-    check_converse_preconditions,
     extract_parameter_array,
     fit_askey_wilson,
     is_leonard_pair,
@@ -762,7 +760,7 @@ def test_askey_wilson_fixture_frozen():
         "eta_star": "0",
     }
     assert {k: str(v) for k, v in fit.coefficients.items()} == expected
-    res1, res2 = askey_wilson_residuals(a, a_star, fit)
+    res1, res2 = oracles.askey_wilson_residuals(a, a_star, fit)
     assert res1.is_zero and res2.is_zero
 
     # a perturbed beta must leave a visible residual
@@ -772,7 +770,7 @@ def test_askey_wilson_fixture_frozen():
         0,
         {**fit.coefficients, "beta": Q(3)},
     )
-    res1, _ = askey_wilson_residuals(a, a_star, wrong)
+    res1, _ = oracles.askey_wilson_residuals(a, a_star, wrong)
     assert not res1.is_zero
 
 
@@ -793,7 +791,7 @@ def test_askey_wilson_low_diameter_not_unique():
     a, a_star = construct_tridiagonal(pa)
     fit = fit_askey_wilson(a, a_star)
     assert fit.found and not fit.unique and fit.nullity > 0
-    res1, res2 = askey_wilson_residuals(a, a_star, fit)
+    res1, res2 = oracles.askey_wilson_residuals(a, a_star, fit)
     assert res1.is_zero and res2.is_zero
 
 
@@ -851,7 +849,7 @@ def test_askey_wilson_inconsistent_pair():
 
 def test_converse_preconditions():
     a, a_star = fixture_pair()
-    report = check_converse_preconditions(a, a_star)
+    report = oracles.check_converse_preconditions(a, a_star)
     assert report.relations_hold and report.unique_fit
     assert report.multiplicity_free_a and report.multiplicity_free_a_star
     assert report.q_not_root_of_unity is False
@@ -862,13 +860,13 @@ def test_converse_preconditions():
     theta = (1, 2, 4, 8, 16)
     pa = array_from_eigen_data(Q, theta, tuple(reversed(theta)), Q.coerce(1))
     ga, gs = construct_tridiagonal(pa)
-    report = check_converse_preconditions(ga, gs)
+    report = oracles.check_converse_preconditions(ga, gs)
     assert report.conclusive and report.q_not_root_of_unity
     assert is_leonard_pair(ga, gs).is_pair
 
     # finite fields never satisfy the root-of-unity hypothesis
     fa, fs = fixture_pair(PrimeField(13))
-    report = check_converse_preconditions(fa, fs)
+    report = oracles.check_converse_preconditions(fa, fs)
     assert report.q_not_root_of_unity is False
     assert any("finite field" in note for note in report.notes)
     assert not report.conclusive
@@ -876,7 +874,7 @@ def test_converse_preconditions():
     # low diameter: fit not unique, beta not pinned
     pa2 = ParameterArray(Q, (0, 1, 2), (0, 1, 3), (-1, -2), (1, 2))
     ta, ts = construct_tridiagonal(pa2)
-    report = check_converse_preconditions(ta, ts)
+    report = oracles.check_converse_preconditions(ta, ts)
     assert report.relations_hold and not report.unique_fit
     assert report.q_not_root_of_unity is None
     assert not report.conclusive

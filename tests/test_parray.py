@@ -27,7 +27,7 @@ from leonardpairs.field import (
     QuadraticExtension,
     Rationals,
 )
-from leonardpairs.generators import sl2_pair
+from leonardpairs.generators import _complete_array, random_parameter_array, sl2_pair
 from leonardpairs.leonard import verification_report
 from leonardpairs.matrix import (
     ExactMatrix,
@@ -58,8 +58,8 @@ from leonardpairs.parray import (
     validate,
 )
 
-from corpusgen import array_from_eigen_data, random_valid_array, theta_by_recurrence
-from oracles import joint_intertwiner_basis
+from corpusgen import _distinct_sample, array_from_eigen_data, random_valid_array, theta_by_recurrence
+from oracles import evaluate_axioms, joint_intertwiner_basis, split_rhs
 
 Q = Rationals()
 
@@ -113,27 +113,144 @@ def test_pa1_failure_gates_pa3_to_pa5():
 
 def test_axioms_are_evaluated_once_per_array(monkeypatch, tmp_path):
     """validate keeps its report on the array: one verification report and
-    one CLI construct each evaluate PA3 and PA4 once, two _split_rhs calls."""
+    one CLI construct each evaluate the axioms once."""
     calls = []
-    real = parray_module._split_rhs
+    real = parray_module._evaluate_axioms
     monkeypatch.setattr(
-        parray_module, "_split_rhs", lambda *args: calls.append(args) or real(*args)
+        parray_module, "_evaluate_axioms", lambda pa: calls.append(pa) or real(pa)
     )
     verification_report(*sl2_pair(Q, 6))
-    assert len(calls) == 2
+    assert len(calls) == 1
 
     calls.clear()
     path = tmp_path / "pa.json"
     path.write_text(json.dumps(parameter_array_to_dict(krawtchouk_array())))
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(["construct", "--in", str(path)]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
     pa = krawtchouk_array()
     report = validate(pa)
     assert validate(pa) is report
     fresh = krawtchouk_array()
     assert fresh == pa and hash(fresh) == hash(pa)
+
+
+def test_validation_makes_no_payload_product(monkeypatch):
+    """The axioms of a valid array are checked on integer images: over
+    Q(sqrt 5) at d = 12 no payload product, inverse or element string is
+    formed."""
+    field = QuadraticExtension(5)
+    drawn = random_parameter_array(field, 12, random.Random(12))
+    pa = ParameterArray(field, drawn.theta, drawn.theta_star, drawn.varphi, drawn.phi)
+
+    def refuse(*args):
+        raise AssertionError("payload arithmetic during validation")
+
+    for name in ("mul", "inv", "serialize"):
+        monkeypatch.setattr(QuadraticExtension, name, refuse)
+    assert validate(pa).valid
+
+
+AXIOM_FIELDS = (Q, PrimeField(101), PrimeField(999983), QuadraticExtension(5), QuadraticExtension(-1))
+MUTATIONS = ("valid", "entry", "zero", "repeat-theta", "repeat-theta*", "dual-ratio", "index-2-ratio")
+
+
+def _with_ratios(field, starts, ratios):
+    """starts extended by theta_{i+1} = theta_{i-2} - r_i (theta_{i-1} - theta_i),
+    r_i = ratios[i - 2], so that PA5's i-th ratio is r_i."""
+    seq = list(starts)
+    for r in ratios:
+        seq.append(field.sub(seq[-3], field.mul(r, field.sub(seq[-2], seq[-1]))))
+    return seq
+
+
+def _axiom_case(field, d, rng, mutation):
+    """A valid array, or one with a single defect of the given kind."""
+    if mutation in ("dual-ratio", "index-2-ratio"):
+        # the ratios of theta and theta* differ at one index, or agree
+        # everywhere but change after index 2; PA3 and PA4 hold
+        while True:
+            ratios = [field.random_element(rng).payload] * (d - 2)
+            ratios_star = list(ratios)
+            k = rng.randrange(1 if mutation == "index-2-ratio" else 0, d - 2)
+            ratios_star[k:] = [field.add(ratios[k], field.one)] * (d - 2 - k)
+            if mutation == "index-2-ratio":
+                ratios = ratios_star
+            theta, theta_star = (
+                _with_ratios(field, _distinct_sample(field, rng, 3), rs)
+                for rs in (ratios, ratios_star)
+            )
+            if len(set(theta)) == len(set(theta_star)) == d + 1:
+                break
+        phi1 = field.random_element(rng).payload
+        varphi = split_rhs(field, theta, theta_star, phi1)
+        phi = split_rhs(field, theta[::-1], theta_star, varphi[0])
+        return ParameterArray(field, theta, theta_star, varphi, phi)
+    pa = random_parameter_array(field, d, rng)
+    seqs = [list(pa.theta), list(pa.theta_star), list(pa.varphi), list(pa.phi)]
+    if mutation in ("entry", "zero") and d:
+        seq = seqs[rng.randrange(4)]
+        j = rng.randrange(len(seq))
+        seq[j] = field.zero if mutation == "zero" else field.random_element(rng).payload
+    elif mutation.startswith("repeat") and d:
+        seq = seqs[0 if mutation == "repeat-theta" else 1]
+        i, j = sorted(rng.sample(range(d + 1), 2))
+        seq[j] = seq[i]
+    return ParameterArray(field, *seqs)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    field=st.sampled_from(AXIOM_FIELDS),
+    d=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+    mutation=st.sampled_from(MUTATIONS),
+)
+def test_axioms_match_the_payload_reference(field, d, seed, mutation):
+    """The report on images equals the payload reference's, down to
+    first_failure and the bytes of every detail string."""
+    if mutation == "dual-ratio" and d < 3 or mutation == "index-2-ratio" and d < 4:
+        mutation = "valid"
+    pa = _axiom_case(field, d, random.Random(seed), mutation)
+    assert parray_module._evaluate_axioms(pa) == evaluate_axioms(pa)
+
+
+def test_axiom_cases_reach_every_outcome():
+    """The mutation kinds of the differential test fail where they are
+    meant to: PA1 on either sequence, PA5 at the dual ratio and at the
+    index-2 ratio."""
+    expected = {
+        "repeat-theta": ("PA1", "theta["),
+        "repeat-theta*": ("PA1", "theta*["),
+        "dual-ratio": ("PA5", "dual ratio"),
+        "index-2-ratio": ("PA5", "at index 2"),
+    }
+    for field in AXIOM_FIELDS:
+        for mutation, (axiom, text) in expected.items():
+            pa = _axiom_case(field, 8, random.Random(8), mutation)
+            report = validate(pa)
+            assert axiom in report.failing(), (field.name, mutation)
+            assert text in report.axiom(axiom).detail, (field.name, mutation)
+            assert report == evaluate_axioms(pa)
+
+
+@settings(max_examples=120, deadline=None)
+@given(field=st.sampled_from(AXIOM_FIELDS), d=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_complete_array_matches_the_payload_reference(field, d, seed):
+    rng = random.Random(seed)
+    theta = _distinct_sample(field, rng, d + 1)
+    theta_star = _distinct_sample(field, rng, d + 1)
+    phi1 = field.random_element(rng).payload
+    if theta is None or theta_star is None:
+        return
+    varphi = split_rhs(field, theta, theta_star, phi1)
+    phi = split_rhs(field, theta[::-1], theta_star, varphi[0]) if d else []
+    pa = _complete_array(field, theta, theta_star, phi1)
+    if any(field.is_zero(v) for v in varphi + phi):
+        assert pa is None
+    else:
+        assert (pa.varphi, pa.phi) == (tuple(varphi), tuple(phi))
 
 
 def test_guards_name_the_failing_axioms():
