@@ -24,8 +24,8 @@ elements as the canonical decimal residue; quadratic-extension elements as
 for prime fields and reduces it; serialization always emits the canonical
 form.
 
-Roots (``roots_in_field``, and ``sqrt`` over Q and Q(sqrt m)) come from
-one kernel on raw residues.  Over GF(p) the distinct roots of f are those of
+Roots (``roots_in_field``, and ``sqrt`` over Q(sqrt m)) come from one
+kernel on raw residues.  Over GF(p) the distinct roots of f are those of
 r = gcd(f, x^p - x), with x^p taken mod f by repeated squaring;
 gcd(r, (x + a)^((p-1)/2) - 1) for seeded random a splits r into linear
 factors (Cantor and Zassenhaus, Math. Comp. 36, 1981), in O(d^2 log p)
@@ -217,9 +217,9 @@ class Field:
     def sqrt(self, a):
         """A payload x with x*x == a, or None when a is not a square.
 
-        Over Q and Q(sqrt m), the largest of the roots of x^2 - a: over Q
-        the positive one, over Q(sqrt m) the one whose first nonzero part
-        is positive.  PrimeField overrides this with its own rule.
+        Over Q(sqrt m), the largest of the roots of x^2 - a: the one whose
+        first nonzero part is positive.  Rationals (the nonnegative root,
+        by integer square roots) and PrimeField override this.
         """
         square = ExactPolynomial._raw(self, [self.neg(a), self.zero, self.one])
         return max((root.payload for root, _ in roots_in_field(square)), default=None)
@@ -362,6 +362,14 @@ class Rationals(Field):
 
     def parse(self, text: str):
         return _parse_rational(text.strip())
+
+    def sqrt(self, a):
+        """The nonnegative x with x*x == a, or None when a is not a square."""
+        if a >= 0:
+            root = Fraction(math.isqrt(a.numerator), math.isqrt(a.denominator))
+            if root * root == a:
+                return root
+        return None
 
     def pow(self, a, n: int):
         if n < 0 and a == 0:

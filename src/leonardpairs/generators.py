@@ -14,13 +14,15 @@ Structured families, all returned as exact matrix pairs:
   The pair is Leonard exactly when eps alpha beta avoids q^(d-1),
   q^(d-3), ..., q^(1-d); uq_pair reports that membership as a flag.
 * build_lattice / lattice_pair: the full subspace lattice of GF(q)^n
-  and its cover relation.  Over Q(sqrt q) its grading, raising and
-  lowering maps K, R, L make it a U_q(sl2)-module at sqrt q, with K, L, R
-  in the roles of k, e, f.  Both modules are graded: one scalar of k per
-  grade, cover lists between adjacent grades and one scalar of e and of
-  f per pair of them, and the one exact check of the quantum relations
-  reads that form.  lattice_pair splits the module into irreducible
-  chains, each carrying one Leonard pair in split form.
+  and its cover relation, each grade enumerated as the covers of the one
+  below.  Over Q(sqrt q) its grading, raising and lowering maps K, R, L
+  make it a U_q(sl2)-module at sqrt q, with K, L, R in the roles of k, e,
+  f.  All three modules are graded: one weight per grade, cover lists
+  between adjacent grades and one scalar of e and of f per pair of them.
+  One exact check reads that form, _verify_graded_relations, given each
+  module's weight steps and bracket targets.  lattice_pair splits the
+  module into irreducible chains, each carrying one Leonard pair in split
+  form.
 
 Plus deterministic random sources for valid parameter arrays and for
 certified non-examples.
@@ -36,14 +38,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     GeneratorError,
     InternalCheckError,
     LatticeSizeError,
 )
-from .field import Field, QuadraticExtension, Rationals
+from .field import Field, QuadraticExtension, Rationals, _mulmod
 from .leonard import is_leonard_pair
 from .matrix import ExactMatrix, inverse, is_multiplicity_free
 from .parray import ParameterArray, _split_rhs, validate
@@ -79,26 +80,31 @@ class Sl2Module:
 def sl2_module(field: Field, d: int) -> Sl2Module:
     if d < 0:
         raise GeneratorError("diameter must be nonnegative")
+    h = [field.from_int(d - 2 * g) for g in range(d + 1)]
+    e_above = [field.from_int(d - g) for g in range(d)]
+    f_below = [field.from_int(g + 1) for g in range(d)]
+    _verify_sl2_grades(field, h, e_above, f_below)
     zeros = [field.zero] * (d + 1)
-    e = ExactMatrix.diagonal(field, zeros, above=range(d, 0, -1))
-    f = ExactMatrix.diagonal(field, zeros, below=range(1, d + 1))
-    h = ExactMatrix.diagonal(field, [d - 2 * i for i in range(d + 1)])
-    module = Sl2Module(field, d, e, f, h)
-    _verify_sl2_relations(module)
-    return module
-
-
-def _verify_sl2_relations(module: Sl2Module) -> None:
-    e, f, h = module.e, module.f, module.h
-    two = module.field.from_int(2)
-    checks = (
-        (h @ e - e @ h, e.scale(two)),
-        (h @ f - f @ h, f.scale(module.field.from_int(-2))),
-        (e @ f - f @ e, h),
+    return Sl2Module(
+        field,
+        d,
+        ExactMatrix.diagonal(field, zeros, above=e_above),
+        ExactMatrix.diagonal(field, zeros, below=f_below),
+        ExactMatrix.diagonal(field, h),
     )
-    for got, want in checks:
-        if got != want:
-            raise InternalCheckError("bracket relations fail on the module")
+
+
+def _verify_sl2_grades(field, weights, e, f) -> None:
+    """Check he - eh = 2e, hf - fh = -2f and ef - fe = h exactly on a
+    module with one vertex v_g per grade g, covered by v_(g+1): h scales
+    v_g by weights[g], f sends it to f[g] v_(g+1) and e sends v_(g+1) to
+    e[g] v_g.  The first two say weights[g] = weights[g+1] + 2."""
+    two = field.from_int(2)
+    steps = [w == field.add(v, two) for w, v in zip(weights, weights[1:])]
+    names = ("he - eh = 2e", "hf - fh = -2f", "ef - fe = h")
+    _verify_graded_relations(
+        field, (1,) * len(weights), (((0,),),) * len(e), e, f, steps, weights, names
+    )
 
 
 def _sl2_combination(module: Sl2Module, coeffs) -> ExactMatrix:
@@ -215,13 +221,10 @@ def uq_module(field: Field, d: int, q, epsilon=1) -> UqModule:
         epsilon = field.one  # the sign set collapses
 
     k_diag = [field.mul(epsilon, field.pow(q, d - 2 * i)) for i in range(d + 1)]
-    k_inv = [field.inv(w) for w in k_diag]
     e_above = [field.mul(epsilon, _q_int(field, q, d - i)) for i in range(d)]
     f_below = [_q_int(field, q, i) for i in range(1, d + 1)]
     # one vertex u_i per grade i, covered by u_(i+1)
-    _verify_quantum_relations(
-        field, q, (1,) * (d + 1), (((0,),),) * d, k_diag, e_above, f_below, k_inv
-    )
+    _verify_quantum_relations(field, q, (1,) * (d + 1), (((0,),),) * d, k_diag, e_above, f_below)
     zeros = [field.zero] * (d + 1)
     return UqModule(
         field,
@@ -231,39 +234,51 @@ def uq_module(field: Field, d: int, q, epsilon=1) -> UqModule:
         ExactMatrix.diagonal(field, zeros, above=e_above),
         ExactMatrix.diagonal(field, zeros, below=f_below),
         ExactMatrix.diagonal(field, k_diag),
-        ExactMatrix.diagonal(field, k_inv),
+        ExactMatrix.diagonal(field, [field.inv(w) for w in k_diag]),
     )
 
 
-def _verify_quantum_relations(field, q, counts, covers, weights, e, f, k_inv=None) -> None:
+def _verify_quantum_relations(field, q, counts, covers, weights, e, f) -> None:
     """Check ke = q^2 ek, kf = q^-2 fk and ef - fe = (k - k^-1)/(q - 1/q)
-    exactly on a graded module; and k_inv = k^-1 when given.
-
-    Grade g has counts[g] vertices, and k scales each by weights[g].
-    covers[g][x] lists the grade-(g+1) vertices above vertex x of grade
-    g.  f sends x to f[g] times the sum of those covers; e sends a
-    grade-(g+1) vertex to e[g] times the sum of the vertices it covers.
+    exactly on a graded module, read as _verify_graded_relations reads it,
+    with k scaling each grade-g vertex by weights[g].
 
     As k is one scalar per grade and e, f move one grade, the first two
     relations say weights[g] = q^2 weights[g+1] wherever e or f is
-    nonzero between the grades.  With p_g = e[g] f[g], the bracket on a
-    grade-g vertex x is p_g U(x) - p_(g-1) D(x), where U(x) counts the
-    walks from x to a cover and back down, and D(x) those to a covered
-    vertex and back up, by their end.  At x itself that is p_g #covers(x)
-    - p_(g-1) #subcovers(x), and it must equal (weights[g] -
-    weights[g]^-1)/(q - 1/q).  At any other end y it must vanish, which
-    for the lattice says that x and y have as many common covers as
-    common subcovers.  Only integer counts are walked, and each distinct
-    pair of counts on a grade meets the field once.
+    nonzero between the grades.
     """
     if any(field.is_zero(w) for w in weights):
         raise InternalCheckError("k has a zero weight")
-    if k_inv is not None and list(k_inv) != [field.inv(w) for w in weights]:
-        raise InternalCheckError("k k^-1 = 1 fails")
     qsq = field.mul(q, q)
+    den = field.inv(field.sub(q, field.inv(q)))
+    steps = [w == field.mul(qsq, v) for w, v in zip(weights, weights[1:])]
+    targets = [field.mul(field.sub(w, field.inv(w)), den) for w in weights]
+    names = ("ke = q^2 ek", "kf = q^-2 fk", "ef - fe = (k - k^-1)/(q - 1/q)")
+    _verify_graded_relations(field, counts, covers, e, f, steps, targets, names)
+
+
+def _verify_graded_relations(field, counts, covers, e, f, steps, targets, names) -> None:
+    """Check a graded module's weight steps and its bracket ef - fe.
+
+    Grade g has counts[g] vertices.  covers[g][x] lists the grade-(g+1)
+    vertices above vertex x of grade g.  f sends x to f[g] times the sum
+    of those covers; e sends a grade-(g+1) vertex to e[g] times the sum of
+    the vertices it covers.  steps[g] tells whether the weights of grades
+    g and g+1 differ as the two weight relations, names[0] for e and
+    names[1] for f, require; where they do not, e[g] and f[g] must vanish.
+
+    With p_g = e[g] f[g], the bracket on a grade-g vertex x is p_g U(x) -
+    p_(g-1) D(x), where U(x) counts the walks from x to a cover and back
+    down, and D(x) those to a covered vertex and back up, by their end.
+    At x itself that is p_g #covers(x) - p_(g-1) #subcovers(x), and it
+    must equal targets[g] (names[2]).  At any other end y it must vanish,
+    which for the lattice says that x and y have as many common covers as
+    common subcovers.  Only integer counts are walked, and each distinct
+    pair of counts on a grade meets the field once.
+    """
     for g, grade in enumerate(covers):
-        if any(grade) and weights[g] != field.mul(qsq, weights[g + 1]):
-            for name, x in (("ke = q^2 ek", e[g]), ("kf = q^-2 fk", f[g])):
+        if any(grade) and not steps[g]:
+            for name, x in zip(names, (e[g], f[g])):
                 if not field.is_zero(x):
                     raise InternalCheckError(f"{name} fails")
     # below[g][y]: the grade-(g-1) vertices that vertex y of grade g covers
@@ -274,7 +289,6 @@ def _verify_quantum_relations(field, q, counts, covers, weights, e, f, k_inv=Non
                 below[g + 1][y].append(x)
     above = list(covers) + [[()] * counts[-1]]
     products = [field.zero] + [field.mul(a, b) for a, b in zip(e, f)] + [field.zero]
-    den = field.inv(field.sub(q, field.inv(q)))
     for g, (ups, downs) in enumerate(zip(above, below)):
         # (up, down) counts met at x itself, and at the other ends
         diagonal, off = set(), set()
@@ -283,8 +297,7 @@ def _verify_quantum_relations(field, q, counts, covers, weights, e, f, k_inv=Non
             down = Counter(end for y in downs[x] for end in above[g - 1][y])
             diagonal.add((up.pop(x, 0), down.pop(x, 0)))
             off.update((up[y], down[y]) for y in up.keys() | down.keys())
-        bracket = field.mul(field.sub(weights[g], field.inv(weights[g])), den)
-        for where, pairs, want in (("on", diagonal, bracket), ("off", off, field.zero)):
+        for where, pairs, want in (("on", diagonal, targets[g]), ("off", off, field.zero)):
             if any(
                 field.sub(
                     field.mul(products[g + 1], field.from_int(a)),
@@ -292,9 +305,7 @@ def _verify_quantum_relations(field, q, counts, covers, weights, e, f, k_inv=Non
                 ) != want
                 for a, b in pairs
             ):
-                raise InternalCheckError(
-                    f"ef - fe = (k - k^-1)/(q - 1/q) fails {where} the diagonal"
-                )
+                raise InternalCheckError(f"{names[2]} fails {where} the diagonal")
 
 
 def uq_forbidden_set(field: Field, d: int, q) -> list:
@@ -337,12 +348,11 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of GF(q)^n."""
     if k < 0 or k > n:
         return 0
-    value = Fraction(1)
+    value = 1
     for i in range(k):
-        value *= Fraction(q ** (n - i) - 1, q ** (i + 1) - 1)
-    if value.denominator != 1:
-        raise InternalCheckError("Gaussian binomial did not reduce to an integer")
-    return int(value)
+        # each partial product is the integer [n choose i+1]_q
+        value = value * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    return value
 
 
 # monic irreducible moduli realizing GF(p^k), as full coefficient tuples
@@ -388,25 +398,19 @@ class _TinyField:
     def __init__(self, q: int):
         p, k = _factor_prime_power(q)
         self.q, self.p, self.k = q, p, k
-        if k == 1:
-            self.add_table = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self.mul_table = [[a * b % p for b in range(p)] for a in range(p)]
-        else:
-            modulus = _TINY_MODULI.get(q)
-            if modulus is None:
-                raise GeneratorError(f"no internal representation for GF({q})")
-            digits = [self._digits(a) for a in range(q)]
-            self.add_table = [
-                [
-                    self._undigits([(x + y) % p for x, y in zip(digits[a], digits[b])])
-                    for b in range(q)
-                ]
-                for a in range(q)
-            ]
-            self.mul_table = [
-                [self._polymul(digits[a], digits[b], modulus) for b in range(q)]
-                for a in range(q)
-            ]
+        # the modulus x realises GF(p) itself
+        modulus = (0, 1) if k == 1 else _TINY_MODULI.get(q)
+        if modulus is None:
+            raise GeneratorError(f"no internal representation for GF({q})")
+        digits = [self._digits(a) for a in range(q)]
+        self.add_table = [
+            [self._undigits([(x + y) % p for x, y in zip(digits[a], digits[b])]) for b in range(q)]
+            for a in range(q)
+        ]
+        self.mul_table = [
+            [self._undigits(_mulmod(digits[a], digits[b], modulus, p)) for b in range(q)]
+            for a in range(q)
+        ]
         self.neg_table = [next(b for b in range(q) if self.add_table[a][b] == 0)
                           for a in range(q)]
         self.inv_table = [None] * q
@@ -431,42 +435,10 @@ class _TinyField:
             out = out * self.p + c
         return out
 
-    def _polymul(self, a, b, modulus) -> int:
-        p, k = self.p, self.k
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        for top in range(2 * k - 2, k - 1, -1):
-            c = prod[top]
-            if c:
-                prod[top] = 0
-                for j in range(k):
-                    prod[top - k + j] = (prod[top - k + j] - c * modulus[j]) % p
-        return self._undigits(prod[:k])
 
-
-def _rref_subspaces(n: int, dim: int, tiny: _TinyField):
-    """All dim-dimensional subspaces of GF(q)^n as RREF row tuples."""
-    if dim == 0:
-        yield ()
-        return
-    q = tiny.q
-    for pivots in itertools.combinations(range(n), dim):
-        free = [
-            (r, c)
-            for r in range(dim)
-            for c in range(n)
-            if c > pivots[r] and c not in pivots
-        ]
-        for values in itertools.product(range(q), repeat=len(free)):
-            rows = [[0] * n for _ in range(dim)]
-            for r, pc in enumerate(pivots):
-                rows[r][pc] = 1
-            for (r, c), v in zip(free, values):
-                rows[r][c] = v
-            yield tuple(tuple(row) for row in rows)
+def _pivots(x) -> tuple[int, ...]:
+    """The pivot columns of an RREF row tuple."""
+    return tuple(next(c for c, v in enumerate(row) if v) for row in x)
 
 
 def _extensions(x, n: int, tiny: _TinyField):
@@ -477,7 +449,7 @@ def _extensions(x, n: int, tiny: _TinyField):
     v's leading column from x's rows and slotting v in by that column
     gives the cover's RREF.
     """
-    pivots = [next(c for c, v in enumerate(row) if v) for row in x]
+    pivots = _pivots(x)
     free = [c for c in range(n) if c not in pivots]
     for t, lead in enumerate(free):
         rest = free[t + 1:]
@@ -563,22 +535,20 @@ def build_lattice(n: int, q: int) -> SubspaceLattice:
             f"the lattice of GF({q})^{n} has {sum(counts)} subspaces, "
             f"above the limit of {MAX_LATTICE_SUBSPACES}"
         )
-    grades = tuple(tuple(_rref_subspaces(n, k, tiny)) for k in range(n + 1))
-    for k, verts in enumerate(grades):
-        if len(verts) != counts[k]:
-            raise InternalCheckError(
-                f"enumerated {len(verts)} subspaces of dimension {k}, "
-                f"expected {counts[k]}"
-            )
-    offsets = [0]
-    for k in range(n + 1):
-        offsets.append(offsets[-1] + counts[k])
-    covers = []
+    # grade k+1 is every cover of grade k, in order of (pivot columns, rows)
+    grades, covers = [((),)], []
     for k in range(n):
-        index = {up: i for i, up in enumerate(grades[k + 1])}
-        covers.append(tuple(
-            tuple(sorted(index[up] for up in _extensions(x, n, tiny))) for x in grades[k]
-        ))
+        ups = [tuple(_extensions(x, n, tiny)) for x in grades[k]]
+        verts = sorted({y for u in ups for y in u}, key=lambda y: (_pivots(y), y))
+        if len(verts) != counts[k + 1]:
+            raise InternalCheckError(
+                f"enumerated {len(verts)} subspaces of dimension {k + 1}, "
+                f"expected {counts[k + 1]}"
+            )
+        index = {y: i for i, y in enumerate(verts)}
+        covers.append(tuple(tuple(sorted(index[y] for y in u)) for u in ups))
+        grades.append(tuple(verts))
+    offsets = (0, *itertools.accumulate(counts))
 
     field, sq = _sqrt_q_setup(q)
     _verify_quantum_relations(
@@ -590,7 +560,7 @@ def build_lattice(n: int, q: int) -> SubspaceLattice:
         [field.pow(sq, 1 - n)] * n,
         [field.one] * n,
     )
-    return SubspaceLattice(n, q, field, grades, tuple(offsets), tuple(covers))
+    return SubspaceLattice(n, q, field, tuple(grades), offsets, tuple(covers))
 
 
 def _grade_operator(field: Field, offsets, covers, diagonal, below, above):
@@ -649,8 +619,7 @@ class LatticeDecomposition:
 
 def lattice_forbidden_set(lat: SubspaceLattice) -> list:
     """The payloads sqrt(q)^(n-1), sqrt(q)^(n-3), ..., sqrt(q)^(1-n)."""
-    _, sq = _sqrt_q_setup(lat.q)
-    return [lat.field.pow(sq, lat.n - 1 - 2 * t) for t in range(lat.n)]
+    return uq_forbidden_set(lat.field, lat.n, _sqrt_q_setup(lat.q)[1])
 
 
 def lattice_pair(

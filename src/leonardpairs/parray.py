@@ -607,27 +607,36 @@ def classify_beta(field: Field, beta) -> ClassificationFingerprint:
         return ClassificationFingerprint(FAMILY_BANNAI_ITO, beta_elem, r_elem)
 
     quadratic = ExactPolynomial(field, [field.one, field.neg(b), field.one])
-    roots = roots_in_field(quadratic)
-    if roots:
-        q = min((root for root, _ in roots), key=lambda e: e.sort_key())
+    disc = field.sub(field.mul(b, b), field.from_int(4))
+    if field.characteristic() == 2:
+        # 1/2 does not exist, so the root finder decides the quadratic
+        roots = roots_in_field(quadratic)
+        q = roots[0][0] if roots else None
+    else:
+        root = field.sqrt(disc)
+        q = None if root is None else _smaller_root(field, b, root)
+    if q is not None:
         return ClassificationFingerprint(FAMILY_Q_TYPE, beta_elem, r_elem, q=q)
 
     if isinstance(field, Rationals):
         # beta^2 - 4 = D t^2, so the roots (beta +- t sqrt D)/2 lie in Q(sqrt D)
-        disc = b * b - 4
-        ext = QuadraticExtension(squarefree_part(int(disc.numerator) * int(disc.denominator)))
-        roots_ext = roots_in_field(ExactPolynomial(ext, [1, -b, 1]))
-        if not roots_ext:
-            raise InternalCheckError(f"x^2 - beta x + 1 does not split over {ext.name}")
-        return ClassificationFingerprint(
-            FAMILY_Q_TYPE, beta_elem, r_elem, q=roots_ext[0][0], q_field=ext
-        )
+        ext = QuadraticExtension(squarefree_part(disc.numerator * disc.denominator))
+        t = field.sqrt(disc / ext.m)
+        q = _smaller_root(ext, ext.from_parts(b, 0), ext.from_parts(0, t))
+        return ClassificationFingerprint(FAMILY_Q_TYPE, beta_elem, r_elem, q=q, q_field=ext)
 
     # GF(p) nonresidue disc, or a quadratic-extension base needing degree 4:
     # report the minimal polynomial instead of a representative.
     return ClassificationFingerprint(
         FAMILY_Q_TYPE, beta_elem, r_elem, q_minimal_poly=quadratic
     )
+
+
+def _smaller_root(field: Field, b, root) -> FieldElement:
+    """The smaller by sort_key of (b +- root)/2, the roots of x^2 - b x + 1."""
+    half = field.inv(field.from_int(2))
+    roots = (field.mul(field.add(b, s), half) for s in (root, field.neg(root)))
+    return min((FieldElement(field, r) for r in roots), key=FieldElement.sort_key)
 
 
 def fingerprint(pa: ParameterArray) -> ClassificationFingerprint:

@@ -15,7 +15,11 @@ graded_operators spells a graded module (a lattice, or a uq module with
 one vertex per grade) out as dense k, e and f, and
 dense_quantum_relations checks the U_q(sl2) relations on those grids,
 the references for build_lattice's covers by extension and for the
-counts that _verify_quantum_relations walks.  solve_linear and
+counts that _verify_graded_relations walks; dense_sl2_relations checks
+the sl2 relations by six dense products, the reference for the same walk
+on sl2 modules.  rref_lattice enumerates each grade's RREF subspaces by
+pivot columns and free entries, the reference for build_lattice's
+grades read off its cover pass.  solve_linear and
 nullspace are the tri-state solve and kernel basis on an ExactMatrix.
 triangular_eigen decomposes a triangular matrix through its
 characteristic polynomial, one kernel per eigenvalue and an inverse, the
@@ -23,6 +27,9 @@ general path that is_multiplicity_free's substitution on the triangle
 is checked against.
 split_rhs and evaluate_axioms check PA1-PA5 on payloads, normalising
 every step, the references for validate's check on integer images.
+classify_beta_by_roots finds q as a root of x^2 - beta x + 1 through the
+general root finder, the reference for classify_beta's quadratic
+formula.
 askey_wilson_residuals and check_converse_preconditions are the converse
 direction: the two relations' left-hand sides under a fit, and the
 hypotheses (a unique fit, both matrices multiplicity-free, q not a root
@@ -34,6 +41,7 @@ with the library's integer kernel: nullspace_grid and solve_grid are the
 references that _nullspace_grid and _solve_grid are checked against.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from leonardpairs.errors import (
@@ -53,8 +61,17 @@ from leonardpairs.leonard import (
     system_from_bidiagonal_pair,
     system_from_pair_with_orderings,
 )
-from leonardpairs.field import Field, FieldElement, Rationals, verify_root_multiset
-from leonardpairs.generators import _sqrt_q_setup, _TinyField
+from leonardpairs.field import (
+    ExactPolynomial,
+    Field,
+    FieldElement,
+    QuadraticExtension,
+    Rationals,
+    roots_in_field,
+    squarefree_part,
+    verify_root_multiset,
+)
+from leonardpairs.generators import _extensions, _sqrt_q_setup, _TinyField
 from leonardpairs.matrix import (
     EigenData,
     ExactMatrix,
@@ -65,7 +82,17 @@ from leonardpairs.matrix import (
     inverse,
     is_multiplicity_free,
 )
-from leonardpairs.parray import AxiomStatus, ParameterArray, ValidityReport, validate
+from leonardpairs.parray import (
+    FAMILY_BANNAI_ITO,
+    FAMILY_CHAR2,
+    FAMILY_CLASSICAL,
+    FAMILY_Q_TYPE,
+    AxiomStatus,
+    ClassificationFingerprint,
+    ParameterArray,
+    ValidityReport,
+    validate,
+)
 
 
 def joint_intertwiner_basis(pairs) -> list[ExactMatrix]:
@@ -571,6 +598,42 @@ def pairwise_covers(lat) -> tuple:
     )
 
 
+def rref_subspaces(n: int, dim: int, q: int):
+    """All dim-dimensional subspaces of GF(q)^n as RREF row tuples, by
+    pivot columns and then by the free entries, row by row."""
+    if dim == 0:
+        yield ()
+        return
+    for pivots in itertools.combinations(range(n), dim):
+        free = [
+            (r, c)
+            for r in range(dim)
+            for c in range(n)
+            if c > pivots[r] and c not in pivots
+        ]
+        for values in itertools.product(range(q), repeat=len(free)):
+            rows = [[0] * n for _ in range(dim)]
+            for r, pc in enumerate(pivots):
+                rows[r][pc] = 1
+            for (r, c), v in zip(free, values):
+                rows[r][c] = v
+            yield tuple(tuple(row) for row in rows)
+
+
+def rref_lattice(n: int, q: int) -> tuple[tuple, tuple]:
+    """The grades of GF(q)^n from rref_subspaces, and each subspace's
+    covers among them, found by extension, in build_lattice's layout."""
+    tiny = _TinyField(q)
+    grades = tuple(tuple(rref_subspaces(n, k, q)) for k in range(n + 1))
+    covers = []
+    for k in range(n):
+        index = {up: i for i, up in enumerate(grades[k + 1])}
+        covers.append(tuple(
+            tuple(sorted(index[up] for up in _extensions(x, n, tiny))) for x in grades[k]
+        ))
+    return grades, tuple(covers)
+
+
 def lattice_relation_args(lat) -> list:
     """The graded module build_lattice certifies, as the argument list of
     generators._verify_quantum_relations: K, L and R in the roles of k, e
@@ -585,7 +648,6 @@ def lattice_relation_args(lat) -> list:
         [field.pow(sq, n - 2 * k) for k in range(n + 1)],
         [field.pow(sq, 1 - n)] * n,
         [field.one] * n,
-        None,
     ]
 
 
@@ -612,7 +674,7 @@ def graded_operators(field, counts, covers, weights, e, f) -> tuple:
 
 def lattice_operators(lat) -> tuple:
     """The lattice's K, R and L as dense grids."""
-    field, _, counts, covers, weights, e, f, _ = lattice_relation_args(lat)
+    field, _, counts, covers, weights, e, f = lattice_relation_args(lat)
     k_op, l_op, r_op = graded_operators(field, counts, covers, weights, e, f)
     return k_op, r_op, l_op
 
@@ -646,6 +708,52 @@ def dense_quantum_relations(k, e, f, q, k_inv=None) -> None:
             or field.sub(ef_row[i], fe_row[i]) != bracket
         ):
             raise InternalCheckError("ef - fe = (k - k^-1)/(q - 1/q) fails")
+
+
+def dense_sl2_relations(e: ExactMatrix, f: ExactMatrix, h: ExactMatrix) -> None:
+    """Check he - eh = 2e, hf - fh = -2f and ef - fe = h by six dense
+    products."""
+    field = h.field
+    checks = (
+        (h @ e - e @ h, e.scale(field.from_int(2))),
+        (h @ f - f @ h, f.scale(field.from_int(-2))),
+        (e @ f - f @ e, h),
+    )
+    for got, want in checks:
+        if got != want:
+            raise InternalCheckError("bracket relations fail on the module")
+
+
+def classify_beta_by_roots(field: Field, beta) -> ClassificationFingerprint:
+    """classify_beta with q found by roots_in_field: in the base field,
+    else over Q inside Q(sqrt D) with beta^2 - 4 = D t^2, else by its
+    minimal polynomial."""
+    b = field.coerce(beta)
+    beta_elem = FieldElement(field, b)
+    r_elem = FieldElement(field, field.add(b, field.one))
+    if field.characteristic() == 2 and field.is_zero(b):
+        return ClassificationFingerprint(FAMILY_CHAR2, beta_elem, r_elem)
+    if b == field.from_int(2):
+        return ClassificationFingerprint(FAMILY_CLASSICAL, beta_elem, r_elem)
+    if b == field.from_int(-2):
+        return ClassificationFingerprint(FAMILY_BANNAI_ITO, beta_elem, r_elem)
+    quadratic = ExactPolynomial(field, [field.one, field.neg(b), field.one])
+    roots = roots_in_field(quadratic)
+    if roots:
+        q = min((root for root, _ in roots), key=lambda e: e.sort_key())
+        return ClassificationFingerprint(FAMILY_Q_TYPE, beta_elem, r_elem, q=q)
+    if isinstance(field, Rationals):
+        disc = b * b - 4
+        ext = QuadraticExtension(squarefree_part(disc.numerator * disc.denominator))
+        roots_ext = roots_in_field(ExactPolynomial(ext, [1, -b, 1]))
+        if not roots_ext:
+            raise InternalCheckError(f"x^2 - beta x + 1 does not split over {ext.name}")
+        return ClassificationFingerprint(
+            FAMILY_Q_TYPE, beta_elem, r_elem, q=roots_ext[0][0], q_field=ext
+        )
+    return ClassificationFingerprint(
+        FAMILY_Q_TYPE, beta_elem, r_elem, q_minimal_poly=quadratic
+    )
 
 
 def askey_wilson_residuals(

@@ -581,7 +581,7 @@ def test_gen_lattice_above_the_limit_is_refused_before_enumeration(monkeypatch, 
     def refuse(*args):
         raise AssertionError("enumerated a refused lattice")
 
-    monkeypatch.setattr(generators_module, "_rref_subspaces", refuse)
+    monkeypatch.setattr(generators_module, "_extensions", refuse)
     code, out, err = run_cli("gen", "--source", "lattice", "--n", str(n), "--q", str(q))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err

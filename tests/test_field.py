@@ -254,6 +254,8 @@ def test_sqrt():
     # over Q and Q(sqrt m) the root whose first nonzero part is positive
     # (symmetric splits print it)
     assert Q("-9/4").sqrt() is None
+    assert Q("4/3").sqrt() is None and Q("3/4").sqrt() is None
+    assert Q("25/49").sqrt() == Q("5/7")
     assert [str(K2(a).sqrt()) for a in ("3+2*s", "3-2*s", "2", "1/2", "9", "0")] == [
         "1+s", "1-s", "s", "1/2*s", "3", "0"
     ]

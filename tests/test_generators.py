@@ -63,11 +63,13 @@ from leonardpairs.parray import (
 
 from oracles import (
     dense_quantum_relations,
+    dense_sl2_relations,
     graded_operators,
     lattice_chains,
     lattice_operators,
     lattice_relation_args,
     pairwise_covers,
+    rref_lattice,
 )
 
 Q = Rationals()
@@ -621,19 +623,37 @@ def _uq_relation_args(m):
         [m.k.rows[i][i] for i in range(d + 1)],
         [m.e.rows[i][i + 1] for i in range(d)],
         [m.f.rows[i + 1][i] for i in range(d)],
-        [m.k_inv.rows[i][i] for i in range(d + 1)],
+    ]
+
+
+def _sl2_relation_args(m):
+    """The graded form of an sl2 module, read off its matrices."""
+    d = m.d
+    return [
+        m.field,
+        [m.h.rows[i][i] for i in range(d + 1)],
+        [m.e.rows[i][i + 1] for i in range(d)],
+        [m.f.rows[i + 1][i] for i in range(d)],
     ]
 
 
 def _dense_relation_check(args):
     """The dense reference on the grids a graded argument list spells out."""
-    field, q, counts, covers, weights, e, f, k_inv = args
+    field, q, counts, covers, weights, e, f = args
     k_op, e_op, f_op = graded_operators(field, counts, covers, weights, e, f)
-    if k_inv is not None:
-        k_inv = ExactMatrix.diagonal(
-            field, [w for w, m in zip(k_inv, counts) for _ in range(m)]
-        )
-    dense_quantum_relations(k_op, e_op, f_op, q, k_inv)
+    dense_quantum_relations(k_op, e_op, f_op, q)
+
+
+def _dense_sl2_check(args):
+    """The six dense products on the grids an sl2 argument list spells out."""
+    field, weights, e, f = args
+    covers = [((0,),)] * len(e)
+    h_op, e_op, f_op = graded_operators(field, (1,) * len(weights), covers, weights, e, f)
+    dense_sl2_relations(e_op, f_op, h_op)
+
+
+QUANTUM_CHECKS = (generators._verify_quantum_relations, _dense_relation_check)
+SL2_CHECKS = (generators._verify_sl2_grades, _dense_sl2_check)
 
 
 def test_graded_and_dense_relation_checks_accept_the_same_modules():
@@ -647,6 +667,16 @@ def test_graded_and_dense_relation_checks_accept_the_same_modules():
         generators._verify_quantum_relations(*args)
         _dense_relation_check(args)
         dense_quantum_relations(m.k, m.e, m.f, m.q, m.k_inv)
+    # GF(3) at d = 4 has colliding weights 1, 2, 0, 1, 2
+    sl2_cases = [(Q, d) for d in range(11)] + [
+        (PrimeField(3), 4), (PrimeField(101), 6), (QuadraticExtension(5), 6)
+    ]
+    for field, d in sl2_cases:
+        m = sl2_module(field, d)
+        args = _sl2_relation_args(m)
+        generators._verify_sl2_grades(*args)
+        _dense_sl2_check(args)
+        dense_sl2_relations(m.e, m.f, m.h)
 
 
 def test_lattice_covers_match_the_pairwise_scan():
@@ -655,22 +685,38 @@ def test_lattice_covers_match_the_pairwise_scan():
         assert lat.covers == pairwise_covers(lat), (n, q)
 
 
+def test_lattice_grades_follow_the_rref_enumeration():
+    """Grades read off the cover pass come in the order of pivot columns,
+    then free entries, as a direct RREF enumeration yields them."""
+    for n, q in WALKED_LATTICES + ((4, 5),):
+        lat = build_lattice(n, q)
+        assert (lat.grades, lat.covers) == rref_lattice(n, q), (n, q)
+
+
 def test_build_lattice_forms_no_matrix(monkeypatch):
+    """Neither the lattice nor the sl2 and uq modules form a matrix
+    product to check their relations."""
     def refuse(*args):
-        raise AssertionError("build_lattice formed a matrix product")
+        raise AssertionError("a module check formed a matrix product")
 
     monkeypatch.setattr(ExactMatrix, "__matmul__", refuse)
     monkeypatch.setattr(matrix, "_lift_lines", refuse)
     lat = build_lattice(4, 2)
     assert lat.counts == LATTICE_COUNTS[(4, 2)]
+    assert sl2_module(Q, 8).h.entry(0, 0) == Q.from_int(8)
+    assert uq_module(Q, 8, 2).k.entry(8, 8) == Q.coerce("1/256")
 
 
 def _lattice_args():
-    return lattice_relation_args(build_lattice(3, 2))
+    return QUANTUM_CHECKS, lattice_relation_args(build_lattice(3, 2))
 
 
 def _uq_args():
-    return _uq_relation_args(uq_module(Rationals(), 3, 2))
+    return QUANTUM_CHECKS, _uq_relation_args(uq_module(Rationals(), 3, 2))
+
+
+def _sl2_args():
+    return SL2_CHECKS, _sl2_relation_args(sl2_module(Rationals(), 3))
 
 
 def _double(field, value):
@@ -712,8 +758,12 @@ def _double_uq_e(args):
     args[5][0] = _double(args[0], args[5][0])
 
 
-def _wrong_k_inv(args):
-    args[7][0] = _double(args[0], args[7][0])
+def _double_sl2(slot, grade):
+    # on d = 3 the weights are 3, 1, -1, -3, so no doubled scalar stays put
+    def mutate(args):
+        args[slot][grade] = _double(args[0], args[slot][grade])
+
+    return mutate
 
 
 @pytest.mark.parametrize(
@@ -729,17 +779,19 @@ def _wrong_k_inv(args):
             _lattice_args, _rewire_two_covers, "off the diagonal", id="covers-rewired"
         ),
         pytest.param(_uq_args, _double_uq_e, "on the diagonal", id="uq-e-entry-doubled"),
-        pytest.param(_uq_args, _wrong_k_inv, "k k\\^-1", id="uq-k_inv-entry-wrong"),
+        pytest.param(_sl2_args, _double_sl2(1, 2), "he - eh = 2e", id="sl2-h-entry-doubled"),
+        pytest.param(_sl2_args, _double_sl2(2, 0), "on the diagonal", id="sl2-e-entry-doubled"),
+        pytest.param(_sl2_args, _double_sl2(3, 1), "on the diagonal", id="sl2-f-entry-doubled"),
     ],
 )
 def test_quantum_relation_check_catches_mutants(build, mutate, match):
-    args = build()
-    generators._verify_quantum_relations(*args)
+    (graded, dense), args = build()
+    graded(*args)
     mutate(args)
     with pytest.raises(InternalCheckError, match=match):
-        generators._verify_quantum_relations(*args)
+        graded(*args)
     with pytest.raises(InternalCheckError):
-        _dense_relation_check(args)
+        dense(args)
 
 
 def test_lattice_guards():

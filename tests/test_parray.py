@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leonardpairs import cli
+from leonardpairs import field as field_module
 from leonardpairs import parray as parray_module
 from leonardpairs.errors import (
     InvalidParameterArrayError,
@@ -59,7 +60,7 @@ from leonardpairs.parray import (
 )
 
 from corpusgen import _distinct_sample, array_from_eigen_data, random_valid_array, theta_by_recurrence
-from oracles import evaluate_axioms, joint_intertwiner_basis, split_rhs
+from oracles import classify_beta_by_roots, evaluate_axioms, joint_intertwiner_basis, split_rhs
 
 Q = Rationals()
 
@@ -649,6 +650,45 @@ def test_classify_beta_finite_fields():
     f11 = PrimeField(11)
     q = fp3.q.payload
     assert f11.add(f11.mul(q, q), f11.add(f11.mul(f11.coerce(-4), q), f11.one)) == 0
+
+
+def test_classify_beta_matches_the_root_finder():
+    """q from the quadratic formula is q from the root finder, in the base
+    field, in Q(sqrt D) over Q, or as the minimal polynomial."""
+    rng = random.Random(79)
+    fields = [Q, PrimeField(2), PrimeField(3), PrimeField(101), PrimeField(999983),
+              QuadraticExtension(5), QuadraticExtension(-1), QuadraticExtension(2)]
+    for field in fields:
+        betas = [field.from_int(i) for i in range(-12, 13)]
+        betas += [field.random_element(rng).payload for _ in range(40)]
+        if field == Q:
+            betas += [Q.coerce(v) for v in ("5/2", "10/3", "-17/4", "1/7")]
+        for beta in betas:
+            assert classify_beta(field, beta) == classify_beta_by_roots(field, beta), (
+                field.name, field.serialize(beta)
+            )
+
+
+def test_classify_over_q_calls_no_root_finder(monkeypatch, tmp_path):
+    """Over Q the discriminant's exact square root decides how x^2 - beta x
+    + 1 splits: rational q (beta = 5/2), q in Q(sqrt 5) (beta = 3) and a
+    seeded array."""
+    def refuse(*args):
+        raise AssertionError("classify called roots_in_field")
+
+    monkeypatch.setattr(parray_module, "roots_in_field", refuse)
+    monkeypatch.setattr(field_module, "roots_in_field", refuse)
+    arrays = [random_parameter_array(Q, 8, random.Random(8))]
+    for ratio in ("7/2", "4"):  # beta + 1
+        theta = theta_by_recurrence(Q, (0, 1, 3), Q.coerce(ratio), 3)
+        arrays.append(array_from_eigen_data(Q, theta, theta, Q.coerce(1)))
+    for k, pa in enumerate(arrays):
+        path = tmp_path / f"pa{k}.json"
+        path.write_text(json.dumps(parameter_array_to_dict(pa)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run(["classify", "--in", str(path)]) == 0
+        assert json.loads(out.getvalue())["fingerprint"]["family"] == FAMILY_Q_TYPE
 
 
 def test_fingerprint_over_reduced_field():
