@@ -357,7 +357,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 # monic irreducible moduli realizing GF(p^k), as full coefficient tuples
 # from the constant term up to the leading 1; _TinyField re-verifies each
-# by checking that every nonzero element has an inverse
+# by finding a unit whose powers are every nonzero element
 _TINY_MODULI = {
     4: (1, 1, 1),
     8: (1, 1, 0, 1),
@@ -407,20 +407,24 @@ class _TinyField:
             [self._undigits([(x + y) % p for x, y in zip(digits[a], digits[b])]) for b in range(q)]
             for a in range(q)
         ]
-        self.mul_table = [
-            [self._undigits(_mulmod(digits[a], digits[b], modulus, p)) for b in range(q)]
-            for a in range(q)
+        self.neg_table = [self._undigits([-x % p for x in digits[a]]) for a in range(q)]
+        # the powers of the first g of order q - 1: g^(q-1) = 1 makes g a
+        # unit, so its q - 1 distinct powers are every nonzero element, each
+        # a unit, which certifies the modulus irreducible
+        for g in range(1, q):
+            power, x = [1], digits[g]
+            while (code := self._undigits(x)) != 1 and len(power) < q - 1:
+                power.append(code)
+                x = _mulmod(x, digits[g], modulus, p)
+            if code == 1 and len(power) == q - 1:
+                break
+        else:
+            raise InternalCheckError(f"GF({q}) table modulus is not irreducible")
+        log = {a: j for j, a in enumerate(power)}
+        self.mul_table = [[0] * q] + [
+            [0] + [power[(log[a] + log[b]) % (q - 1)] for b in range(1, q)]
+            for a in range(1, q)
         ]
-        self.neg_table = [next(b for b in range(q) if self.add_table[a][b] == 0)
-                          for a in range(q)]
-        self.inv_table = [None] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self.mul_table[a][b] == 1:
-                    self.inv_table[a] = b
-                    break
-            if self.inv_table[a] is None:
-                raise InternalCheckError(f"GF({q}) table modulus is not irreducible")
 
     def _digits(self, a: int) -> list[int]:
         out = []

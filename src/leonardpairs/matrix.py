@@ -436,25 +436,27 @@ def _hessenberg(matrix: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
 
 
 def _similar_hessenberg(matrix: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """_hessenberg, certified: H is upper Hessenberg, M Q = Q H, Q invertible."""
+    """_hessenberg, certified: H is upper Hessenberg, and M Q = Q H with Q
+    invertible unless H is M itself, which _hessenberg returns (with Q = I)
+    only when it did no work; a wrong Q would fail M P = P diag(theta)."""
     h, q = _hessenberg(matrix)
     f = matrix.field
     if any(not f.is_zero(h.rows[i][j]) for i in range(2, h.n) for j in range(i - 1)):
         raise InternalCheckError("Hessenberg form has an entry below the subdiagonal")
-    if h is matrix and q == ExactMatrix.identity(f, h.n):
-        return h, q  # no work was done: M Q = Q H would read M I = I M
+    if h is matrix:
+        return h, q
     if matrix @ q != q @ h or not _is_invertible(q):
         raise InternalCheckError("Hessenberg reduction is not a similarity")
     return h, q
 
 
 def _hessenberg_recurrence(field: Field, h, start: int, stop: int) -> list:
-    """Coefficients, low to high, of det(lambda I - B) for the diagonal block
-    B = h[start:stop, start:stop] of an upper Hessenberg grid.
+    """Coefficients, low to high, of det(lambda I - B) for an unreduced
+    diagonal block B = h[start:stop, start:stop] of an upper Hessenberg grid.
 
     p_m = (x - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
-    (Cohen, Alg. 2.2.9).  A zero subdiagonal entry ends the sum, and zero
-    entries of column m add nothing, so a tridiagonal block costs O(n^2).
+    (Cohen, Alg. 2.2.9).  Zero entries of column m add nothing, so a
+    tridiagonal block costs O(n^2).
     """
     is_zero, mul, sub = field.is_zero, field.mul, field.sub
     polys = [[field.one]]
@@ -467,8 +469,6 @@ def _hessenberg_recurrence(field: Field, h, start: int, stop: int) -> list:
         t = field.one
         for i in range(m - 1, start - 1, -1):
             t = mul(t, h[i + 1][i])
-            if is_zero(t):
-                break
             if not is_zero(h[i][m]):
                 coef = mul(h[i][m], t)
                 for k, v in enumerate(polys[i - start]):
@@ -492,42 +492,32 @@ def char_poly(matrix: ExactMatrix) -> ExactPolynomial:
 
     M is reduced to an upper Hessenberg H = Q^-1 M Q, which costs nothing
     when M is already upper Hessenberg (diagonal, bidiagonal, tridiagonal),
-    and the polynomial is read off H by the Hessenberg recurrence (Cohen,
-    Alg. 2.2.9): O(n^3) field operations in every field, O(n^2) on
-    tridiagonal input.  Certified by M Q = Q H with Q invertible, and per
-    unreduced diagonal block of H: the block's first basis vector is
-    cyclic, so the only monic polynomial of the block's size annihilating
-    it is the block's characteristic polynomial.  The blocks' polynomials
-    must multiply to the recurrence's result over all of H.
+    and the polynomial is the product of the Hessenberg recurrence (Cohen,
+    Alg. 2.2.9) over each unreduced diagonal block of H: O(n^3) field
+    operations in every field, O(n^2) on tridiagonal input.  Certified by
+    M Q = Q H with Q invertible, and per block: the block's first basis
+    vector is cyclic, so the only monic polynomial of the block's size
+    annihilating it is the block's characteristic polynomial.
     """
     h, _ = _similar_hessenberg(matrix)
     return _hessenberg_char_poly(h)
 
 
 def _hessenberg_char_poly(h: ExactMatrix) -> ExactPolynomial:
-    """char_poly's recurrence and block certificates on an upper Hessenberg H."""
+    """char_poly's block recurrences and certificates on an upper Hessenberg H."""
     f = h.field
     n = h.n
     rows = h.rows
-    chi = _hessenberg_recurrence(f, rows, 0, n)
     cuts = [0] + [k for k in range(1, n) if f.is_zero(rows[k][k - 1])] + [n]
-    product = ExactPolynomial._raw(f, [f.one])
+    chi = ExactPolynomial._raw(f, [f.one])
     for start, stop in zip(cuts, cuts[1:]):
-        if stop - start == n:
-            block = chi
-        else:
-            block = _hessenberg_recurrence(f, rows, start, stop)
+        block = _hessenberg_recurrence(f, rows, start, stop)
         if not _annihilates_first_vector(f, rows, start, stop, block):
             raise InternalCheckError(
                 f"characteristic polynomial of the Hessenberg block "
                 f"{start}..{stop - 1} does not annihilate its cyclic vector"
             )
-        product = product * ExactPolynomial._raw(f, block)
-    chi = ExactPolynomial._raw(f, chi)
-    if product != chi:
-        raise InternalCheckError(
-            "Hessenberg blocks do not multiply to the characteristic polynomial"
-        )
+        chi = chi * ExactPolynomial._raw(f, block)
     return chi
 
 

@@ -19,8 +19,11 @@ counts that _verify_graded_relations walks; dense_sl2_relations checks
 the sl2 relations by six dense products, the reference for the same walk
 on sl2 modules.  rref_lattice enumerates each grade's RREF subspaces by
 pivot columns and free entries, the reference for build_lattice's
-grades read off its cover pass.  solve_linear and
-nullspace are the tri-state solve and kernel basis on an ExactMatrix.
+grades read off its cover pass.  tiny_tables multiplies every pair of
+GF(q) elements by _mulmod and scans the sums for each negative, the
+reference for _TinyField's tables by the powers of a generator.
+solve_linear and nullspace are the tri-state solve and kernel basis on an
+ExactMatrix.
 triangular_eigen decomposes a triangular matrix through its
 characteristic polynomial, one kernel per eigenvalue and an inverse, the
 general path that is_multiplicity_free's substitution on the triangle
@@ -67,11 +70,12 @@ from leonardpairs.field import (
     FieldElement,
     QuadraticExtension,
     Rationals,
+    _mulmod,
     roots_in_field,
     squarefree_part,
     verify_root_multiset,
 )
-from leonardpairs.generators import _extensions, _sqrt_q_setup, _TinyField
+from leonardpairs.generators import _TINY_MODULI, _extensions, _sqrt_q_setup, _TinyField
 from leonardpairs.matrix import (
     EigenData,
     ExactMatrix,
@@ -596,6 +600,20 @@ def pairwise_covers(lat) -> tuple:
         )
         for k in range(lat.n)
     )
+
+
+def tiny_tables(tiny: _TinyField) -> tuple[list, list]:
+    """GF(q)'s product and negation tables the direct way: _mulmod on each
+    pair of digit vectors, and each negative found among the sums."""
+    q, p = tiny.q, tiny.p
+    modulus = (0, 1) if tiny.k == 1 else _TINY_MODULI[q]
+    digits = [tiny._digits(a) for a in range(q)]
+    mul = [
+        [tiny._undigits(_mulmod(digits[a], digits[b], modulus, p)) for b in range(q)]
+        for a in range(q)
+    ]
+    neg = [next(b for b in range(q) if tiny.add_table[a][b] == 0) for a in range(q)]
+    return mul, neg
 
 
 def rref_subspaces(n: int, dim: int, q: int):

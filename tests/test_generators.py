@@ -70,6 +70,7 @@ from oracles import (
     lattice_relation_args,
     pairwise_covers,
     rref_lattice,
+    tiny_tables,
 )
 
 Q = Rationals()
@@ -410,7 +411,21 @@ def test_subspace_counts_script_agrees_with_frozen_counts():
 def test_tiny_moduli_build_their_fields(q):
     # _TinyField raises InternalCheckError on a reducible modulus
     tiny = generators._TinyField(q)
-    assert all(tiny.mul_table[a][tiny.inv_table[a]] == 1 for a in range(1, q))
+    assert all(1 in tiny.mul_table[a] for a in range(1, q))
+
+
+@pytest.mark.parametrize("q", sorted([*generators._TINY_MODULI, 2, 3, 5, 7]))
+def test_tiny_field_tables_match_mulmod_reference(q):
+    tiny = generators._TinyField(q)
+    assert (tiny.mul_table, tiny.neg_table) == tiny_tables(tiny)
+
+
+@pytest.mark.parametrize("modulus", [(0, 0, 1), (1, 0, 1)], ids=["x^2", "x^2 + 1"])
+def test_tiny_field_refuses_reducible_moduli(monkeypatch, modulus):
+    # x is nilpotent modulo x^2: its powers 1, x, 0, 0 never return to 1
+    monkeypatch.setitem(generators._TINY_MODULI, 4, modulus)
+    with pytest.raises(InternalCheckError, match="not irreducible"):
+        generators._TinyField(4)
 
 
 def test_lattice_structure_2_2():

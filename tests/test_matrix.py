@@ -245,6 +245,52 @@ def _hessenberg_inputs(field):
     )
 
 
+def _reducible(field):
+    """Block diagonal, not triangular: its H keeps h[2][1] = 0, so it has a
+    2x2 and a 3x3 block, and the reduction does work in the second."""
+    return ExactMatrix(
+        field,
+        [
+            [1, 2, 0, 0, 0],
+            [3, 4, 0, 0, 0],
+            [0, 0, 1, 2, 3],
+            [0, 0, 4, 5, 6],
+            [0, 0, 7, 8, 10],
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "field", [Q, PrimeField(101), QuadraticExtension(5)], ids=lambda f: f.name
+)
+def test_char_poly_of_reducible_input_matches_cofactor_oracle(field):
+    m = _reducible(field)
+    h, _ = _hessenberg(m)
+    assert h != m and field.is_zero(h.rows[2][1])
+    assert char_poly(m) == _charpoly_cofactor(m)
+
+
+def test_char_poly_runs_the_recurrence_on_blocks_only(monkeypatch):
+    # chi is the product of the block polynomials: no recurrence runs over
+    # the whole of an H with two or more blocks
+    recurrence = matrix_module._hessenberg_recurrence
+    calls = []
+
+    def spy(field, h, start, stop):
+        calls.append((start, stop))
+        return recurrence(field, h, start, stop)
+
+    monkeypatch.setattr(matrix_module, "_hessenberg_recurrence", spy)
+    cases = [
+        (_reducible(Q), [(0, 2), (2, 5)]),
+        (A4_STAR, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    ]
+    for m, blocks in cases:
+        calls.clear()
+        char_poly(m)
+        assert calls == blocks
+
+
 @pytest.mark.parametrize(
     "field", [Q, PrimeField(7), QuadraticExtension(5)], ids=lambda f: f.name
 )
@@ -468,8 +514,9 @@ _ONE_ENTRY_BELOW = ExactMatrix(Q, [[1, 2, 3], [0, 4, 5], [6, 7, 8]])
 @pytest.mark.parametrize(
     "mutation, matrices",
     [
-        ("block polynomials", (A4, A4_STAR, _DENSE4)),
-        ("whole polynomial", (A4, A4_STAR, _DENSE4)),
+        ("block polynomials", (A4, A4_STAR, _DENSE4, _reducible(Q))),
+        # the whole range is the one block of A4 and _DENSE4
+        ("whole polynomial", (A4, _DENSE4)),
         ("H entry", (A4, A4_STAR, _DENSE4)),
         ("no reduction", (_DENSE4, _ONE_ENTRY_BELOW)),
         ("singular Q", (A4, _DENSE4)),

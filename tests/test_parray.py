@@ -19,6 +19,7 @@ from leonardpairs import cli
 from leonardpairs import field as field_module
 from leonardpairs import parray as parray_module
 from leonardpairs.errors import (
+    InternalCheckError,
     InvalidParameterArrayError,
     UnsupportedFieldOperationError,
 )
@@ -427,6 +428,22 @@ def test_find_g_matrix_rejects_broken_arrays():
         find_g_matrix(ParameterArray(Q, (3, 1, 3, -3), THETA, VARPHI, PHI))
 
 
+def test_find_g_matrix_certifies_the_b_identity(monkeypatch):
+    # G is built from theta alone, so a B2 with one wrong diagonal entry
+    # reaches only the certificate B1 G = G B2
+    systems = parray_module.reversal_intertwiner_systems
+
+    def wrong_b2(pa):
+        b1, b2, c1, c2 = systems(pa)
+        rows = [list(r) for r in b2.rows]
+        rows[1][1] = pa.field.add(rows[1][1], pa.field.one)
+        return b1, ExactMatrix._raw(pa.field, rows), c1, c2
+
+    monkeypatch.setattr(parray_module, "reversal_intertwiner_systems", wrong_b2)
+    with pytest.raises(InternalCheckError, match="intertwining identities"):
+        find_g_matrix(krawtchouk_array())
+
+
 def _with(pa, **changes) -> ParameterArray:
     parts = {
         "theta": pa.theta,
@@ -535,8 +552,8 @@ def test_cross_checks_agree_with_dense_solve_and_axioms(field):
 def test_find_g_matrix_costs_quadratic_field_multiplications(counting_field):
     # dense column products and the n^2 + n by n kernel elimination took
     # 7.4x the multiplications from n = 12 to n = 24, near the cubic 8;
-    # the banded column steps and checks, and the certificate's products
-    # with a bidiagonal factor, are O(n^2): 3.9x
+    # the banded column steps and the four products of the two identities,
+    # each with a bidiagonal factor, are O(n^2): 664 -> 2626, 3.95x
     field = counting_field(1009)
     counts = []
     for n in (12, 24):
