@@ -19,13 +19,15 @@ test oracle for extraction.
 
 A Leonard system is determined up to isomorphism by its parameter array,
 and an isomorphism keeps the array (Terwilliger, LAA 330 (2001), Thm
-1.9).  So the report's two construction roundtrips need no second
-recognition.  The split-form pair with subdiagonal 1 realises the array,
-and an isomorphism of systems maps the A*-eigenbasis to itself up to a
-diagonal matrix.  So the bidiagonal construction realises the system
-exactly when it is the split-form pair up to a diagonal similarity, and
-the tridiagonal one exactly when it is (D^-1 X D, diag(theta*)) for an
-invertible diagonal D; verification_report derives both directions.
+1.9).  So the system of a valid array is assembled on its split-form
+pair, not searched for (system_from_parameter_array), and the report's
+two construction roundtrips need no second recognition.  The split-form
+pair with subdiagonal 1 realises the array, and an isomorphism of
+systems maps the A*-eigenbasis to itself up to a diagonal matrix.  So
+the bidiagonal construction realises the system exactly when it is the
+split-form pair up to a diagonal similarity, and the tridiagonal one
+exactly when it is (D^-1 X D, diag(theta*)) for an invertible diagonal
+D; verification_report derives both directions.
 """
 
 from __future__ import annotations
@@ -71,13 +73,20 @@ class LeonardSystem:
     orderings; theta and theta_star are their eigenvalue payload tuples,
     and the read-only idempotents and dual_idempotents are index-aligned
     with them.
+
+    eigen may be given as theta alone, as system_from_parameter_array
+    assembles the split-form system: A's eigen-data is then formed when
+    eigen, idempotents or relative is first used, by is_multiplicity_free
+    (M P = P diag(theta), P P^-1 = I) reordered to theta, and certified
+    by A* acting irreducibly tridiagonally on that basis.  A failed
+    check raises InternalCheckError.
     """
 
     __slots__ = (
         "field",
         "a",
         "a_star",
-        "eigen",
+        "_eigen",
         "dual_eigen",
         "theta",
         "theta_star",
@@ -86,17 +95,32 @@ class LeonardSystem:
     )
 
     def __init__(
-        self, a, a_star, eigen: EigenData, dual_eigen: EigenData, a_in_dual_basis=None
+        self, a, a_star, eigen: "EigenData | tuple", dual_eigen: EigenData, a_in_dual_basis=None
     ):
         self.field = a.field
         self.a = a
         self.a_star = a_star
-        self.eigen = eigen
+        if isinstance(eigen, EigenData):
+            self._eigen = eigen
+            self.theta = tuple(v.payload for v in eigen.eigenvalues)
+        else:
+            self._eigen = None
+            self.theta = tuple(eigen)
         self.dual_eigen = dual_eigen
-        self.theta = tuple(v.payload for v in eigen.eigenvalues)
         self.theta_star = tuple(v.payload for v in dual_eigen.eigenvalues)
         self._pa_cache = None
         self._a_dual_cache = a_in_dual_basis
+
+    @property
+    def eigen(self) -> EigenData:
+        if self._eigen is None:
+            eigen = _eigen_in_order(self.a, self.theta)
+            if not is_irreducible_tridiagonal(_in_eigenbasis(self.a_star, eigen)):
+                raise InternalCheckError(
+                    "A* is not irreducible tridiagonal on the A-eigenbasis in the theta order"
+                )
+            self._eigen = eigen
+        return self._eigen
 
     @property
     def idempotents(self) -> tuple[ExactMatrix, ...]:
@@ -125,8 +149,9 @@ class LeonardSystem:
         """X = P*^-1 A P*, A acting on the A*-eigenbasis in the theta* order.
 
         Recognition forms X to read the supports and hands it to the
-        systems it returns, and relative passes it on; only a system
-        assembled by hand forms it here.
+        systems it returns, system_from_parameter_array forms it to
+        extract, and relative passes it on; only a system assembled by
+        hand forms it here.
         """
         if self._a_dual_cache is None:
             self._a_dual_cache = _in_eigenbasis(self.a, self.dual_eigen)
@@ -199,6 +224,20 @@ def _structural_check(a: ExactMatrix, a_star: ExactMatrix) -> Field:
 def _in_eigenbasis(x: ExactMatrix, eigen: EigenData) -> ExactMatrix:
     """P^-1 X P with P the eigenvectors of eigen: X acting on that eigenbasis."""
     return eigen.inverse_eigenvectors @ x @ eigen.eigenvectors
+
+
+def _eigen_in_order(m: ExactMatrix, values) -> EigenData:
+    """is_multiplicity_free's eigen-data of m, reordered to list the
+    eigenvalue payloads values; InternalCheckError unless m is
+    multiplicity-free with exactly these eigenvalues."""
+    mf = is_multiplicity_free(m)
+    if not mf:
+        raise InternalCheckError(f"a system's matrix is not multiplicity-free: {mf.reason}")
+    position = {v.payload: i for i, v in enumerate(mf.eigen.eigenvalues)}
+    order = [position.get(v) for v in values]
+    if None in order or len(set(order)) != m.n:
+        raise InternalCheckError("a system's eigenvalue sequence is not its matrix's spectrum")
+    return mf.eigen.reordered(order)
 
 
 def _permuted(m: ExactMatrix, order) -> ExactMatrix:
@@ -378,9 +417,24 @@ def system_from_bidiagonal_pair(a: ExactMatrix, a_star: ExactMatrix) -> LeonardS
 
 
 def system_from_parameter_array(pa: ParameterArray) -> LeonardSystem:
-    """Realize a valid array as the system of its split-form pair."""
+    """Realize a valid array as the system of its split-form pair.
+
+    The system is assembled, not searched for: the classification theorem
+    realises every valid array by construct_bidiagonal's pair, ordered by
+    its diagonals (Terwilliger, LAA 330 (2001), Thm 1.9).  So A* alone is
+    decomposed, its eigenbasis put in the order of its diagonal theta*,
+    and X = P*^-1 A P* formed with it; theta is read off A's diagonal, and
+    A's eigen-data is formed when it is first used (LeonardSystem).
+    Extraction runs before the system is returned, so its array is
+    certified by the axioms, X tridiagonal and X = D^-1 T D for T of
+    construct_tridiagonal; a failed step raises DegenerateSplitError.
+    """
     a, a_star = construct_bidiagonal(pa)
-    return system_from_bidiagonal_pair(a, a_star)
+    dual = _eigen_in_order(a_star, [row[i] for i, row in enumerate(a_star.rows)])
+    theta = tuple(row[i] for i, row in enumerate(a.rows))
+    system = LeonardSystem(a, a_star, theta, dual, _in_eigenbasis(a, dual))
+    system.parameter_array()
+    return system
 
 
 def extract_parameter_array(system: LeonardSystem) -> ParameterArray:

@@ -6,17 +6,27 @@ directly.  The library's path-based recognizer must agree with it on
 pairs and non-pairs alike.
 """
 
+import collections
+import contextlib
+import io
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leonardpairs.errors import DegenerateSplitError, FieldMismatchError
+from leonardpairs.errors import DegenerateSplitError, FieldMismatchError, InternalCheckError
 from leonardpairs.field import PrimeField, QuadraticExtension, Rationals
 from leonardpairs.generators import _random_invertible, random_nonexample, sl2_pair, uq_pair
-from leonardpairs.matrix import ExactMatrix, conjugate, inverse, is_multiplicity_free
-from leonardpairs import leonard
+from leonardpairs.matrix import (
+    ExactMatrix,
+    conjugate,
+    inverse,
+    is_multiplicity_free,
+    matrix_to_dict,
+)
+from leonardpairs import cli, leonard
 from leonardpairs.leonard import (
     AskeyWilsonFit,
     LeonardSystem,
@@ -37,6 +47,7 @@ from leonardpairs.parray import (
     construct_bidiagonal,
     construct_tridiagonal,
     fingerprint,
+    parameter_array_to_dict,
     validate,
 )
 
@@ -363,6 +374,139 @@ def test_tridiagonal_roundtrip_exact():
     a, a_star = construct_tridiagonal(pa)
     system = system_from_pair_with_orderings(a, a_star, pa.theta, pa.theta_star)
     assert system.parameter_array() == pa
+
+
+# --- the assembled split-form system against recognition ---
+
+
+ASSEMBLY_FIELDS = [
+    (Q, 12),
+    (PrimeField(101), 12),
+    (PrimeField(1000003), 12),
+    (QuadraticExtension(5), 9),
+]
+
+
+@pytest.mark.parametrize("field, max_d", ASSEMBLY_FIELDS, ids=lambda v: getattr(v, "name", v))
+def test_assembled_split_system_is_the_recognised_one(field, max_d):
+    """system_from_parameter_array assembles the system that recognising
+    its split-form pair with the diagonal orderings finds, down to the
+    lazily formed A side and the arrays of the three relatives."""
+    rng = random.Random(31)
+    for d in range(max_d + 1):
+        pa = random_valid_array(field, rng, d)
+        got = system_from_parameter_array(pa)
+        want = system_from_pair_with_orderings(*construct_bidiagonal(pa), pa.theta, pa.theta_star)
+        where = (field.name, d)
+        assert (got.theta, got.theta_star) == (want.theta, want.theta_star), where
+        assert got.parameter_array() == pa, where
+        assert got.a_in_dual_basis() == want.a_in_dual_basis(), where
+        assert got.dual_idempotents == want.dual_idempotents, where
+        assert got.idempotents == want.idempotents, where
+        for flags in ((True, False), (False, True), (True, True)):
+            assert (
+                got.relative(*flags).parameter_array() == want.relative(*flags).parameter_array()
+            ), (where, flags)
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _write_array(tmp_path, pa):
+    path = tmp_path / "pa.json"
+    path.write_text(json.dumps(parameter_array_to_dict(pa)))
+    return str(path)
+
+
+@pytest.mark.parametrize("field", [f for f, _ in ASSEMBLY_FIELDS], ids=lambda f: f.name)
+def test_roundtrip_decomposes_one_matrix_and_recognises_nothing(field, tmp_path, monkeypatch):
+    """roundtrip decomposes A* alone and never searches; verify --pair on
+    the same split-form pair still recognises it, once."""
+    pa = random_valid_array(field, random.Random(37), 6)
+    a, a_star = construct_bidiagonal(pa)
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"a": matrix_to_dict(a), "astar": matrix_to_dict(a_star)}))
+    calls = collections.Counter()
+
+    def count(name):
+        inner = getattr(leonard, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(leonard, name, counted)
+
+    count("is_multiplicity_free")
+    count("is_leonard_pair")
+    code, out, err = _cli("roundtrip", "--in", _write_array(tmp_path, pa))
+    assert code == 0 and json.loads(out)["identical"] is True, err
+    assert (calls["is_multiplicity_free"], calls["is_leonard_pair"]) == (1, 0)
+    calls.clear()
+    code, out, err = _cli("verify", "--pair", str(pair))
+    assert code == 0 and json.loads(out)["all_checks_passed"] is True, err
+    assert calls["is_leonard_pair"] == 1
+
+
+@pytest.mark.parametrize("side", ["A", "A*"])
+def test_roundtrip_refuses_a_mutated_split_pair(side, tmp_path, monkeypatch):
+    """With one subdiagonal entry of A set to 2, or one superdiagonal
+    entry of A* doubled, the pair is no longer the array's split form:
+    roundtrip reports it not identical or exits 2 with one error line,
+    never identical."""
+    outcomes = collections.Counter()
+    for field, max_d in ASSEMBLY_FIELDS:
+        rng = random.Random(41)
+        for d in range(1, min(max_d, 6) + 1):
+            pa = random_valid_array(field, rng, d)
+            path = _write_array(tmp_path, pa)
+            for i in range(1, d + 1):
+
+                def mutated(pa, i=i):
+                    a, a_star = construct_bidiagonal(pa)
+                    if side == "A":
+                        return _changed(a, (i, i - 1), lambda v: field.add(v, v)), a_star
+                    return a, _changed(a_star, (i - 1, i), lambda v: field.add(v, v))
+
+                monkeypatch.setattr(leonard, "construct_bidiagonal", mutated)
+                code, out, err = _cli("roundtrip", "--in", path)
+                where = (field.name, d, i)
+                if code == 2:
+                    assert out == "" and err.startswith("error: "), where
+                    assert err.count("\n") == 1, where
+                    outcomes["refused"] += 1
+                else:
+                    assert code == 0 and json.loads(out)["identical"] is False, where
+                    outcomes["not identical"] += 1
+    assert set(outcomes) == {"refused", "not identical"}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda theta: (theta[2], theta[1], theta[0], theta[3]), "irreducible tridiagonal"),
+        (lambda theta: (theta[0], theta[2], theta[1], theta[3]), "irreducible tridiagonal"),
+        (
+            lambda theta: (theta[0], theta[1], theta[2], Q.add(theta[3], 1)),
+            "not its matrix's spectrum",
+        ),
+    ],
+    ids=["theta_0 and theta_2 swapped", "theta_1 and theta_2 swapped", "theta_3 moved"],
+)
+def test_lazy_eigen_data_certifies_the_theta_order(change, message):
+    """An assembled system whose theta is not A's spectrum in an
+    admissible order raises when A's eigen-data is first formed."""
+    system = system_from_parameter_array(fixture_array())
+    assert system.parameter_array() == fixture_array()
+    loose = LeonardSystem(
+        system.a, system.a_star, change(system.theta), system.dual_eigen, system.a_in_dual_basis()
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        loose.idempotents
 
 
 def _eigen_in_order(x, values):
