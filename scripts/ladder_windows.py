@@ -10,8 +10,19 @@ wrapped to record how many samples each window holds; an empty window
 falls back to the samples nearest its start, so the run completes and the
 crash shows as a count of 0.
 
-It prints each pass's seconds, the sample count of each window, the
-fewest samples in any window and the shortest pass, and no metrics JSON.
+A window's samples come from the catch-ups from its pass's first one to
+the next pass's first one, and each of them samples once for every
+hostspeed.SAMPLE_EVERY_S of time spent outside sampling since the last.
+So the samples in pass k's window are paid for by its span: the unsampled
+seconds from the catch-up before pass k-1's last operation (for pass 0,
+its own first catch-up) to the catch-up before pass k+1's first (after
+the last pass, the closing one).  A window can be empty only when its
+span is under SAMPLE_EVERY_S, so the shortest span, not the shortest
+pass, is the margin to the crash.
+
+It prints each pass's seconds, the sample count and span of each window,
+the fewest samples in any window, the shortest pass and the shortest
+span, and no metrics JSON.
 The inputs go to a temporary directory; nothing under perfbench/ is
 written.  The exit code is 1 when an output check of the run failed.
 
@@ -26,6 +37,7 @@ import os
 import shutil
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -46,6 +58,28 @@ def record_windows(speed, windows: list) -> None:
     speed.scale = recording
 
 
+def record_catch_ups(speed, stamps: list) -> None:
+    """Wrap speed.catch_up to append the (entry, exit) times of each call."""
+    catch_up = speed.catch_up
+
+    def recording():
+        entry = time.perf_counter()
+        catch_up()
+        stamps.append((entry, time.perf_counter()))
+
+    speed.catch_up = recording
+
+
+def window_spans(stamps, ops: int, passes: int) -> list[float]:
+    """Each pass's span, from the catch-up stamps of a run of passes of ops
+    operations each: one catch-up before every operation and a closing one."""
+    if len(stamps) != ops * passes + 1:
+        raise ValueError(f"{len(stamps)} catch-ups for {passes} passes of {ops} operations")
+    # gaps[m]: the unsampled seconds between catch-ups m and m + 1
+    gaps = [entry - exit for (_, exit), (entry, _) in zip(stamps, stamps[1:])]
+    return [sum(gaps[max(k * ops - 1, 0):(k + 1) * ops]) for k in range(passes)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="ladder", choices=("ladder", "corpus", "build"))
@@ -55,6 +89,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path[:0] = [PERFBENCH, os.path.join(ROOT, "src")]
     import run
+    from hostspeed import SAMPLE_EVERY_S
 
     import leonardpairs
 
@@ -65,23 +100,29 @@ def main(argv=None) -> int:
     bench.backend = leonardpairs.BACKEND
     windows: list[int] = []
     record_windows(bench.speed, windows)
+    stamps: list[tuple[float, float]] = []
     temporary = tempfile.mkdtemp(prefix="ladder-windows-")
     bench.directory = os.path.join(temporary, "inputs")
     try:
         bench.set_up()
+        record_catch_ups(bench.speed, stamps)
         bench.measure()
     finally:
         shutil.rmtree(temporary, ignore_errors=True)
 
     seconds = [sum(lat) for lat in bench.latencies]
+    spans = window_spans(stamps, len(bench.ops), len(seconds))
     for line in bench.failures[:20]:
         print(f"FAILED {line}")
     print(f"workload {args.workload}  seed {args.seed}  seconds {args.seconds:g}"
           f"{'  tiny' if args.tiny else ''}  passes {len(seconds)}")
     print("pass seconds " + " ".join(f"{s:.4f}" for s in seconds))
     print("window samples " + " ".join(str(n) for n in windows))
+    print("window spans " + " ".join(f"{s:.4f}" for s in spans))
     print(f"fewest samples in a window {min(windows)} (0 is the HostSpeed.scale crash)")
     print(f"shortest pass {min(seconds):.4f} s")
+    print(f"shortest span {min(spans):.4f} s (a window can be empty only under "
+          f"{SAMPLE_EVERY_S:g} s)")
     return 1 if bench.failures else 0
 
 

@@ -14,6 +14,13 @@ handler; run calls that handler, which returns the payload and whether
 the result is negative.  The array commands that need a valid array share
 one validity gate, and every pair is rendered by one _pair_payload.
 
+A payload that holds a matrix (every pair, gen's example2 transition,
+gmatrix's g) keeps it as an ExactMatrix, and run writes it one row at a
+time, byte for byte as json.dumps would render matrix_to_dict of it, so
+no grid of strings and no string of the whole document is built: a dense
+lattice pair near the guard is tens of megabytes of output.  Any other
+payload, every verify report among them, is rendered by json.dumps.
+
 verify --batch verifies its files one after another in the calling
 thread: verification holds the interpreter lock, so threads would buy
 nothing, and --jobs is accepted but changes nothing.  A file that fails
@@ -35,6 +42,7 @@ import random
 import re
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 from .errors import LeonardPairsError
 from .field import (
@@ -63,7 +71,7 @@ from .leonard import (
     system_from_parameter_array,
     verification_report,
 )
-from .matrix import ExactMatrix, _json_rows, matrix_from_dict, matrix_to_dict
+from .matrix import ExactMatrix, _json_rows, matrix_from_dict
 from .parray import (
     ParameterArray,
     construct_bidiagonal,
@@ -229,6 +237,37 @@ def _render(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _write(payload: dict, write) -> None:
+    """Write _render(payload) through write, where payload's top-level
+    values may be ExactMatrix: each is written as matrix_to_dict renders,
+    one row at a time.  Its field's zero is serialized once, and a cell
+    holding that very payload is not tested again."""
+    sep = "{\n  "
+    for key in sorted(payload):
+        value = payload[key]
+        write(f"{sep}{json.dumps(key)}: ")
+        sep = ",\n  "
+        if not isinstance(value, ExactMatrix):
+            write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+            continue
+        field = value.field
+        zero, is_zero, ser = field.zero, field.is_zero, field.serialize
+        zero_text = encode_basestring_ascii(ser(zero))
+        field_text = json.dumps(field_to_dict(field), indent=2, sort_keys=True)
+        field_text = field_text.replace("\n", "\n    ")
+        write(f'{{\n    "field": {field_text},\n    "rows": [')
+        row_sep = "\n      [\n        "
+        for row in value.rows:
+            cells = [
+                zero_text if v is zero or is_zero(v) else encode_basestring_ascii(ser(v))
+                for v in row
+            ]
+            write(row_sep + ",\n        ".join(cells) + "\n      ]")
+            row_sep = ",\n      [\n        "
+        write("\n    ]\n  }")
+    write("\n}\n")
+
+
 def _atomic_write(path: str, obj: dict) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
@@ -322,7 +361,7 @@ def _valid_array(args, **refusal):
 
 
 def _pair_payload(a: ExactMatrix, a_star: ExactMatrix, **extra) -> dict:
-    return {"a": matrix_to_dict(a), "astar": matrix_to_dict(a_star), **extra}
+    return {"a": a, "astar": a_star, **extra}
 
 
 def _cmd_construct(args):
@@ -350,7 +389,7 @@ def _cmd_gmatrix(args):
     res = find_g_matrix(pa)
     payload = {
         "found": res.found,
-        "g": None if res.g is None else matrix_to_dict(res.g),
+        "g": res.g,
         "pencil_exhausted": res.pencil_exhausted,
         "solution_dimension": res.solution_dimension,
     }
@@ -444,7 +483,7 @@ def _cmd_gen(args):
     params, extra, negative = {}, {}, False
     if source == "example2":
         a, a_star, p = example2(field)
-        extra = {"transition": matrix_to_dict(p)}
+        extra = {"transition": p}
     elif source == "sl2":
         combo = _parse_combo(args.combo, field, "--combo")
         combo_star = _parse_combo(args.combo_star, field, "--combo-star")
@@ -642,7 +681,10 @@ def run(argv) -> int:
         return 2
     except SystemExit as exc:
         return int(exc.code or 0)
-    print(_render(payload), end="")
+    if any(isinstance(v, ExactMatrix) for v in payload.values()):
+        _write(payload, sys.stdout.write)
+    else:
+        print(_render(payload), end="")
     if negative and args.strict:
         return 1
     return 0

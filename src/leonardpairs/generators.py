@@ -28,9 +28,9 @@ Plus deterministic random sources for valid parameter arrays and for
 certified non-examples.
 
 All module relations are re-verified at construction time.  The lattice
-decompositions follow from the certified relations; recognition
-certifies each grade's pair.  A failure there raises InternalCheckError
-and means a bug, not bad input.
+decompositions follow from the certified relations, and the parameter
+array on each grade's split pair certifies that pair.  A failure there
+raises InternalCheckError and means a bug, not bad input.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .errors import (
     LatticeSizeError,
 )
 from .field import Field, QuadraticExtension, Rationals, _mulmod
-from .leonard import is_leonard_pair
 from .matrix import ExactMatrix, inverse, is_multiplicity_free
 from .parray import ParameterArray, _split_rhs, validate
 
@@ -574,7 +573,10 @@ def _grade_operator(field: Field, offsets, covers, diagonal, below, above):
     back to the vertex.
 
     Assembled cell by cell so the handful of distinct payloads is shared
-    across the whole grid (the dense operators get large near the guard).
+    across the whole grid, and every empty cell holds field.zero itself:
+    the CLI writes the dense operators one row at a time and spots those
+    cells by identity, so near the guard neither the grid of strings nor
+    the whole document is built.
     """
     total = offsets[-1]
     rows = [[field.zero] * total for _ in range(total)]
@@ -641,10 +643,11 @@ def lattice_pair(
     is the same split bidiagonal pair: A has its grades' K-weights over
     sqrt q - 1/sqrt q on the diagonal and alpha below it, A* the inverse
     weights on the diagonal and beta sqrt(q)^(1-n) c_j above it, with c_j
-    from _lowering_scalars.  Each grade's pair is built and recognised
-    once, so a lattice takes n//2 + 1 recognitions.  alpha beta must
-    avoid sqrt(q)^(n-1), ..., sqrt(q)^(1-n); beta defaults to q^n, which
-    is always safe.
+    from _lowering_scalars.  Each grade's pair is built once and
+    certified by the parameter array on its bands (_split_array), in O(d)
+    field operations, so a lattice validates n//2 + 1 arrays and
+    decomposes no matrix.  alpha beta must avoid sqrt(q)^(n-1), ...,
+    sqrt(q)^(1-n); beta defaults to q^n, which is always safe.
     """
     field = lat.field
     n, q = lat.n, lat.q
@@ -674,10 +677,10 @@ def lattice_pair(
         above = [field.mul(super_pay, field.from_int(c)) for c in _lowering_scalars(n, q, k)]
         a = ExactMatrix.diagonal(field, diag[grades], below=[alpha] * d_comp)
         a_star = ExactMatrix.diagonal(field, diag_s[grades], above=above)
-        if not is_leonard_pair(a, a_star):
+        if _split_array(a, a_star) is None:
             raise InternalCheckError(
-                f"grade-{k} component failed recognition despite an "
-                f"allowed alpha * beta"
+                f"grade-{k} component failed recognition: the array on its "
+                f"bands is not valid, despite an allowed alpha * beta"
             )
         chains = counts[k] - (counts[k - 1] if k >= 1 else 0)
         components += [LatticeComponent(k, i, d_comp, a, a_star) for i in range(chains)]
@@ -688,6 +691,34 @@ def lattice_pair(
         )
     decomposition = LatticeDecomposition(n, q, field, counts, tuple(components))
     return big_a, big_s, decomposition
+
+
+def _split_array(a: ExactMatrix, a_star: ExactMatrix) -> "ParameterArray | None":
+    """The parameter array of a lower bidiagonal A and an upper bidiagonal
+    A* when the pair is a Leonard pair, else None.
+
+    theta and theta* are the two diagonals and varphi_i = A_(i,i-1)
+    A*_(i-1,i); phi comes from PA4, as in _complete_array.  When the array
+    is valid, diag(1, A_10, A_10 A_21, ...) takes the pair to
+    construct_bidiagonal's pair of that array, a Leonard pair by the
+    classification theorem.  Conversely, span(e_0..e_i) is the sum of A*'s
+    eigenspaces for theta*_0..theta*_i, and A maps it into the next such
+    sum.  On a Leonard pair A links A*'s eigenspaces along a path, and
+    linked ones must then sit next to each other in the diagonal's order,
+    so that order is standard; so is theta's, by the same argument.  The
+    pair with those orders is a Leonard system in split form, and the
+    array read off is its parameter array.
+    """
+    field, d = a.field, a.n - 1
+    theta = [a.rows[i][i] for i in range(d + 1)]
+    theta_star = [a_star.rows[i][i] for i in range(d + 1)]
+    varphi = [field.mul(a.rows[i][i - 1], a_star.rows[i - 1][i]) for i in range(1, d + 1)]
+    if d and theta[0] == theta[d]:
+        return None  # PA1 fails, and PA4 cannot be solved for phi
+    seed = field.lift(varphi[:1])
+    _, (rhs, den) = _split_rhs(field, field.lift(theta), field.lift(theta_star), (seed, seed))
+    pa = ParameterArray(field, theta, theta_star, varphi, field.quotients(rhs, den))
+    return pa if validate(pa).valid else None
 
 
 def _lowering_scalars(n: int, q: int, k: int) -> list[int]:

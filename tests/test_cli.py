@@ -7,6 +7,7 @@ tests compare raw output strings rather than parsed values.  Exit codes:
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -21,21 +22,24 @@ import pytest
 from leonardpairs import cli
 from leonardpairs import generators as generators_module
 from leonardpairs.errors import LeonardPairsError
-from leonardpairs.field import PrimeField, QuadraticExtension, Rationals
+from leonardpairs.field import PrimeField, QuadraticExtension, Rationals, field_to_dict
 from leonardpairs.generators import (
     MAX_LATTICE_SUBSPACES,
     NONEXAMPLE_KINDS,
     _complete_array,
     _recurrence,
+    example2,
     gaussian_binomial,
     random_nonexample,
 )
 from leonardpairs.matrix import (
+    ExactMatrix,
     _hessenberg,
     matrix_from_dict,
     matrix_to_dict,
 )
 from leonardpairs.parray import (
+    find_g_matrix,
     parameter_array_from_dict,
     parameter_array_to_dict,
 )
@@ -595,6 +599,139 @@ def test_lattice_limit_admits_every_lattice_the_digests_and_benchmark_run():
     for n, q in admitted:
         assert sum(gaussian_binomial(n, k, q) for k in range(n + 1)) <= MAX_LATTICE_SUBSPACES
     assert sum(gaussian_binomial(3, k, 25) for k in range(4)) > MAX_LATTICE_SUBSPACES
+
+
+def _dumped(payload) -> str:
+    """What json.dumps prints for payload with each matrix as matrix_to_dict."""
+    plain = {
+        k: matrix_to_dict(v) if isinstance(v, ExactMatrix) else v for k, v in payload.items()
+    }
+    return json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
+def _written(payload) -> str:
+    out = io.StringIO()
+    cli._write(payload, out.write)
+    return out.getvalue()
+
+
+def _sparse_matrix(field, n, rng) -> ExactMatrix:
+    """Random entries, about half of them zero: field.zero itself, or a
+    zero payload that is another object, which is_zero has to spot."""
+    def entry():
+        pick = rng.randrange(4)
+        if pick == 0:
+            return field.zero
+        if pick == 1:
+            return field.coerce(Fraction(0))
+        return field.random_element(rng).payload
+
+    return ExactMatrix._raw(field, [[entry() for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 13])
+@pytest.mark.parametrize(
+    "field",
+    [Rationals(), PrimeField(101), QuadraticExtension(5), QuadraticExtension(2)],
+    ids=lambda f: f.name,
+)
+def test_row_writer_prints_the_bytes_of_json_dumps(field, n):
+    rng = random.Random(n)
+    payload = {
+        "a": _sparse_matrix(field, n, rng),
+        "astar": _sparse_matrix(field, n, rng),
+        "params": {"field": field_to_dict(field), "n": n},
+        "source": "lattice",
+    }
+    assert _written(payload) == _dumped(payload)
+
+
+class _EscapingField(Rationals):
+    """Q whose small integers serialize to strings that JSON must escape."""
+
+    TEXTS = {
+        0: "zero \u2205",
+        1: 'a "quote"',
+        2: "a back\\slash",
+        3: "caf\u00e9, \u221a5 and \U0001d53d",
+        4: "bell\x07, tab\t and new\nline",
+    }
+
+    def serialize(self, a):
+        return self.TEXTS.get(a, super().serialize(a))
+
+
+def test_row_writer_escapes_entries_as_json_dumps_does():
+    field = _EscapingField()
+    rows = [[field.from_int((i * 3 + j) % 6) for j in range(5)] for i in range(5)]
+    rows[0][0] = field.zero
+    payload = {
+        "a": ExactMatrix._raw(field, rows),
+        "note": {"text": 'q"\\ \u00e9\x01', "list": [1, None, True]},
+        "seed": 3,
+    }
+    assert _written(payload) == _dumped(payload)
+    assert "\\u00e9" in _written(payload)
+
+
+def test_row_writer_agrees_on_gmatrix_and_example2_payloads(tmp_path):
+    refused = {"found": False, "g": None, "pencil_exhausted": True, "solution_dimension": 0}
+    assert _written(refused) == _dumped(refused)
+    path = valid_array_file(tmp_path, d=4, seed=2, field="Q(sqrt 5)")
+    res = find_g_matrix(parameter_array_from_dict(json.loads(open(path).read())))
+    found = {
+        "found": res.found,
+        "g": res.g,
+        "pencil_exhausted": res.pencil_exhausted,
+        "solution_dimension": res.solution_dimension,
+    }
+    code, out, _ = run_cli("gmatrix", "--in", path)
+    assert code == 0 and out == _dumped(found)
+    for field in (Rationals(), PrimeField(101)):
+        a, a_star, p = example2(field)
+        want = {
+            "a": a,
+            "astar": a_star,
+            "params": {"field": field_to_dict(field)},
+            "source": "example2",
+            "transition": p,
+        }
+        code, out, _ = run_cli("gen", "--source", "example2", "--field", field.name)
+        assert code == 0 and out == _dumped(want)
+
+
+LATTICE_4_5_SHA256 = "36a1d61491cfa8d7eab39e41c0d79faf001dc7aa4fd9a4a46cec0604dfd1ae4d"
+LATTICE_4_5_BYTES = 32_690_019
+LATTICE_4_5_PEAK_MB = 130  # half the 263 MB it took when the document was built whole
+
+LATTICE_4_5_CHILD = """
+import resource, sys
+from leonardpairs import cli
+code = cli.run(["gen", "--source", "lattice", "--n", "4", "--q", "5"])
+sys.stdout.flush()
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_largest_lattice_is_written_within_its_memory_bound(tmp_path):
+    """gen of the largest admitted lattice, in a fresh process with stdout
+    on a file: its own peak RSS (kB on Linux) stays under the bound, and the
+    output keeps its bytes."""
+    path = tmp_path / "lattice-4-5.json"
+    with open(path, "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-c", LATTICE_4_5_CHILD],
+            stdout=out, stderr=subprocess.PIPE, text=True, timeout=300, check=False,
+        )
+    code, peak_kb = (int(v) for v in proc.stderr.split()[-2:])
+    assert code == 0, proc.stderr
+    assert peak_kb <= LATTICE_4_5_PEAK_MB * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    assert path.stat().st_size == LATTICE_4_5_BYTES
+    assert digest.hexdigest() == LATTICE_4_5_SHA256
 
 
 def test_gen_lattice_refuses_a_foreign_field():

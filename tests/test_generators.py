@@ -52,7 +52,7 @@ from leonardpairs.leonard import (
     fit_askey_wilson,
     is_leonard_pair,
 )
-from leonardpairs import generators, matrix
+from leonardpairs import generators, leonard, matrix
 from leonardpairs.matrix import ExactMatrix, inverse, matrix_to_dict
 from leonardpairs.parray import (
     FAMILY_CLASSICAL,
@@ -465,24 +465,71 @@ def test_lattice_components_are_leonard_pairs():
             assert is_leonard_pair(comp.a, comp.a_star), (n, q, comp.grade)
 
 
-def _count_recognitions(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("n,q,distinct", [(4, 2, 3), (3, 3, 2), (5, 2, 3)])
+def test_lattice_validates_one_array_per_distinct_chain_and_recognises_nothing(
+    monkeypatch, n, q, distinct
+):
+    recognised, validated = [], []
 
-    def counted(a, a_star):
-        calls.append((a, a_star))
+    def counted_recognition(a, a_star):
+        recognised.append((a, a_star))
         return is_leonard_pair(a, a_star)
 
-    monkeypatch.setattr(generators, "is_leonard_pair", counted)
-    return calls
+    def counted_validation(pa):
+        validated.append(pa)
+        return validate(pa)
 
-
-@pytest.mark.parametrize("n,q,distinct", [(4, 2, 3), (3, 3, 2), (5, 2, 3)])
-def test_lattice_recognises_each_distinct_chain_pair_once(monkeypatch, n, q, distinct):
-    calls = _count_recognitions(monkeypatch)
+    monkeypatch.setattr(leonard, "is_leonard_pair", counted_recognition)
+    monkeypatch.setattr(generators, "is_leonard_pair", counted_recognition, raising=False)
+    monkeypatch.setattr(generators, "validate", counted_validation)
     _, _, dec = lattice_pair(build_lattice(n, q))
-    assert len(calls) == distinct == n // 2 + 1
-    assert len(set(calls)) == distinct
-    assert {(c.a, c.a_star) for c in dec.components} == set(calls)
+    assert recognised == []
+    assert len(validated) == distinct == n // 2 + 1
+    pairs = {(c.a, c.a_star) for c in dec.components}
+    assert len(pairs) == distinct
+    # each validated array is the one on the bands of a distinct chain pair
+    diagonals = {(a.rows[0][0], a_star.rows[0][0], a.n) for a, a_star in pairs}
+    assert {(pa.theta[0], pa.theta_star[0], pa.d + 1) for pa in validated} == diagonals
+    assert all(validate(pa).valid for pa in validated)
+
+
+def _band_mutants(a, a_star):
+    """The chain pair, then each diagonal entry of A moved (one up, and onto
+    its neighbour's value), each diagonal entry of A* moved one up, and each
+    superdiagonal entry of A* doubled."""
+    f, n = a.field, a.n
+
+    def edited(m, i, j, value):
+        rows = [list(row) for row in m.rows]
+        rows[i][j] = value
+        return ExactMatrix._raw(f, rows)
+
+    yield a, a_star
+    for i in range(n):
+        yield edited(a, i, i, f.add(a.rows[i][i], f.one)), a_star
+        yield edited(a, i, i, a.rows[(i + 1) % n][(i + 1) % n]), a_star
+        yield a, edited(a_star, i, i, f.add(a_star.rows[i][i], f.one))
+    for i in range(n - 1):
+        yield a, edited(a_star, i, i + 1, f.mul(f.from_int(2), a_star.rows[i][i + 1]))
+
+
+@pytest.mark.parametrize(
+    "n,q",
+    [(n, 2) for n in range(1, 6)]
+    + [(n, 3) for n in range(2, 5)]
+    + [(2, 4), (2, 5), (3, 4), (2, 9)],
+)
+def test_split_array_certificate_agrees_with_recognition(n, q):
+    """The array on the bands is valid exactly when is_leonard_pair accepts
+    the pair, on every distinct chain pair and on its band mutants."""
+    _, _, dec = lattice_pair(build_lattice(n, q))
+    verdicts = []
+    for a, a_star in {(c.a, c.a_star) for c in dec.components}:
+        for x, x_star in _band_mutants(a, a_star):
+            certified = generators._split_array(x, x_star) is not None
+            assert certified == bool(is_leonard_pair(x, x_star)), (n, q, x, x_star)
+            verdicts.append(certified)
+    assert True in verdicts and False in verdicts
 
 
 def test_lattice_refuses_a_chain_with_a_broken_coefficient(monkeypatch):
